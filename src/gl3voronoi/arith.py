@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Iterator
 
 __all__ = [
     "factorize",
@@ -161,10 +160,3 @@ def unit_group_generators(q: int) -> tuple[tuple[int, int], ...]:
         for g, order in local:
             gens.append((_crt_lift(g, pe, q), order))
     return tuple(gens)
-
-
-def coprime_residues(q: int) -> Iterator[int]:
-    """Residues in [1, q] coprime to q (yields 1 for q = 1)."""
-    for a in range(1, q + 1):
-        if math.gcd(a, q) == 1:
-            yield a

@@ -8,8 +8,11 @@ collected in name order, and runtime_ms is excluded from the
 determinism contract.
 
 Exit codes: 0 when every report passes, 1 when any fails, 2 on usage
-errors.  The environment variable GL3VORONOI_THREADS (thread count for
-running independent checks; default 1) is the only environment input.
+errors, which include every invalid configuration.  Configuration is
+SuiteConfig alone: each of its fields is both a ``--flag-with-dashes``
+of ``verify`` and a ``key_with_underscores`` of the ``--config`` file,
+with one parser per field derived from the field's type.  Checks run
+serially, and no environment variable is read.
 """
 
 from __future__ import annotations
@@ -17,11 +20,10 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+import typing
+from dataclasses import dataclass, field, replace
 
 from . import __version__
 from .arith import factorize, primes_up_to
@@ -173,31 +175,44 @@ class SuiteConfig:
         return Window(*self.window)
 
     def validate(self) -> None:
+        """Raise ValueError for any value that a check cannot run on.
+
+        Int fields but the seed are bounds >= 1 (m2_max >= 0, as |m2|
+        <= m2_max); int tuples but m_set hold positive levels, moduli or
+        q's; m_set has no zero; every cstar has a primitive character;
+        every tolerance override names a check.
+        """
         if min(self.window) < 1:
             raise ValueError("window fields must be positive")
-        for name in (
-            "c_max",
-            "collapse_c_max",
-            "kloosterman_c_max",
-            "gauss_c_max",
-            "prime_bound",
-            "power_bound",
-            "trials",
-            "seeds_per_case",
-        ):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+        for name, kind in _FIELD_TYPES.items():
+            value = getattr(self, name)
+            low = 0 if name == "m2_max" else 1
+            if kind is int and name != "seed" and value < low:
+                raise ValueError(f"{name} must be >= {low}")
+            if kind == tuple[int, ...] and name != "m_set" and min(value, default=1) < 1:
+                raise ValueError(f"{name} entries must be >= 1")
+        if 0 in self.m_set:
+            raise ValueError("m_set must not contain 0")
+        for name in ("cstar_list", "moebius_cstar", "ramanujan_cstar"):
+            if any(cstar % 4 == 2 for cstar in getattr(self, name)):
+                raise ValueError(f"{name}: a cstar = 2 mod 4 has no primitive character")
+        for check in self.tolerances:
+            if check not in DEFAULT_TOLERANCES:
+                raise ValueError(f"tolerance override for unknown check {check!r}")
+
+
+_FIELD_TYPES = typing.get_type_hints(SuiteConfig)
 
 
 # -- individual checks -------------------------------------------------------
 
 
-def _report(config, name, parameters, residual, t0) -> VerificationReport:
+def _report(config, name, parameters, residual, t0, tolerance_of=None) -> VerificationReport:
     return VerificationReport.make(
         name,
         parameters,
         residual,
-        config.tolerance(name),
+        config.tolerance(tolerance_of or name),
         round((time.perf_counter() - t0) * 1000),
     )
 
@@ -379,36 +394,17 @@ def _identity_cases(config: SuiteConfig):
                     yield model, q, chi
 
 
-def check_z_expansion(config: SuiteConfig) -> list[VerificationReport]:
+def _identity_sweep(config: SuiteConfig, name: str, verify) -> list[VerificationReport]:
     t0 = time.perf_counter()
     window = config.window_obj()
     worst = 0.0
     runs = 0
     for model, q, chi in _identity_cases(config):
-        worst = max(worst, verify_Z_expansion(model, q, chi, window))
+        worst = max(worst, verify(model, q, chi, window))
         runs += 1
     if runs == 0:
         return []  # empty sweep: nothing to report
-    params = _identity_params(config, runs)
-    return [_report(config, "z-expansion", params, worst, t0)]
-
-
-def check_fe_rearrangement(config: SuiteConfig) -> list[VerificationReport]:
-    t0 = time.perf_counter()
-    window = config.window_obj()
-    worst = 0.0
-    runs = 0
-    for model, q, chi in _identity_cases(config):
-        worst = max(worst, verify_fe_rearrangement(model, q, chi, window))
-        runs += 1
-    if runs == 0:
-        return []  # empty sweep: nothing to report
-    params = _identity_params(config, runs)
-    return [_report(config, "fe-rearrangement", params, worst, t0)]
-
-
-def _identity_params(config: SuiteConfig, runs: int) -> dict:
-    return {
+    params = {
         "window": ":".join(map(str, config.window)),
         "levels": ",".join(map(str, config.levels)),
         "q_list": ",".join(map(str, config.q_list)),
@@ -417,6 +413,15 @@ def _identity_params(config: SuiteConfig, runs: int) -> dict:
         "seed": config.seed,
         "runs": runs,
     }
+    return [_report(config, name, params, worst, t0)]
+
+
+def check_z_expansion(config: SuiteConfig) -> list[VerificationReport]:
+    return _identity_sweep(config, "z-expansion", verify_Z_expansion)
+
+
+def check_fe_rearrangement(config: SuiteConfig) -> list[VerificationReport]:
+    return _identity_sweep(config, "fe-rearrangement", verify_fe_rearrangement)
 
 
 def check_moebius_assembly(config: SuiteConfig) -> list[VerificationReport]:
@@ -549,30 +554,17 @@ def check_fault_injection(config: SuiteConfig) -> list[VerificationReport]:
     window = config.window_obj()
     chi = [c for c in enumerate_characters(3) if c.is_primitive][0]
     model = new_model(1, seed=config.seed)
-    out = []
     t0 = time.perf_counter()
     residual = verify_Z_expansion(model.corrupted((1, 2), 1e-3), 1, chi, window)
-    out.append(
-        VerificationReport.make(
-            "z-expansion-fault-injected",
-            {"corruption": "A(1,2) += 1e-3", "expected": "fail"},
-            residual,
-            config.tolerance("z-expansion"),
-            round((time.perf_counter() - t0) * 1000),
-        )
-    )
+    params = {"corruption": "A(1,2) += 1e-3", "expected": "fail"}
+    z_probe = _report(config, "z-expansion-fault-injected", params, residual, t0, "z-expansion")
     t0 = time.perf_counter()
     residual = fe_rearrangement_sensitivity(model, 1, chi, window, 1e-3)
-    out.append(
-        VerificationReport.make(
-            "fe-rearrangement-sensitivity",
-            {"corruption": "one-sided dual A(1,2) += 1e-3", "expected": "fail"},
-            residual,
-            config.tolerance("fe-rearrangement"),
-            round((time.perf_counter() - t0) * 1000),
-        )
+    params = {"corruption": "one-sided dual A(1,2) += 1e-3", "expected": "fail"}
+    fe_probe = _report(
+        config, "fe-rearrangement-sensitivity", params, residual, t0, "fe-rearrangement"
     )
-    return out
+    return [z_probe, fe_probe]
 
 
 CHECKS = {
@@ -603,15 +595,9 @@ def run_suite(config: SuiteConfig, names: list[str] | None = None) -> list[Verif
     for name in selected:
         if name not in CHECKS:
             raise ValueError(f"unknown check {name!r}")
-    threads = int(os.environ.get("GL3VORONOI_THREADS", "1"))
     reports: list[VerificationReport] = []
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for batch in pool.map(lambda n: CHECKS[n](config), selected):
-                reports.extend(batch)
-    else:
-        for name in selected:
-            reports.extend(CHECKS[name](config))
+    for name in selected:
+        reports.extend(CHECKS[name](config))
     if config.fault_injection:
         reports.extend(check_fault_injection(config))
     return sorted(reports, key=lambda r: r.check_name)
@@ -656,15 +642,45 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
 def _parse_window(text: str) -> tuple[int, int, int]:
     parts = text.split(":")
     if len(parts) != 3:
-        raise argparse.ArgumentTypeError("window must be X:P:Q")
+        raise ValueError("window must be X:P:Q")
     return tuple(int(x) for x in parts)  # type: ignore[return-value]
 
 
-_CONFIG_FIELDS = {f.name: f for f in fields(SuiteConfig)}
+def _parse_bool(text: str) -> bool:
+    word = text.strip().lower()
+    if word in ("1", "true", "yes"):
+        return True
+    if word in ("0", "false", "no"):
+        return False
+    raise ValueError(f"expected true/false, yes/no or 1/0, got {text!r}")
+
+
+_PARSER_BY_TYPE = {
+    tuple[int, int, int]: _parse_window,
+    tuple[int, ...]: _parse_int_list,
+    int: int,
+    complex: complex,
+    bool: _parse_bool,
+    str | None: str,
+}
+
+# str -> value per SuiteConfig field; tolerances are set by tol.<check>
+# keys and --tol instead
+CONFIG_PARSERS = {
+    name: _PARSER_BY_TYPE[kind] for name, kind in _FIELD_TYPES.items() if name != "tolerances"
+}
+
+
+def _text(name: str, value) -> str:
+    """A field value in the syntax its parser reads."""
+    if isinstance(value, tuple):
+        return (":" if name == "window" else ",").join(map(str, value))
+    return str(value)
 
 
 def load_config_file(path: str) -> dict:
-    """Flat key = value file; tolerance overrides use 'tol.<check>' keys."""
+    """Flat key = value file: the keys are SuiteConfig field names, and
+    tolerance overrides use 'tol.<check>' keys.  Errors name file:line."""
     overrides: dict = {}
     tolerances: dict[str, float] = {}
     with open(path) as fh:
@@ -672,27 +688,23 @@ def load_config_file(path: str) -> dict:
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
+            where = f"{path}:{lineno}"
             if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key = value")
+                raise ValueError(f"{where}: expected key = value")
             key, value = (x.strip() for x in line.split("=", 1))
             if key.startswith("tol."):
-                tolerances[key[4:]] = float(value)
-                continue
-            if key not in _CONFIG_FIELDS:
-                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            ftype = _CONFIG_FIELDS[key].type
-            if key == "window":
-                overrides[key] = _parse_window(value)
-            elif "tuple" in str(ftype):
-                overrides[key] = _parse_int_list(value)
-            elif "bool" in str(ftype):
-                overrides[key] = value.lower() in ("1", "true", "yes")
-            elif "complex" in str(ftype):
-                overrides[key] = complex(value)
-            elif "int" in str(ftype):
-                overrides[key] = int(value)
+                target, name, parse = tolerances, key[4:], float
+                if name not in DEFAULT_TOLERANCES:
+                    raise ValueError(f"{where}: no check named {name!r}")
+            elif key in CONFIG_PARSERS:
+                target, name, parse = overrides, key, CONFIG_PARSERS[key]
             else:
-                overrides[key] = value
+                hint = "; use tol.<check> keys" if key == "tolerances" else ""
+                raise ValueError(f"{where}: unknown key {key!r}{hint}")
+            try:
+                target[name] = parse(value)
+            except ValueError as exc:
+                raise ValueError(f"{where}: bad value for {key}: {exc}") from None
     if tolerances:
         overrides["tolerances"] = tolerances
     return overrides
@@ -719,25 +731,15 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=sorted(CHECKS) + ["all"],
     )
     verify.add_argument("--config", help="flat key = value config file")
-    verify.add_argument("--seed", type=int)
     verify.add_argument("--tol", type=float, help="tolerance override for this check")
-    verify.add_argument("--window", type=_parse_window, help="X:P:Q")
-    verify.add_argument("--levels", type=_parse_int_list)
-    verify.add_argument("--q-list", type=_parse_int_list)
-    verify.add_argument("--cstar-list", type=_parse_int_list)
-    verify.add_argument("--seeds-per-case", type=int)
-    verify.add_argument("--c-max", type=int)
-    verify.add_argument("--m-set", type=_parse_int_list)
-    verify.add_argument("--m2-max", type=int)
-    verify.add_argument("--prime-bound", type=int)
-    verify.add_argument("--power-bound", type=int)
-    verify.add_argument("--trials", type=int)
-    verify.add_argument("--hecke-levels", type=_parse_int_list)
-    verify.add_argument("--nu1", type=complex, help="spectral parameter, e.g. 0.333+0.3j")
-    verify.add_argument("--nu2", type=complex)
-    verify.add_argument("--fault-injection", action="store_true")
     verify.add_argument("--format", choices=("json", "text"), default="text")
-    verify.add_argument("--output", help="write the report to this path")
+    for name, parse in CONFIG_PARSERS.items():
+        flag = "--" + name.replace("_", "-")
+        if parse is _parse_bool:
+            verify.add_argument(flag, action="store_true", default=None)
+        else:
+            default = _text(name, getattr(SuiteConfig, name))
+            verify.add_argument(flag, type=parse, help=f"default {default}")
     return parser
 
 
@@ -745,29 +747,10 @@ def _config_from_args(args) -> SuiteConfig:
     overrides: dict = {}
     if args.config:
         overrides.update(load_config_file(args.config))
-    flag_map = {
-        "seed": args.seed,
-        "window": args.window,
-        "levels": args.levels,
-        "q_list": args.q_list,
-        "cstar_list": args.cstar_list,
-        "seeds_per_case": args.seeds_per_case,
-        "c_max": args.c_max,
-        "m_set": args.m_set,
-        "m2_max": args.m2_max,
-        "prime_bound": args.prime_bound,
-        "power_bound": args.power_bound,
-        "trials": args.trials,
-        "hecke_levels": args.hecke_levels,
-        "nu1": args.nu1,
-        "nu2": args.nu2,
-        "output": args.output,
-    }
-    for key, value in flag_map.items():
+    for name in CONFIG_PARSERS:
+        value = getattr(args, name)
         if value is not None:
-            overrides[key] = value
-    if args.fault_injection:
-        overrides["fault_injection"] = True
+            overrides[name] = value
     if args.tol is not None:
         if args.check == "all":
             raise ValueError("--tol applies to a single named check")

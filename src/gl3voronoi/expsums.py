@@ -29,7 +29,6 @@ harness so tolerances stay centrally configured.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -47,7 +46,6 @@ from .characters import (
 )
 
 __all__ = [
-    "KloostermanQuery",
     "kloosterman",
     "kloosterman_matrix",
     "ramanujan_sum",
@@ -66,22 +64,6 @@ def _units_and_inverses(c: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     units = tuple(a for a in range(1, c + 1) if math.gcd(a, c) == 1)
     invs = tuple(mod_inverse(a, c) for a in units)
     return units, invs
-
-
-@dataclass(frozen=True)
-class KloostermanQuery:
-    """Arguments of a Kloosterman sum; a, b are reduced mod c on evaluation."""
-
-    a: int
-    b: int
-    c: int
-
-    def __post_init__(self):
-        if self.c < 1:
-            raise ValueError(f"modulus must be positive, got {self.c}")
-
-    def evaluate(self) -> complex:
-        return kloosterman(self.a, self.b, self.c)
 
 
 def kloosterman(a: int, b: int, c: int) -> complex:

@@ -24,6 +24,18 @@ Conventions shared by every builder here:
   builders count its power and the verifier asserts the counts agree).
   Tolerances: end-to-end identity runs are exact up to floating
   roundoff, budgeted at 1e-8 for the windowed sweeps.
+
+- build_H and build_G take a ``shift``, which moves every term from Y
+  to shift * Y before the window is applied (so only in-window keys are
+  enumerated), and a ``scale``, the first factor of every coefficient.
+
+- The right sides of the Z expansion, the rearranged dual expansion and
+  the Moebius assembly share one shell, built by ``_shell``:
+
+      sum_{d2|Q} sum_{(X, d1, l)} psi(d2) chi*(d1 d2) d2^-s inner(Q d1/d2, l, s)
+
+  with inner = H or G placed at X, d2 | Q the outer loop, and each
+  inner series built with shift d2 and scale psi(d2) chi*(d1 d2).
 """
 
 from __future__ import annotations
@@ -73,9 +85,6 @@ class IdentityCase:
     chi_star: DirichletCharacter
     q: int
     window: Window
-    ell: int = 1
-    m: int = 1
-    c: int = 1
 
     def __post_init__(self):
         n = self.model.level
@@ -129,10 +138,12 @@ def build_H(
     chi_star: DirichletCharacter,
     model: HeckeCoefficientModel,
     window: Window,
+    shift: int = 1,
+    scale: complex = 1,
 ) -> FormalSeries:
     """Twisted coefficient series H(q, l, chi*, s) at modulus c = l cstar.
 
-    s-only (X = 1).  The n-th term lands at Y = n/l^2 with reduced
+    s-only (X = 1).  The n-th term lands at Y = shift n/l^2 with reduced
     numerator >= n/l^2, so n <= p_max * l^2 exhausts the window; the
     denominators never exceed l^2, which is recorded as the den bound.
     """
@@ -143,14 +154,15 @@ def build_H(
     terms: dict[tuple[int, int, int], complex] = {}
     p_max, q_max = window.p_max, window.q_max
     for n in range(1, p_max * ell2 + 1):
-        g = math.gcd(n, ell2)
-        num, den = n // g, ell2 // g
-        if num > p_max or den > q_max:
-            continue
         gv = gtab[n % c]
         if not gv:
             continue
-        coeff = model.coefficient(q, n) * gv / ell
+        nn = shift * n
+        g = math.gcd(nn, ell2)
+        num, den = nn // g, ell2 // g
+        if num > p_max or den > q_max:
+            continue
+        coeff = scale * model.coefficient(q, n) * gv / ell
         if coeff:
             terms[(1, num, den)] = coeff
     return FormalSeries(terms, window, num_bound=None, den_bound=ell2)
@@ -193,6 +205,8 @@ def build_G(
     model: HeckeCoefficientModel,
     window: Window,
     contragredient: HeckeCoefficientModel | None = None,
+    shift: int = 1,
+    scale: complex = 1,
 ) -> FormalSeries:
     """Dual twisted series G(q, l, chi*, s) at c = l cstar, stripped of
     the archimedean unit factor.
@@ -203,8 +217,8 @@ def build_G(
         chi*(-N) psi(q c) cstar
             * A~(d, n) g(chi*, c, d) g(chi*, q c / d, n) / (d n)
 
-    at Y = q l cstar^3 / (d^2 n), X = 1.  For fixed d the keys are the
-    in-window values of K/n with K = q l cstar^3 / d^2, enumerated
+    at Y = shift q l cstar^3 / (d^2 n), X = 1.  For fixed d the keys are
+    the in-window values of K/n with K = shift q l cstar^3 / d^2, enumerated
     through the inverse key map.  Denominators divide K's denominator
     times n only through the key grid, hence are q_max-complete by
     construction; numerators are unbounded (num_bound None).
@@ -214,7 +228,7 @@ def build_G(
     cstar = chi_star.modulus
     c = ell * cstar
     dual = contragredient if contragredient is not None else model.contragredient()
-    pref = chi_star(-level) * psi(q * c) * cstar
+    pref = scale * chi_star(-level) * psi(q * c) * cstar
     terms: dict[tuple[int, int, int], complex] = {}
     if not pref:
         return FormalSeries(terms, window, num_bound=None, den_bound=None)
@@ -225,7 +239,7 @@ def build_G(
             continue
         mod2 = q * c // d
         gtab2 = gauss_sum_table(chi_star, mod2)
-        knum = q * ell * cstar**3
+        knum = shift * q * ell * cstar**3
         kden = d * d
         g = math.gcd(knum, kden)
         for num, den, n in _inverse_key_map(
@@ -243,6 +257,39 @@ def build_G(
 
 def _restrict(level: int):
     return (lambda n: math.gcd(n, level) == 1) if level > 1 else None
+
+
+def _shell(terms, inner, model, chi_star, big_q, cells, window, scale, shift=1, **kw):
+    """Add scale * shift^-s * the shell (see the module docstring) over
+    the cells (X, d1, l) into terms; kw goes to inner (build_H or build_G)."""
+    psi = model.psi
+    s_window = Window(1, window.p_max, window.q_max)
+    for d2 in divisors(big_q):
+        for x, d1, ell in cells:
+            pref = scale * psi(d2) * chi_star(d1 * d2)
+            if not pref:
+                continue
+            series = inner(
+                big_q * d1 // d2, ell, chi_star, model, s_window,
+                shift=shift * d2, scale=pref, **kw,
+            )
+            for (_, num, den), coeff in series.terms.items():
+                key = (x, num, den)
+                terms[key] = terms.get(key, 0j) + coeff
+    return terms
+
+
+def _dirichlet_cells(x_max: int, level: int) -> list[tuple[int, int, int]]:
+    """(X, d1, l) = ((d1 l)^2, d1, l) for d1, l coprime to the level with
+    (d1 l)^2 <= x_max: the d1^-2w l^-2w carriers of the Z expansion."""
+    root = math.isqrt(x_max)
+    return [
+        ((d1 * ell) ** 2, d1, ell)
+        for d1 in range(1, root + 1)
+        if math.gcd(d1, level) == 1
+        for ell in range(1, root // d1 + 1)
+        if math.gcd(ell, level) == 1
+    ]
 
 
 def verify_Z_expansion(
@@ -268,10 +315,8 @@ def verify_Z_expansion(
     the inner index n through num(d2 n / l^2) >= n / l^2, so
     n <= p_max l^2.  Returns the windowed compare residual.
     """
-    _case = IdentityCase(model, chi_star, q, window)
+    IdentityCase(model, chi_star, q, window)
     level = model.level
-    psi = model.psi
-    cstar = chi_star.modulus
     restrict = _restrict(level)
     chibar = chi_star.conjugate()
 
@@ -282,7 +327,7 @@ def verify_Z_expansion(
         s_mult=-1,
         shift=0,
         restriction=restrict,
-        window=Window(window.x_max, 1, max(1, _isqrt(window.x_max))),
+        window=Window(window.x_max, 1, max(1, math.isqrt(window.x_max))),
     )
     # 1 / L^(N)(2w-2s+1, chibar*): X = l^2, Y = 1/l^2, coefficient mu(l) chibar*(l) / l
     s3 = build_lseries(
@@ -307,40 +352,8 @@ def verify_Z_expansion(
     )
     lhs = series_mul(p1, s2, window)
 
-    tau_bar_inv = 1 / gauss_sum(chibar)
-    terms: dict[tuple[int, int, int], complex] = {}
-    x_max, p_max, q_max = window.x_max, window.p_max, window.q_max
-    d1 = 0
-    while True:
-        d1 += 1
-        if d1 * d1 > x_max:
-            break
-        if math.gcd(d1, level) != 1:
-            continue
-        for ell in range(1, _isqrt(x_max) // d1 + 1):
-            if (d1 * ell) ** 2 > x_max or math.gcd(ell, level) != 1:
-                continue
-            x = (d1 * ell) ** 2
-            c = ell * cstar
-            gtab = gauss_sum_table(chibar, c)
-            ell2 = ell * ell
-            for d2 in divisors(q):
-                pref = psi(d2) * chi_star(d1 * d2) * tau_bar_inv
-                if not pref:
-                    continue
-                qq = q * d1 // d2
-                for n in range(1, p_max * ell2 + 1):
-                    gv = gtab[n % c]
-                    if not gv:
-                        continue
-                    nn = d2 * n
-                    g = math.gcd(nn, ell2)
-                    num, den = nn // g, ell2 // g
-                    if num > p_max or den > q_max:
-                        continue
-                    coeff = pref * model.coefficient(qq, n) * gv / ell
-                    key = (x, num, den)
-                    terms[key] = terms.get(key, 0j) + coeff
+    cells = _dirichlet_cells(window.x_max, level)
+    terms = _shell({}, build_H, model, chi_star, q, cells, window, 1 / gauss_sum(chibar))
     rhs = FormalSeries(terms, window)
     return compare(lhs, rhs, window)
 
@@ -378,17 +391,11 @@ def verify_fe_rearrangement(
     coefficient cannot break it; use fe_rearrangement_sensitivity for
     the verifier's own fault probe.
     """
-    _case = IdentityCase(model, chi_star, q, window)
+    IdentityCase(model, chi_star, q, window)
     assert _GPM_POWER_LHS == _GPM_POWER_RHS
     if dual is None:
         dual = model.contragredient()
-    tau = gauss_sum(chi_star)
-    tau_bar = gauss_sum(chi_star.conjugate())
-    cstar = chi_star.modulus
-    assert abs(tau * tau_bar - chi_star(-1) * cstar) < 1e-9 * cstar
-    lhs = _fe_lhs_series(model, q, chi_star, window, dual, tau)
-    rhs = _fe_rhs_series(model, q, chi_star, window, dual, tau_bar)
-    return compare(lhs, rhs, window)
+    return _fe_residual(model, q, chi_star, window, dual, dual)
 
 
 def fe_rearrangement_sensitivity(
@@ -407,12 +414,22 @@ def fe_rearrangement_sensitivity(
     be of the order of the injected delta.
     """
     dual = model.contragredient()
-    bad = dual.corrupted((1, 2), delta)
+    return _fe_residual(model, q, chi_star, window, dual, dual.corrupted((1, 2), delta))
+
+
+def _fe_residual(model, q, chi_star, window, dual, rhs_dual) -> float:
+    """Rearrangement residual, dual coefficients from dual on the left
+    side and from rhs_dual on the right (the G-shell)."""
     tau = gauss_sum(chi_star)
     tau_bar = gauss_sum(chi_star.conjugate())
+    cstar = chi_star.modulus
+    assert abs(tau * tau_bar - chi_star(-1) * cstar) < 1e-9 * cstar
     lhs = _fe_lhs_series(model, q, chi_star, window, dual, tau)
-    rhs = _fe_rhs_series(model, q, chi_star, window, bad, tau_bar)
-    return compare(lhs, rhs, window)
+    cells = _dirichlet_cells(window.x_max, model.level)
+    rterms = _shell(
+        {}, build_G, model, chi_star, q, cells, window, 1 / tau_bar, contragredient=rhs_dual
+    )
+    return compare(lhs, FormalSeries(rterms, window), window)
 
 
 def _fe_lhs_series(model, q, chi_star, window, dual, tau) -> FormalSeries:
@@ -424,7 +441,7 @@ def _fe_lhs_series(model, q, chi_star, window, dual, tau) -> FormalSeries:
     c3 = cstar**3
     pref = psi(cstar) * chi_star(level) * tau**3
     lterms: dict[tuple[int, int, int], complex] = {}
-    for n in range(1, _isqrt(x_max) + 1):
+    for n in range(1, math.isqrt(x_max) + 1):
         if math.gcd(n, level) != 1:
             continue
         x = n * n
@@ -444,42 +461,6 @@ def _fe_lhs_series(model, q, chi_star, window, dual, tau) -> FormalSeries:
                 key = (x, num, den)
                 lterms[key] = lterms.get(key, 0j) + coeff
     return FormalSeries(lterms, window)
-
-
-def _fe_rhs_series(model, q, chi_star, window, dual, tau_bar) -> FormalSeries:
-    level = model.level
-    psi = model.psi
-    x_max, p_max, q_max = window.x_max, window.p_max, window.q_max
-    tau_bar_inv = 1 / tau_bar
-    rterms: dict[tuple[int, int, int], complex] = {}
-    for d1 in range(1, _isqrt(x_max) + 1):
-        if math.gcd(d1, level) != 1:
-            continue
-        for ell in range(1, _isqrt(x_max) // d1 + 1):
-            if (d1 * ell) ** 2 > x_max or math.gcd(ell, level) != 1:
-                continue
-            x = (d1 * ell) ** 2
-            for d2 in divisors(q):
-                shell = psi(d2) * chi_star(d1 * d2) * tau_bar_inv
-                if not shell:
-                    continue
-                gser = build_G(
-                    q * d1 // d2,
-                    ell,
-                    chi_star,
-                    model,
-                    Window(1, p_max, q_max * d2),
-                    contragredient=dual,
-                )
-                for (xg, num, den), coeff in gser.terms.items():
-                    nn = num * d2
-                    g = math.gcd(nn, den)
-                    num2, den2 = nn // g, den // g
-                    if num2 > p_max or den2 > q_max:
-                        continue
-                    key = (x, num2, den2)
-                    rterms[key] = rterms.get(key, 0j) + shell * coeff
-    return FormalSeries(rterms, window)
 
 
 def verify_moebius_assembly(
@@ -504,15 +485,13 @@ def verify_moebius_assembly(
     Enumeration bound: each inner term lands at Y = e1 d2 n / l^2 with
     reduced numerator >= n / l^2, so n <= p_max l^2.
     """
-    _case = IdentityCase(model, chi_star, q, window, m=m)
+    IdentityCase(model, chi_star, q, window)
     level = model.level
     if math.gcd(m, level) != 1:
         raise ValueError(f"m={m} must be coprime to the level {level}")
     psi = model.psi
-    cstar = chi_star.modulus
-    chibar = chi_star.conjugate()
-    p_max, q_max = window.p_max, window.q_max
-    lhs = build_H(q, m, chi_star, model, Window(1, p_max, q_max))
+    s_window = Window(1, window.p_max, window.q_max)
+    lhs = build_H(q, m, chi_star, model, s_window)
 
     terms: dict[tuple[int, int, int], complex] = {}
     for e0 in divisors(m):
@@ -526,33 +505,11 @@ def verify_moebius_assembly(
             outer = mu0 * mu1 * chi_star(e0 * e1) * psi(e1)
             if not outer:
                 continue
-            big_q = q * e0 // e1
             big_m = m // e0
-            for d2 in divisors(big_q):
-                for d1 in divisors(big_m):
-                    ell = big_m // d1
-                    pref = outer * psi(d2) * chi_star(d1 * d2)
-                    if not pref:
-                        continue
-                    c = ell * cstar
-                    gtab = gauss_sum_table(chibar, c)
-                    ell2 = ell * ell
-                    shift = e1 * d2
-                    qq = big_q * d1 // d2
-                    for n in range(1, p_max * ell2 + 1):
-                        gv = gtab[n % c]
-                        if not gv:
-                            continue
-                        nn = shift * n
-                        g = math.gcd(nn, ell2)
-                        num, den = nn // g, ell2 // g
-                        if num > p_max or den > q_max:
-                            continue
-                        coeff = pref * model.coefficient(qq, n) * gv / ell
-                        key = (1, num, den)
-                        terms[key] = terms.get(key, 0j) + coeff
-    rhs = FormalSeries(terms, Window(1, p_max, q_max))
-    return compare(lhs, rhs, Window(1, p_max, q_max))
+            cells = [(1, d1, big_m // d1) for d1 in divisors(big_m)]
+            _shell(terms, build_H, model, chi_star, q * e0 // e1, cells, window, outer, e1)
+    rhs = FormalSeries(terms, s_window)
+    return compare(lhs, rhs, s_window)
 
 
 def verify_orthogonality_equivalence(
@@ -592,7 +549,3 @@ def verify_orthogonality_equivalence(
             rhs = phi_c * a_qn * roots[abar * n % c]
             worst = max(worst, abs(lhs - rhs))
     return worst
-
-
-def _isqrt(x: int) -> int:
-    return math.isqrt(x)

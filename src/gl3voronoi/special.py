@@ -38,7 +38,6 @@ __all__ = [
     "gamma_factor_G",
     "xi_factor",
     "g_pm_factor",
-    "spectral_constant",
 ]
 
 
@@ -259,19 +258,4 @@ def g_pm_factor(
         * cmath.exp((0.5 - s) * math.log(g.level))
         * math.pi ** (3 * (s - 0.5))
         * _gamma_ratio(g, 1 - s + k, s + k)
-    )
-
-
-def spectral_constant(g: GammaData) -> complex:
-    """pi^(1/2 - 3 nu1 - 3 nu2) Gamma(3 nu1/2) Gamma(3 nu2/2) Gamma((3 nu1 + 3 nu2 - 1)/2).
-
-    Normalization constant of the spectral pair.  It cancels between the
-    two double-Mellin evaluations it mediates and enters no identity
-    check; the evaluator exists for completeness.
-    """
-    n1, n2 = g.nu1, g.nu2
-    return math.pi ** (0.5 - 3 * n1 - 3 * n2) * cmath.exp(
-        log_gamma(3 * n1 / 2)
-        + log_gamma(3 * n2 / 2)
-        + log_gamma((3 * n1 + 3 * n2 - 1) / 2)
     )

@@ -1,14 +1,18 @@
 import json
 import re
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gl3voronoi.cli import (
+    CONFIG_PARSERS,
     DEFAULT_TOLERANCES,
     CHECKS,
     SuiteConfig,
+    _build_parser,
+    _config_from_args,
     VerificationReport,
     emit_report,
     load_config_file,
@@ -228,3 +232,102 @@ def test_cli_config_flag_precedence(tmp_path, capsys):
     assert payload["seed"] == 5
     (rep,) = payload["reports"]
     assert rep["parameters"]["c_max"] == "10"
+
+
+# -- configuration: one parser per SuiteConfig field -------------------------
+
+
+def _from_flags(*argv):
+    return _config_from_args(_build_parser().parse_args(["verify", "all", *argv]))
+
+
+def _from_file(tmp_path, text):
+    cfg = tmp_path / "suite.cfg"
+    cfg.write_text(text)
+    return _from_flags("--config", str(cfg))
+
+
+def _sample(name, default):
+    """A non-default value of a field, with its text form."""
+    if name == "window":
+        return (36, 24, 24), "36:24:24"
+    if isinstance(default, tuple):
+        value = default[1:] + (7,)
+        return value, ",".join(map(str, value))
+    if isinstance(default, bool):
+        return (not default), str(not default)
+    if isinstance(default, (int, complex)):
+        value = default + (1 if isinstance(default, int) else 0.5j)
+        return value, str(value)
+    return "report.json", "report.json"
+
+
+def test_every_field_has_a_flag_and_a_key(tmp_path):
+    names = [f.name for f in fields(SuiteConfig) if f.name != "tolerances"]
+    assert list(CONFIG_PARSERS) == names
+    for name in names:
+        value, text = _sample(name, getattr(SuiteConfig(), name))
+        direct = replace(SuiteConfig(), **{name: value})
+        assert direct != SuiteConfig()
+        flag = "--" + name.replace("_", "-")
+        argv = flag if isinstance(value, bool) else f"{flag}={text}"  # '=': text may start with '-'
+        assert _from_flags(argv) == direct, name
+        assert _from_file(tmp_path, f"{name} = {text}\n") == direct, name
+
+
+@pytest.mark.parametrize(
+    "name, text, value",
+    [
+        ("window", "144:48:48", (144, 48, 48)),
+        ("levels", "1,2", (1, 2)),
+        ("levels", "1, 2", (1, 2)),
+        ("q_list", "", ()),
+        ("m_set", "1,-2", (1, -2)),
+        ("seed", "99", 99),
+        ("nu1", "0.333+0.3j", complex(0.333, 0.3)),
+        ("nu2", "(0.4)", 0.4 + 0j),
+        ("output", "out/report.json", "out/report.json"),
+        *[("fault_injection", word, True) for word in ("1", "true", "yes", "True", "YES")],
+        *[("fault_injection", word, False) for word in ("0", "false", "no", "False")],
+    ],
+)
+def test_config_spellings_keep_their_meaning(tmp_path, name, text, value):
+    expected = replace(SuiteConfig(), **{name: value})
+    assert _from_file(tmp_path, f"{name} = {text}\n") == expected
+    if not isinstance(value, bool):
+        assert _from_flags("--" + name.replace("_", "-"), text) == expected
+
+
+def _bad_config_exit(tmp_path, capsys, text):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("seed = 3\n" + text)
+    code = main(["verify", "gauss-modulus", "--config", str(cfg)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"{cfg}:2:" in err
+
+
+def test_config_rejects_bare_tolerances_key(tmp_path, capsys):
+    _bad_config_exit(tmp_path, capsys, "tolerances = 1e-3\n")
+
+
+def test_config_rejects_tolerance_of_unknown_check(tmp_path, capsys):
+    _bad_config_exit(tmp_path, capsys, "tol.gauss-modulos = 1e-30\n")
+
+
+def test_config_rejects_unknown_bool_word(tmp_path, capsys):
+    _bad_config_exit(tmp_path, capsys, "fault_injection = ture\n")
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--q-list", "0"), ("--levels", "0"), ("--m-set", "0"), ("--cstar-list", "2")],
+)
+def test_invalid_config_exits_2_before_any_check(flag, value, capsys, monkeypatch):
+    def never(config):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr("gl3voronoi.cli.CHECKS", {name: never for name in CHECKS})
+    assert main(["verify", "all", flag, value]) == 2
+    assert "error:" in capsys.readouterr().err
+    SuiteConfig().validate()

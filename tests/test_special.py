@@ -15,7 +15,6 @@ from gl3voronoi.special import (
     gamma_factor_G,
     gamma_factor_G_k,
     log_gamma,
-    spectral_constant,
     xi_factor,
 )
 
@@ -215,9 +214,3 @@ def test_g_pm_level_collapse():
         lhs = g_pm_factor(s, g, branch)
         rhs = 1j**k * math.pi ** (3 * (s - 0.5)) * gamma_factor_G_k(s, g, k)
         assert abs(lhs - rhs) < 1e-12 * abs(rhs)
-
-
-def test_spectral_constant_evaluates():
-    g = GammaData(0.4 + 0.1j, 0.35)
-    val = spectral_constant(g)
-    assert val == val and abs(val) > 0  # finite, nonzero
