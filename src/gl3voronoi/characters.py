@@ -6,10 +6,14 @@ sends g^k to e(e*k/r), with e(x) = exp(2*pi*i*x).  Moduli up to ~10**4
 stay cheap because only the exponent vector is kept; discrete-log and
 value tables are materialized lazily per modulus and cached.
 
-Every evaluation goes through an exact rational angle: the angle of
-chi(n) is assembled as a reduced fraction of a full turn and a single
-complex exponential is taken, so the floating error is O(1) per term.
-Modulus 1 is supported (the trivial character is 1 everywhere).
+Rounding contract.  Each value chi(n) is one complex exponential of an
+exact angle: the angle is assembled as a reduced fraction of a full turn
+and exponentiated once, so its floating error is O(1) ulp.  chi(n) reads
+the cached value table, which holds exactly these values.  Every Gauss
+sum sum_u chi(u) e(u m / c) comes from one numpy kernel: each term is
+the product of two table values (chi(u) and e(j / c)), rounded as
+Python's complex product, and the terms are added in ascending order of
+u.  Modulus 1 is supported (the trivial character is 1 everywhere).
 
 Characters are immutable and hashable; the lazy caches are idempotent,
 so racing initializations are harmless.
@@ -23,16 +27,16 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
+
 from .arith import divisors, euler_phi, unit_group_generators
 
 __all__ = [
     "DirichletCharacter",
     "enumerate_characters",
     "principal_character",
-    "conductor",
     "primitive_part",
     "multiply",
-    "induce",
     "gauss_sum",
     "generalized_gauss_sum",
     "gauss_sum_table",
@@ -125,8 +129,7 @@ class DirichletCharacter:
         return a % 1
 
     def __call__(self, n: int) -> complex:
-        a = self.angle(n)
-        return 0j if a is None else root_of_unity(a)
+        return self.values()[n % self.modulus]
 
     def values(self) -> tuple[complex, ...]:
         """Value table chi(0), ..., chi(q-1) (lazy, cached)."""
@@ -194,10 +197,6 @@ def enumerate_characters(q: int) -> list[DirichletCharacter]:
     ]
 
 
-def conductor(chi: DirichletCharacter) -> int:
-    return chi.conductor
-
-
 def primitive_part(chi: DirichletCharacter) -> DirichletCharacter:
     """The primitive character mod conductor(chi) that induces chi."""
     d = chi.conductor
@@ -228,30 +227,40 @@ def multiply(chi1: DirichletCharacter, chi2: DirichletCharacter) -> DirichletCha
     return DirichletCharacter(q, tuple(exps))
 
 
-def induce(chi_star: DirichletCharacter, q: int) -> DirichletCharacter:
-    """Lift chi_star to modulus q (requires conductor | q)."""
-    if q % chi_star.modulus:
-        raise ValueError(f"{chi_star.modulus} does not divide {q}")
-    gens, _ = _structure(q)
-    exps = []
-    for g, r in gens:
-        a = chi_star.angle(g)
-        e = a * r
-        assert e.denominator == 1
-        exps.append(int(e) % r)
-    return DirichletCharacter(q, tuple(exps))
+def _gauss_sums(chi: DirichletCharacter, c: int, ms) -> np.ndarray:
+    """sum over units u mod c of chi(u) e(u m / c), for each m in ms.
+
+    Direct summation for any c >= 1: chi is read as a function on Z, so
+    units of c that share a factor with chi's modulus contribute 0 and
+    are skipped.  Real and imaginary parts of each product are formed
+    by separate float operations, so that every term rounds as Python's
+    complex product does (numpy's complex multiply may fuse them), and
+    the terms are accumulated in ascending order of u (a plain sum over
+    one column would be pairwise).
+    """
+    vals = np.array(chi.values())
+    u = np.arange(1, c + 1)
+    u = u[np.gcd(u, c) == 1]
+    w = vals[u % chi.modulus]
+    u, w = u[w != 0], w[w != 0]
+    roots = np.array(_exp_table(c))[np.outer(u, ms) % c]
+    wr, wi = w.real[:, None], w.imag[:, None]
+    out = np.empty(roots.shape[1], dtype=complex)
+    out.real = np.add.accumulate(wr * roots.real - wi * roots.imag)[-1]
+    out.imag = np.add.accumulate(wr * roots.imag + wi * roots.real)[-1]
+    return out
+
+
+@lru_cache(maxsize=None)
+def gauss_sum_table(chi_star: DirichletCharacter, c: int) -> tuple[complex, ...]:
+    """g(chi*, c, m) for m = 0..c-1, as one cached table per (chi*, c)."""
+    return tuple(_gauss_sums(chi_star, c, np.arange(c)).tolist())
 
 
 def gauss_sum(chi: DirichletCharacter) -> complex:
     """tau(chi) = sum over u mod q of chi(u) e(u/q), by direct summation."""
     q = chi.modulus
-    total = 0j
-    for u in range(1, q + 1):
-        a = chi.angle(u)
-        if a is None:
-            continue
-        total += root_of_unity(a + Fraction(u, q))
-    return total
+    return gauss_sum_table(chi, q)[1 % q]
 
 
 def generalized_gauss_sum(chi_star: DirichletCharacter, c: int, m: int) -> complex:
@@ -279,34 +288,4 @@ def _gauss_sum_any_modulus(chi_star: DirichletCharacter, c: int, m: int) -> comp
     """
     if c < 1:
         raise ValueError(f"modulus must be positive, got {c}")
-    m %= c
-    total = 0j
-    for u in range(1, c + 1):
-        if math.gcd(u, c) != 1:
-            continue
-        a = chi_star.angle(u)
-        if a is None:
-            continue
-        total += root_of_unity(a + Fraction(u * m, c))
-    return total
-
-
-@lru_cache(maxsize=None)
-def gauss_sum_table(chi_star: DirichletCharacter, c: int) -> tuple[complex, ...]:
-    """g(chi*, c, m) for m = 0..c-1, as one cached table per (chi*, c).
-
-    Used by the hot loops; entry m agrees with _gauss_sum_any_modulus.
-    """
-    roots = _exp_table(c)
-    tab = [0j] * c
-    for u in range(1, c + 1):
-        if math.gcd(u, c) != 1:
-            continue
-        a = chi_star.angle(u)
-        if a is None:
-            continue
-        w = root_of_unity(a)
-        uu = u % c
-        for m in range(c):
-            tab[m] += w * roots[uu * m % c]
-    return tuple(tab)
+    return gauss_sum_table(chi_star, c)[m % c]

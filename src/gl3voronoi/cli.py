@@ -18,6 +18,7 @@ serially, and no environment variable is read.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import sys
@@ -26,7 +27,7 @@ import typing
 from dataclasses import dataclass, field, replace
 
 from . import __version__
-from .arith import factorize, primes_up_to
+from .arith import factorize, is_prime, primes_up_to
 from .characters import enumerate_characters, gauss_sum
 from .expsums import (
     additive_collapse_sweep,
@@ -180,6 +181,8 @@ class SuiteConfig:
         Int fields but the seed are bounds >= 1 (m2_max >= 0, as |m2|
         <= m2_max); int tuples but m_set hold positive levels, moduli or
         q's; m_set has no zero; every cstar has a primitive character;
+        every Hecke-relation index fits factorize; the triple of (nu1, nu2)
+        is purely imaginary, as unitarity on the critical line needs;
         every tolerance override names a check.
         """
         if min(self.window) < 1:
@@ -196,6 +199,16 @@ class SuiteConfig:
         for name in ("cstar_list", "moebius_cstar", "ramanujan_cstar"):
             if any(cstar % 4 == 2 for cstar in getattr(self, name)):
                 raise ValueError(f"{name}: a cstar = 2 mod 4 has no primitive character")
+        # hecke-relations factorizes indices up to p^(2 power_bound), with p
+        # the largest prime <= prime_bound; the bit count avoids a huge power
+        p = next((n for n in range(self.prime_bound, 1, -1) if is_prime(n)), 1)
+        power = 2 * self.power_bound
+        if power * (p.bit_length() - 1) >= 63 or p**power > 2**63 - 1:
+            raise ValueError(f"power_bound: {p}^(2*power_bound) exceeds 2**63-1")
+        finite = cmath.isfinite(self.nu1) and cmath.isfinite(self.nu2)
+        triple = GammaData(self.nu1, self.nu2).triple if finite else ()
+        if not finite or max(abs(a.real) for a in triple) >= 1e-12:
+            raise ValueError("nu1, nu2: unitarity needs Re nu1 = Re nu2 = 1/3")
         for check in self.tolerances:
             if check not in DEFAULT_TOLERANCES:
                 raise ValueError(f"tolerance override for unknown check {check!r}")
@@ -504,19 +517,15 @@ def check_bessel_identity(config: SuiteConfig) -> list[VerificationReport]:
 def check_gamma_unitarity(config: SuiteConfig) -> list[VerificationReport]:
     t0 = time.perf_counter()
     g = GammaData(config.nu1, config.nu2)
-    # unit-modulus behavior on the critical line needs a purely imaginary
-    # derived triple; the check is gated on that rather than assumed
-    gate = max(abs(a.real) for a in g.triple) < 1e-12
     worst = 0.0
-    if gate:
-        for chi in enumerate_characters(5):
-            if not chi.is_primitive:
-                continue
-            tau = gauss_sum(chi)
-            kappa = 0 if chi.parity == 1 else 1
-            for t in (0.0, 1.0, 2.3):
-                val = xi_factor(0.5 + 1j * t, g, kappa, tau, tau, 5)
-                worst = max(worst, abs(abs(val) - 1.0))
+    for chi in enumerate_characters(5):
+        if not chi.is_primitive:
+            continue
+        tau = gauss_sum(chi)
+        kappa = 0 if chi.parity == 1 else 1
+        for t in (0.0, 1.0, 2.3):
+            val = xi_factor(0.5 + 1j * t, g, kappa, tau, tau, 5)
+            worst = max(worst, abs(abs(val) - 1.0))
     # exact vanishing of the derived-triple sum, no tolerance
     import random
 
@@ -533,7 +542,7 @@ def check_gamma_unitarity(config: SuiteConfig) -> list[VerificationReport]:
     params = {
         "nu1": config.nu1,
         "nu2": config.nu2,
-        "unitarity_applicable": gate,
+        "unitarity_applicable": True,
         "t_grid": "0,1,2.3",
         "chi_modulus": 5,
         "triple_draws": 100,

@@ -38,8 +38,10 @@ from .characters import (
     DirichletCharacter,
     _exp_table,
     _gauss_sum_any_modulus,
+    _gauss_sums,
     enumerate_characters,
     gauss_sum,
+    gauss_sum_table,
     generalized_gauss_sum,
     multiply,
     primitive_part,
@@ -145,19 +147,6 @@ def char_kloosterman_reduction_residual(
     return abs(lhs - rhs)
 
 
-@lru_cache(maxsize=None)
-def _np_gauss_table(chi_star: DirichletCharacter, c: int) -> np.ndarray:
-    """Vectorized table of sum_{(u,c)=1} chi*(u) e(u m / c) over m mod c."""
-    units = [u for u in range(1, c + 1) if math.gcd(u, c) == 1]
-    vals = chi_star.values()
-    w = np.array([vals[u % chi_star.modulus] for u in units])
-    roots = np.exp(2j * np.pi * np.arange(c) / c)
-    idx = np.outer(np.array(units) % c, np.arange(c)) % c
-    tab = (w[:, None] * roots[idx]).sum(axis=0)
-    tab.setflags(write=False)
-    return tab
-
-
 def char_kloosterman_reduction_sweep(
     c_max: int = 40, m_set: tuple[int, ...] = (1, -1, 2, -2, 6, -6), m2_max: int = 12
 ) -> tuple[float, int]:
@@ -188,9 +177,9 @@ def char_kloosterman_reduction_sweep(
                 phase1 = np.exp(2j * np.pi * np.outer(x, du) / big_c)
                 phase2 = np.exp(2j * np.pi * np.outer(m2s, dv) / big_c)
                 lhs = xbar @ (phase1 @ phase2.T)  # (n_chi, n_m2)
-                g1 = np.array([_np_gauss_table(ps, c)[m1 % c] for ps in prim])
-                idx2 = (sgn * m2s) % big_c
-                g2 = np.array([_np_gauss_table(ps, big_c)[idx2] for ps in prim])
+                g1 = np.array([gauss_sum_table(ps, c)[m1 % c] for ps in prim])
+                # uncached: whole tables at the large moduli big_c would cost memory
+                g2 = np.array([_gauss_sums(ps, big_c, sgn * m2s) for ps in prim])
                 resid = float(np.abs(lhs - g1[:, None] * g2).max())
                 worst = max(worst, resid)
                 cases += len(chars) * len(m2s)

@@ -34,15 +34,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 __all__ = [
     "PRUNE_EPS",
     "Window",
-    "DirichletMonomial",
     "FormalSeries",
     "CompletenessError",
-    "mono_mul",
     "series_mul",
     "build_lseries",
     "compare",
@@ -78,26 +76,6 @@ class Window:
         )
 
 
-@dataclass(frozen=True)
-class DirichletMonomial:
-    """coeff * X^(-w) * Y^(-s); Y stored reduced, X >= 1."""
-
-    coeff: complex
-    x: int
-    y: Fraction
-
-    def __post_init__(self):
-        if self.x < 1:
-            raise ValueError(f"X must be a positive integer, got {self.x}")
-        if self.y <= 0:
-            raise ValueError(f"Y must be a positive rational, got {self.y}")
-
-
-def mono_mul(m1: DirichletMonomial, m2: DirichletMonomial) -> DirichletMonomial:
-    """Coefficients multiply, X's multiply, Y's multiply and reduce."""
-    return DirichletMonomial(m1.coeff * m2.coeff, m1.x * m2.x, m1.y * m2.y)
-
-
 class FormalSeries:
     """Sparse windowed sum of monomials, keyed by (X, num, den)."""
 
@@ -129,19 +107,6 @@ class FormalSeries:
     def coeff(self, x: int, y: Fraction) -> complex:
         y = Fraction(y)
         return self.terms.get((x, y.numerator, y.denominator), 0j)
-
-    def monomials(self) -> Iterable[DirichletMonomial]:
-        for (x, num, den), coeff in sorted(self.terms.items()):
-            yield DirichletMonomial(coeff, x, Fraction(num, den))
-
-    def scaled(self, factor: complex) -> "FormalSeries":
-        return FormalSeries(
-            {k: factor * v for k, v in self.terms.items()},
-            self.window,
-            self.num_bound,
-            self.den_bound,
-            prune=0.0,
-        )
 
     def __repr__(self) -> str:
         return f"FormalSeries({len(self.terms)} terms, window={self.window})"

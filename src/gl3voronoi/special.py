@@ -6,8 +6,8 @@ its defining integral, the Fourier transform identity
     int e(u y) (u^2+1)^(-s) u^k du
         = (i sign y)^k 2 pi^s |y|^(s-1/2) / Gamma(s) K_{s-1/2-k}(2 pi |y|),
 
-and the gamma-ratio evaluators built on the derived parameter triple
-(alpha, beta, gamma) of a spectral pair (nu1, nu2).
+and the completed twist factor Xi, a gamma ratio built on the derived
+parameter triple (alpha, beta, gamma) of a spectral pair (nu1, nu2).
 
 All gamma ratios are assembled in log space with a single final
 exponentiation; direct Gamma quotients overflow well before |Im s| = 30.
@@ -34,10 +34,7 @@ __all__ = [
     "fourier_bessel_lhs",
     "fourier_bessel_rhs",
     "fourier_bessel_identity_residual",
-    "gamma_factor_G_k",
-    "gamma_factor_G",
     "xi_factor",
-    "g_pm_factor",
 ]
 
 
@@ -147,31 +144,21 @@ def fourier_bessel_identity_residual(s: complex, k: int, y: float) -> float:
 
 @dataclass(frozen=True)
 class GammaData:
-    """Spectral pair (nu1, nu2) with its derived triple and twist data.
+    """Spectral pair (nu1, nu2) with its derived triple.
 
     alpha = 1 - nu1 - 2 nu2 and beta = nu2 - nu1 are taken literally;
     gamma is stored as -(alpha + beta), which equals 2 nu1 + nu2 - 1 and
     makes alpha + beta + gamma vanish exactly in floating point (checked
-    with no tolerance at construction).  parity is the value of the
-    level-N twist at -1; epsilon is a free unit-modulus constant.
+    with no tolerance at construction).
     """
 
     nu1: complex
     nu2: complex
-    parity: int = 1
-    epsilon: complex = 1.0 + 0j
-    level: int = 1
     alpha: complex = field(init=False)
     beta: complex = field(init=False)
     gamma: complex = field(init=False)
 
     def __post_init__(self):
-        if self.parity not in (1, -1):
-            raise ValueError("parity must be +1 or -1")
-        if abs(abs(self.epsilon) - 1) > 1e-12:
-            raise ValueError("epsilon must lie on the unit circle")
-        if self.level < 1:
-            raise ValueError("level must be positive")
         alpha = 1 - self.nu1 - 2 * self.nu2
         beta = self.nu2 - self.nu1
         gamma = -(alpha + beta)
@@ -193,20 +180,6 @@ def _gamma_ratio(g: GammaData, num_shift: complex, den_shift: complex) -> comple
     for a in g.triple:
         acc += log_gamma((num_shift + a) / 2) - log_gamma((den_shift - a) / 2)
     return cmath.exp(acc)
-
-
-def gamma_factor_G_k(s: complex, g: GammaData, k: int) -> complex:
-    """G_k(s) = prod_j Gamma((1+k-s+a_j)/2) / Gamma((s+k-a_j)/2), k = 0 or 1."""
-    if k not in (0, 1):
-        raise ValueError("k must be 0 or 1")
-    return _gamma_ratio(g, 1 + k - s, s + k)
-
-
-def gamma_factor_G(s: complex, g: GammaData, sign: int) -> complex:
-    """G(s) = (G_0(s) + i sign G_1(s)) / 2, sign the sign of the index pair."""
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    return 0.5 * (gamma_factor_G_k(s, g, 0) + 1j * sign * gamma_factor_G_k(s, g, 1))
 
 
 def xi_factor(
@@ -233,29 +206,4 @@ def xi_factor(
         * 1j**kappa
         * math.pi ** (3 * (s - 0.5))
         * _gamma_ratio(g, 1 - s + kappa, s + kappa)
-    )
-
-
-def g_pm_factor(
-    s: complex, g: GammaData, branch: int, tau_psi: complex = 1.0 + 0j
-) -> complex:
-    """Level-aware gamma factor G_+ / G_- for the coprime-conductor twist.
-
-    branch +1 selects G_+, -1 selects G_-.  The parity of the level twist
-    fixes k: parity +1 gives k = 0 for G_+ and k = 1 for G_-; parity -1
-    swaps the two.  tau_psi defaults to 1, the level-1 value.
-    """
-    if branch not in (1, -1):
-        raise ValueError("branch must be +1 or -1")
-    if g.parity == 1:
-        k = 0 if branch == 1 else 1
-    else:
-        k = 1 if branch == 1 else 0
-    return (
-        1j**k
-        * tau_psi
-        * g.epsilon
-        * cmath.exp((0.5 - s) * math.log(g.level))
-        * math.pi ** (3 * (s - 0.5))
-        * _gamma_ratio(g, 1 - s + k, s + k)
     )

@@ -6,14 +6,15 @@ import pytest
 
 from gl3voronoi.arith import euler_phi
 from gl3voronoi.characters import (
+    _gauss_sum_any_modulus,
     enumerate_characters,
     gauss_sum,
     gauss_sum_table,
     generalized_gauss_sum,
-    induce,
     multiply,
     primitive_part,
     principal_character,
+    root_of_unity,
 )
 
 
@@ -71,7 +72,7 @@ def test_orthogonality_both_ways():
 def test_conductor_examples():
     assert principal_character(12).conductor == 1
     chi3 = quadratic_mod(3)
-    chi6 = induce(chi3, 6)
+    chi6 = multiply(chi3, principal_character(6))
     assert chi6.conductor == 3
     for p in (3, 5, 7, 11):
         for chi in enumerate_characters(p):
@@ -81,7 +82,7 @@ def test_conductor_examples():
 
 def test_primitive_part():
     chi3 = quadratic_mod(3)
-    chi6 = induce(chi3, 6)
+    chi6 = multiply(chi3, principal_character(6))
     assert primitive_part(chi6) == chi3
     # evaluation match on the units of 6
     for n in (1, 5):
@@ -165,12 +166,29 @@ def test_primitive_evaluation_formula():
                 assert abs(tab[m2] - expected) < 1e-9, (c, chi, m2)
 
 
+def _exact_gauss_sum(chi, c, m):
+    """sum over units u mod c of chi(u) e(u m / c), one exact angle per term."""
+    total = 0j
+    for u in range(1, c + 1):
+        a = chi.angle(u)
+        if math.gcd(u, c) == 1 and a is not None:
+            total += root_of_unity(a + Fraction(u * m, c))
+    return total
+
+
 def test_gauss_sum_table_matches_pointwise():
-    chi5 = quadratic_mod(5)
-    for c in (5, 10, 15, 20):
-        tab = gauss_sum_table(chi5, c)
-        for m in range(c):
-            assert abs(tab[m] - generalized_gauss_sum(chi5, c, m)) < 1e-12
+    multiples = [(5, 5), (5, 20), (8, 8), (8, 24), (7, 14)]
+    non_multiples = [(5, 6), (5, 12), (4, 6), (8, 12), (7, 9)]
+    for q, c in multiples + non_multiples + [(5, 1), (1, 1)]:
+        for chi in enumerate_characters(q):
+            tab = gauss_sum_table(chi, c)
+            assert len(tab) == c
+            for m in range(c):
+                exact = _exact_gauss_sum(chi, c, m)
+                assert abs(tab[m] - exact) < 1e-12, (q, c, chi, m)
+                assert _gauss_sum_any_modulus(chi, c, m - c) == tab[m]
+            if c == q:
+                assert gauss_sum(chi) == tab[1 % c]
 
 
 def test_exact_angles():

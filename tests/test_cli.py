@@ -192,15 +192,13 @@ def test_cli_chars_list(capsys):
 
 
 def test_gamma_unitarity_gate(capsys):
-    # a non-imaginary derived triple gates off the critical-line check
+    # a non-imaginary derived triple would leave the critical-line check
+    # with nothing to evaluate, so the config is rejected before it runs
     code = main(
         ["verify", "gamma-unitarity", "--nu1", "0.2+0.1j", "--nu2", "0.4", "--format", "json"]
     )
-    payload = json.loads(capsys.readouterr().out)
-    assert code == 0
-    (rep,) = payload["reports"]
-    assert rep["parameters"]["unitarity_applicable"] == "False"
-    assert rep["max_residual"] == 0.0
+    assert code == 2
+    assert "nu1, nu2" in capsys.readouterr().err
 
 
 def test_config_file(tmp_path):
@@ -321,7 +319,15 @@ def test_config_rejects_unknown_bool_word(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "flag, value",
-    [("--q-list", "0"), ("--levels", "0"), ("--m-set", "0"), ("--cstar-list", "2")],
+    [
+        ("--q-list", "0"),
+        ("--levels", "0"),
+        ("--m-set", "0"),
+        ("--cstar-list", "2"),
+        ("--power-bound", "9"),
+        ("--nu1", "0.5"),
+        ("--nu1", "nan"),
+    ],
 )
 def test_invalid_config_exits_2_before_any_check(flag, value, capsys, monkeypatch):
     def never(config):

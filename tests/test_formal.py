@@ -7,12 +7,10 @@ from hypothesis import strategies as st
 
 from gl3voronoi.formal import (
     CompletenessError,
-    DirichletMonomial,
     FormalSeries,
     Window,
     build_lseries,
     compare,
-    mono_mul,
     series_mul,
 )
 
@@ -22,26 +20,6 @@ def test_window_validation():
         Window(0, 1, 1)
     w = Window(4, 4, 4)
     assert w.contains(4, 4, 4) and not w.contains(5, 1, 1)
-
-
-def test_mono_mul_examples():
-    a = DirichletMonomial(2, 4, Fraction(1, 2))
-    b = DirichletMonomial(3, 9, Fraction(3))
-    c = mono_mul(a, b)
-    assert (c.coeff, c.x, c.y) == (6, 36, Fraction(3, 2))
-    unit = DirichletMonomial(1, 1, Fraction(1))
-    again = mono_mul(a, unit)
-    assert (again.coeff, again.x, again.y) == (a.coeff, a.x, a.y)
-    assert mono_mul(
-        DirichletMonomial(1, 1, Fraction(2, 3)), DirichletMonomial(1, 1, Fraction(3, 2))
-    ).y == Fraction(1)
-
-
-def test_monomial_validation():
-    with pytest.raises(ValueError):
-        DirichletMonomial(1, 0, Fraction(1))
-    with pytest.raises(ValueError):
-        DirichletMonomial(1, 1, Fraction(-1, 2))
 
 
 def test_counting_series():

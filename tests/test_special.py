@@ -11,9 +11,6 @@ from gl3voronoi.special import (
     fourier_bessel_identity_residual,
     fourier_bessel_lhs,
     fourier_bessel_rhs,
-    g_pm_factor,
-    gamma_factor_G,
-    gamma_factor_G_k,
     log_gamma,
     xi_factor,
 )
@@ -139,37 +136,24 @@ def test_gamma_data_exact_triple():
             complex(rng.uniform(-2, 2), rng.uniform(-2, 2)),
         )
         assert (g.alpha + g.beta) + g.gamma == 0  # exact, no tolerance
-    with pytest.raises(ValueError):
-        GammaData(0.1, 0.1, parity=2)
-    with pytest.raises(ValueError):
-        GammaData(0.1, 0.1, epsilon=2.0)
-
-
-def test_gamma_factor_definitional_split():
-    g = GammaData(0.21, 0.37)
-    s = 0.7 + 0.4j
-    for sign in (1, -1):
-        combined = gamma_factor_G(s, g, sign)
-        manual = 0.5 * (
-            gamma_factor_G_k(s, g, 0) + 1j * sign * gamma_factor_G_k(s, g, 1)
-        )
-        assert combined == manual
 
 
 def test_gamma_factor_symmetric_collapse():
-    # nu1 = nu2 = 1/3 gives alpha = beta = gamma = 0
+    # nu1 = nu2 = 1/3 gives alpha = beta = gamma = 0; with unit twist data
+    # Xi(s) = pi^(3(s-1/2)) (Gamma((1-s)/2) / Gamma(s/2))^3
     g = GammaData(1 / 3, 1 / 3)
     assert max(abs(a) for a in g.triple) < 1e-15
     s = 0.6 + 1.1j
     cube = cmath.exp(log_gamma((1 - s) / 2) - log_gamma(s / 2)) ** 3
-    assert abs(gamma_factor_G_k(s, g, 0) - cube) < 1e-12 * abs(cube)
+    expected = math.pi ** (3 * (s - 0.5)) * cube
+    assert abs(xi_factor(s, g, 0, 1.0, 1.0, 1) - expected) < 1e-12 * abs(expected)
 
 
 def test_gamma_factor_conjugate_symmetry():
     g = GammaData(0.17, 0.41)
     for s in (0.3 + 2.2j, 1.4 - 0.8j):
-        v1 = gamma_factor_G_k(s.conjugate(), g, 0)
-        v2 = gamma_factor_G_k(s, g, 0).conjugate()
+        v1 = xi_factor(s.conjugate(), g, 0, 1.0, 1.0, 1)
+        v2 = xi_factor(s, g, 0, 1.0, 1.0, 1).conjugate()
         assert abs(v1 - v2) < 1e-12 * abs(v1)
 
 
@@ -193,24 +177,3 @@ def test_xi_c_scaling():
     v2 = xi_factor(s, g, 0, 1.0, 1.0, 4)
     # doubling c multiplies by 2^-3s exactly when the tau inputs are fixed
     assert abs(v2 / v1 - cmath.exp(-3 * s * math.log(2))) < 1e-12
-
-
-def test_g_pm_branch_table():
-    s = 0.8 + 0.2j
-    even = GammaData(0.21, 0.37, parity=1)
-    odd = GammaData(0.21, 0.37, parity=-1)
-    base = math.pi ** (3 * (s - 0.5))
-    assert abs(g_pm_factor(s, even, 1) - base * gamma_factor_G_k(s, even, 0)) < 1e-12
-    assert abs(g_pm_factor(s, even, -1) - 1j * base * gamma_factor_G_k(s, even, 1)) < 1e-12
-    assert abs(g_pm_factor(s, odd, 1) - 1j * base * gamma_factor_G_k(s, odd, 1)) < 1e-12
-    assert abs(g_pm_factor(s, odd, -1) - base * gamma_factor_G_k(s, odd, 0)) < 1e-12
-
-
-def test_g_pm_level_collapse():
-    # at level 1 with trivial twist the factor reduces to i^k pi^{3(s-1/2)} G_k
-    g = GammaData(0.21, 0.37, level=1)
-    s = 1.2 - 0.6j
-    for branch, k in ((1, 0), (-1, 1)):
-        lhs = g_pm_factor(s, g, branch)
-        rhs = 1j**k * math.pi ** (3 * (s - 0.5)) * gamma_factor_G_k(s, g, k)
-        assert abs(lhs - rhs) < 1e-12 * abs(rhs)
