@@ -1,4 +1,4 @@
-"""Exact integer utilities.
+"""Exact integer utilities, and the residual accumulator of the checks.
 
 Everything here is pure and deterministic; all values are immutable after
 construction, so concurrent reads are safe.  Trial division is used
@@ -19,9 +19,23 @@ __all__ = [
     "is_prime",
     "primes_up_to",
     "unit_group_generators",
+    "worse",
 ]
 
 _MAX_N = 2**63 - 1
+
+
+def worse(worst: float, *residuals: float) -> float:
+    """The largest of worst and residuals, where a NaN beats every number.
+
+    Builtin max keeps its first argument when a comparison is False, so
+    max(0.0, nan) is 0.0 and a NaN residual would vanish; here, once a
+    non-finite residual is seen, the result stays non-finite.
+    """
+    for r in residuals:
+        if r > worst or r != r:
+            worst = r
+    return worst
 
 
 def factorize(n: int) -> list[tuple[int, int]]:

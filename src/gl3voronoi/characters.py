@@ -6,14 +6,25 @@ sends g^k to e(e*k/r), with e(x) = exp(2*pi*i*x).  Moduli up to ~10**4
 stay cheap because only the exponent vector is kept; discrete-log and
 value tables are materialized lazily per modulus and cached.
 
+Integer angles.  With L = lcm of the generator orders (the exponent of
+the group) and weights L/r_i, chi(n) = e(a(n)/L) for the integer
+numerator a(n) = sum_i e_i k_i (L/r_i) mod L, where k is the discrete
+log of n.  Value tables, parity, conductor, multiply and primitive_part
+work on these numerators alone; angle(n) = Fraction(a(n), L) is the
+exact public form of the same data.
+
 Rounding contract.  Each value chi(n) is one complex exponential of an
-exact angle: the angle is assembled as a reduced fraction of a full turn
-and exponentiated once, so its floating error is O(1) ulp.  chi(n) reads
-the cached value table, which holds exactly these values.  Every Gauss
-sum sum_u chi(u) e(u m / c) comes from one numpy kernel: each term is
-the product of two table values (chi(u) and e(j / c)), rounded as
-Python's complex product, and the terms are added in ascending order of
-u.  Modulus 1 is supported (the trivial character is 1 everywhere).
+exact angle: a(n)/L is reduced to lowest terms and exponentiated once,
+so its floating error is O(1) ulp.  chi(n) reads the cached value table,
+which holds exactly these values.  Every Gauss sum sum_u chi(u) e(u m/c)
+comes from one numpy kernel, batched over characters: each term is the
+product of two table values (chi(u) and e(j/c)), rounded as Python's
+complex product, and each character's terms are added in ascending
+order of u.  A unit kept for another character of the batch adds a
+signed zero to the row of a character that vanishes there, which
+changes no partial sum: every row equals the one-character call bit for
+bit, signs of zeros included.
+Modulus 1 is supported (the trivial character is 1 everywhere).
 
 Characters are immutable and hashable; the lazy caches are idempotent,
 so racing initializations are harmless.
@@ -56,10 +67,12 @@ def root_of_unity(angle: Fraction) -> complex:
 
 @lru_cache(maxsize=None)
 def _structure(q: int):
-    """(generators, dlog) for modulus q.
+    """(generators, dlog, exponent, weights) for modulus q.
 
     dlog maps each unit residue (reduced mod q, so 0 for q = 1) to its
-    exponent vector against the canonical generators.
+    exponent vector against the canonical generators; exponent is the
+    group exponent L = lcm of the generator orders r_i, and weights
+    holds L // r_i.
     """
     gens = unit_group_generators(q)
     orders = [r for _, r in gens]
@@ -71,7 +84,8 @@ def _structure(q: int):
             n = n * table[k] % q
         dlog[n] = combo
     assert len(dlog) == euler_phi(q)
-    return gens, dlog
+    exponent = math.lcm(*orders)
+    return gens, dlog, exponent, tuple(exponent // r for r in orders)
 
 
 @lru_cache(maxsize=None)
@@ -88,7 +102,7 @@ class DirichletCharacter:
     def __init__(self, modulus: int, exponents: tuple[int, ...] = ()):
         if modulus < 1:
             raise ValueError(f"modulus must be positive, got {modulus}")
-        gens, _ = _structure(modulus)
+        gens = _structure(modulus)[0]
         if len(exponents) != len(gens):
             raise ValueError(
                 f"expected {len(gens)} exponents for modulus {modulus}, "
@@ -117,16 +131,19 @@ class DirichletCharacter:
 
     # -- evaluation --------------------------------------------------------
 
-    def angle(self, n: int) -> Fraction | None:
-        """Exact angle of chi(n) as a fraction of a full turn, None if chi(n)=0."""
-        gens, dlog = _structure(self.modulus)
+    def _numerator(self, n: int) -> int | None:
+        """a(n) in [0, L) with chi(n) = e(a(n) / L), L the group exponent;
+        None if chi(n) = 0."""
+        _, dlog, exponent, weights = _structure(self.modulus)
         combo = dlog.get(n % self.modulus)
         if combo is None:
             return None
-        a = Fraction(0)
-        for e, k, (_, r) in zip(self.exponents, combo, gens):
-            a += Fraction(e * k, r)
-        return a % 1
+        return sum(e * k * w for e, k, w in zip(self.exponents, combo, weights)) % exponent
+
+    def angle(self, n: int) -> Fraction | None:
+        """Exact angle of chi(n) as a fraction of a full turn, None if chi(n)=0."""
+        a = self._numerator(n)
+        return None if a is None else Fraction(a, _structure(self.modulus)[2])
 
     def __call__(self, n: int) -> complex:
         return self.values()[n % self.modulus]
@@ -136,9 +153,11 @@ class DirichletCharacter:
         if self._values is None:
             q = self.modulus
             vals = [0j] * q
-            _, dlog = _structure(q)
+            _, dlog, exponent, _ = _structure(q)
             for n in dlog:
-                vals[n] = root_of_unity(self.angle(n))
+                a = self._numerator(n)
+                g = math.gcd(a, exponent)
+                vals[n] = _root_of_unity(a // g, exponent // g)
             self._values = tuple(vals)
         return self._values
 
@@ -148,8 +167,8 @@ class DirichletCharacter:
     def parity(self) -> int:
         """chi(-1), which is +1 or -1."""
         if self._parity is None:
-            a = self.angle(-1)
-            assert a in (Fraction(0), Fraction(1, 2))
+            a = self._numerator(-1)
+            assert 2 * a % _structure(self.modulus)[2] == 0
             self._parity = 1 if a == 0 else -1
         return self._parity
 
@@ -171,7 +190,7 @@ class DirichletCharacter:
                 for a in range(1, q + 1, d):
                     if math.gcd(a, q) != 1:
                         continue
-                    if self.angle(a) != 0:
+                    if self._numerator(a) != 0:
                         ok = False
                         break
                 if ok:
@@ -184,77 +203,77 @@ class DirichletCharacter:
 
 
 def principal_character(q: int) -> DirichletCharacter:
-    gens, _ = _structure(q)
-    return DirichletCharacter(q, (0,) * len(gens))
+    return DirichletCharacter(q, (0,) * len(_structure(q)[0]))
 
 
 def enumerate_characters(q: int) -> list[DirichletCharacter]:
     """All euler_phi(q) characters mod q, principal first."""
-    gens, _ = _structure(q)
+    gens = _structure(q)[0]
     return [
         DirichletCharacter(q, combo)
         for combo in itertools.product(*[range(r) for _, r in gens])
     ]
 
 
+def _order_exponent(chi: DirichletCharacter, n: int, r: int) -> int:
+    """k with chi(n) = e(k / r); chi(n) must be an r-th root of unity."""
+    k, rem = divmod(chi._numerator(n) * r, _structure(chi.modulus)[2])
+    assert rem == 0, "character does not factor through the target group"
+    return k
+
+
 def primitive_part(chi: DirichletCharacter) -> DirichletCharacter:
     """The primitive character mod conductor(chi) that induces chi."""
     d = chi.conductor
     q = chi.modulus
-    gens_d, _ = _structure(d)
     exps = []
-    for h, r in gens_d:
+    for h, r in _structure(d)[0]:
         hq = h
         while math.gcd(hq, q) != 1:
             hq += d  # some unit of q in the class h mod d exists below q
-        a = chi.angle(hq)
-        e = a * r
-        assert e.denominator == 1, "character does not factor through its conductor"
-        exps.append(int(e) % r)
+        exps.append(_order_exponent(chi, hq, r))
     return DirichletCharacter(d, tuple(exps))
 
 
 def multiply(chi1: DirichletCharacter, chi2: DirichletCharacter) -> DirichletCharacter:
     """Pointwise product character mod lcm of the two moduli."""
     q = math.lcm(chi1.modulus, chi2.modulus)
-    gens, _ = _structure(q)
-    exps = []
-    for g, r in gens:
-        a = chi1.angle(g) + chi2.angle(g)
-        e = a * r
-        assert e.denominator == 1
-        exps.append(int(e) % r)
+    exps = [
+        _order_exponent(chi1, g, r) + _order_exponent(chi2, g, r)
+        for g, r in _structure(q)[0]
+    ]
     return DirichletCharacter(q, tuple(exps))
 
 
-def _gauss_sums(chi: DirichletCharacter, c: int, ms) -> np.ndarray:
-    """sum over units u mod c of chi(u) e(u m / c), for each m in ms.
+def _gauss_sums(chis, c: int, ms) -> np.ndarray:
+    """sum over units u mod c of chi(u) e(u m / c), for each chi in chis
+    (rows) and each m in ms (columns).
 
-    Direct summation for any c >= 1: chi is read as a function on Z, so
-    units of c that share a factor with chi's modulus contribute 0 and
-    are skipped.  Real and imaginary parts of each product are formed
-    by separate float operations, so that every term rounds as Python's
-    complex product does (numpy's complex multiply may fuse them), and
-    the terms are accumulated in ascending order of u (a plain sum over
-    one column would be pairwise).
+    Direct summation for any c >= 1: each chi is read as a function on
+    Z, so units of c that share a factor with its modulus contribute 0;
+    units on which every chi vanishes are skipped.  Real and imaginary
+    parts of each product are formed by separate float operations, so
+    that every term rounds as Python's complex product does (numpy's
+    complex multiply may fuse them), and the terms are accumulated in
+    ascending order of u (a plain sum over one column would be pairwise).
     """
-    vals = np.array(chi.values())
     u = np.arange(1, c + 1)
     u = u[np.gcd(u, c) == 1]
-    w = vals[u % chi.modulus]
-    u, w = u[w != 0], w[w != 0]
+    w = np.array([np.array(chi.values())[u % chi.modulus] for chi in chis])
+    keep = (w != 0).any(axis=0)
+    u, w = u[keep], w[:, keep]
     roots = np.array(_exp_table(c))[np.outer(u, ms) % c]
-    wr, wi = w.real[:, None], w.imag[:, None]
-    out = np.empty(roots.shape[1], dtype=complex)
-    out.real = np.add.accumulate(wr * roots.real - wi * roots.imag)[-1]
-    out.imag = np.add.accumulate(wr * roots.imag + wi * roots.real)[-1]
+    wr, wi = w.real[:, :, None], w.imag[:, :, None]
+    out = np.empty((len(w), roots.shape[1]), dtype=complex)
+    out.real = np.add.accumulate(wr * roots.real - wi * roots.imag, axis=1)[:, -1]
+    out.imag = np.add.accumulate(wr * roots.imag + wi * roots.real, axis=1)[:, -1]
     return out
 
 
 @lru_cache(maxsize=None)
 def gauss_sum_table(chi_star: DirichletCharacter, c: int) -> tuple[complex, ...]:
     """g(chi*, c, m) for m = 0..c-1, as one cached table per (chi*, c)."""
-    return tuple(_gauss_sums(chi_star, c, np.arange(c)).tolist())
+    return tuple(_gauss_sums((chi_star,), c, np.arange(c))[0].tolist())
 
 
 def gauss_sum(chi: DirichletCharacter) -> complex:

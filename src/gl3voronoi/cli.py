@@ -7,12 +7,15 @@ randomness enters only through the seeded coefficient draws, checks are
 collected in name order, and runtime_ms is excluded from the
 determinism contract.
 
-Exit codes: 0 when every report passes, 1 when any fails, 2 on usage
-errors, which include every invalid configuration.  Configuration is
-SuiteConfig alone: each of its fields is both a ``--flag-with-dashes``
-of ``verify`` and a ``key_with_underscores`` of the ``--config`` file,
-with one parser per field derived from the field's type.  Checks run
-serially, and no environment variable is read.
+Exit codes: 0 when every check passes and every fault probe (a report
+whose parameters say ``expected: fail``) fails, 1 otherwise, 2 on usage
+errors, which include every invalid configuration.  A check that raises
+becomes one failing report named after it, so the others still run.
+
+Configuration is SuiteConfig alone: each of its fields is both a
+``--flag-with-dashes`` of ``verify`` and a ``key_with_underscores`` of
+the ``--config`` file, with one parser per field derived from the
+field's type.  Checks run serially, and no environment variable is read.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import typing
 from dataclasses import dataclass, field, replace
 
 from . import __version__
-from .arith import factorize, is_prime, primes_up_to
+from .arith import factorize, is_prime, primes_up_to, worse
 from .characters import enumerate_characters, gauss_sum
 from .expsums import (
     additive_collapse_sweep,
@@ -238,7 +241,7 @@ def check_gauss_modulus(config: SuiteConfig) -> list[VerificationReport]:
         for chi in enumerate_characters(c):
             if not chi.is_primitive:
                 continue
-            worst = max(worst, abs(abs(gauss_sum(chi)) - math.sqrt(c)))
+            worst = worse(worst, abs(abs(gauss_sum(chi)) - math.sqrt(c)))
             count += 1
     params = {"c_max": config.gauss_c_max, "primitive_count": count}
     return [_report(config, "gauss-modulus", params, worst, t0)]
@@ -248,7 +251,7 @@ def check_kloosterman_basic(config: SuiteConfig) -> list[VerificationReport]:
     t0 = time.perf_counter()
     max_im, max_asym = reality_symmetry_sweep(config.kloosterman_c_max)
     weil = weil_bound_sweep(config.kloosterman_c_max)
-    residual = max(max_im, max_asym, max(0.0, weil - 1.0))
+    residual = worse(max_im, max_asym, weil - 1.0)
     params = {
         "c_max": config.kloosterman_c_max,
         "max_imag": f"{max_im:.3e}",
@@ -289,8 +292,11 @@ def _hecke_sweep_for_model(model, primes, power_bound) -> float:
         for n in powers[1:]:
             for n1 in powers:
                 for n2 in powers:
-                    worst = max(worst, hecke_relation_residual_1(model, n, n1, n2))
-                    worst = max(worst, hecke_relation_residual_2(model, n, n1, n2))
+                    worst = worse(
+                        worst,
+                        hecke_relation_residual_1(model, n, n1, n2),
+                        hecke_relation_residual_2(model, n, n1, n2),
+                    )
     if level > 1:
         p0 = min(p for p, _ in factorize(level))
         for p in primes:
@@ -301,7 +307,7 @@ def _hecke_sweep_for_model(model, primes, power_bound) -> float:
                     m = p0**j * p**e
                     for a in (1, p, p * p):
                         for b in (1, p):
-                            worst = max(
+                            worst = worse(
                                 worst, hecke_relation_residual_2(model, m, a, b)
                             )
     return worst
@@ -317,7 +323,7 @@ def check_hecke_relations(config: SuiteConfig) -> list[VerificationReport]:
         for i in range(config.trials):
             psi = psis[i % len(psis)]
             model = new_model(level, psi, config.prime_bound, seed=config.seed + i)
-            worst = max(worst, _hecke_sweep_for_model(model, primes, config.power_bound))
+            worst = worse(worst, _hecke_sweep_for_model(model, primes, config.power_bound))
             models += 1
     params = {
         "levels": ",".join(map(str, config.hecke_levels)),
@@ -337,11 +343,11 @@ def check_euler_product(config: SuiteConfig) -> list[VerificationReport]:
         for j, psi in enumerate(enumerate_characters(level)):
             model = new_model(level, psi, seed=config.seed + j)
             for chi in enumerate_characters(config.euler_chi_modulus):
-                worst = max(
+                worst = worse(
                     worst,
                     euler_product_residual(model, chi, 2.5, config.euler_n_max),
                 )
-                worst_alt = max(
+                worst_alt = worse(
                     worst_alt,
                     euler_product_residual(
                         model, chi, 2.5, config.euler_n_max, variant="quadratic-psi"
@@ -369,7 +375,7 @@ def check_ramanujan_lemma(config: SuiteConfig) -> list[VerificationReport]:
                 continue
             for chi in prim:
                 for m in range(1, config.ramanujan_m_max + 1):
-                    worst = max(
+                    worst = worse(
                         worst,
                         ramanujan_lemma_residual(
                             chi, cstar, m, level, config.ramanujan_ell_max
@@ -413,7 +419,7 @@ def _identity_sweep(config: SuiteConfig, name: str, verify) -> list[Verification
     worst = 0.0
     runs = 0
     for model, q, chi in _identity_cases(config):
-        worst = max(worst, verify(model, q, chi, window))
+        worst = worse(worst, verify(model, q, chi, window))
         runs += 1
     if runs == 0:
         return []  # empty sweep: nothing to report
@@ -448,7 +454,7 @@ def check_moebius_assembly(config: SuiteConfig) -> list[VerificationReport]:
         chi = [c for c in enumerate_characters(cstar) if c.is_primitive][0]
         for q in range(1, config.moebius_q_max + 1):
             for m in range(1, config.moebius_m_max + 1):
-                worst = max(worst, verify_moebius_assembly(model, q, m, chi, window))
+                worst = worse(worst, verify_moebius_assembly(model, q, m, chi, window))
                 runs += 1
     params = {
         "q_max": config.moebius_q_max,
@@ -467,7 +473,7 @@ def check_orthogonality(config: SuiteConfig) -> list[VerificationReport]:
     runs = 0
     for c in range(1, config.orthogonality_c_max + 1):
         for q in (1, 3):
-            worst = max(
+            worst = worse(
                 worst,
                 verify_orthogonality_equivalence(model, c, q, config.orthogonality_n_max),
             )
@@ -494,7 +500,7 @@ def check_bessel_identity(config: SuiteConfig) -> list[VerificationReport]:
     t0 = time.perf_counter()
     worst = 0.0
     for s, k, y in BESSEL_GRID:
-        worst = max(worst, fourier_bessel_identity_residual(s, k, y))
+        worst = worse(worst, fourier_bessel_identity_residual(s, k, y))
     grid_report = _report(
         config,
         "bessel-identity",
@@ -525,7 +531,7 @@ def check_gamma_unitarity(config: SuiteConfig) -> list[VerificationReport]:
         kappa = 0 if chi.parity == 1 else 1
         for t in (0.0, 1.0, 2.3):
             val = xi_factor(0.5 + 1j * t, g, kappa, tau, tau, 5)
-            worst = max(worst, abs(abs(val) - 1.0))
+            worst = worse(worst, abs(abs(val) - 1.0))
     # exact vanishing of the derived-triple sum, no tolerance
     import random
 
@@ -538,7 +544,7 @@ def check_gamma_unitarity(config: SuiteConfig) -> list[VerificationReport]:
         )
         if (gd.alpha + gd.beta) + gd.gamma != 0:
             exact_failures += 1
-    worst = max(worst, float(exact_failures))
+    worst = worse(worst, float(exact_failures))
     params = {
         "nu1": config.nu1,
         "nu2": config.nu2,
@@ -597,7 +603,11 @@ def run_suite(config: SuiteConfig, names: list[str] | None = None) -> list[Verif
     """Run the named checks (all by default); deterministic given seed.
 
     Individual check failures are recorded in their reports and never
-    abort the suite.  Reports come back sorted by check name.
+    abort the suite: a check that raises gives one FAIL report under its
+    name, with a NaN residual and the exception as its ``error``
+    parameter.  The fault probes are not isolated, since they are meant
+    to FAIL and a crash there must stay loud.  Reports come back sorted
+    by check name.
     """
     config.validate()
     selected = sorted(names) if names else sorted(CHECKS)
@@ -606,7 +616,12 @@ def run_suite(config: SuiteConfig, names: list[str] | None = None) -> list[Verif
             raise ValueError(f"unknown check {name!r}")
     reports: list[VerificationReport] = []
     for name in selected:
-        reports.extend(CHECKS[name](config))
+        t0 = time.perf_counter()
+        try:
+            reports.extend(CHECKS[name](config))
+        except Exception as exc:
+            params = {"error": f"{type(exc).__name__}: {exc}"}
+            reports.append(_report(config, name, params, math.nan, t0))
     if config.fault_injection:
         reports.extend(check_fault_injection(config))
     return sorted(reports, key=lambda r: r.check_name)
@@ -799,7 +814,9 @@ def _cmd_verify(args) -> int:
     reports = run_suite(config, names)
     text = emit_report(reports, args.format, config.output, seed=config.seed)
     sys.stdout.write(text)
-    return 0 if all(r.passed for r in reports) else 1
+    # a check must PASS and a fault probe (expected: fail) must FAIL
+    ok = all(r.passed != (r.parameters.get("expected") == "fail") for r in reports)
+    return 0 if ok else 1
 
 
 def main(argv: list[str] | None = None) -> int:

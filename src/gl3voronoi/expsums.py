@@ -33,7 +33,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import divisors, mod_inverse
+from .arith import divisors, mod_inverse, worse
 from .characters import (
     DirichletCharacter,
     _exp_table,
@@ -179,9 +179,9 @@ def char_kloosterman_reduction_sweep(
                 lhs = xbar @ (phase1 @ phase2.T)  # (n_chi, n_m2)
                 g1 = np.array([gauss_sum_table(ps, c)[m1 % c] for ps in prim])
                 # uncached: whole tables at the large moduli big_c would cost memory
-                g2 = np.array([_gauss_sums(ps, big_c, sgn * m2s) for ps in prim])
+                g2 = _gauss_sums(prim, big_c, sgn * m2s)
                 resid = float(np.abs(lhs - g1[:, None] * g2).max())
-                worst = max(worst, resid)
+                worst = worse(worst, resid)
                 cases += len(chars) * len(m2s)
     return worst, cases
 
@@ -235,14 +235,14 @@ def additive_collapse_sweep(c_max: int = 36) -> tuple[float, int]:
                     key = theta.exponents
                     if key not in seen:
                         if theta.is_primitive:
-                            seen[key] = max(
-                                _collapse_residual_at(theta, n) for n in range(c)
+                            seen[key] = worse(
+                                0.0, *(_collapse_residual_at(theta, n) for n in range(c))
                             )
                         else:
                             seen[key] = None
                     r = seen[key]
                     if r is not None:
-                        worst = max(worst, r)
+                        worst = worse(worst, r)
                         cases += c
     return worst, cases
 
@@ -256,8 +256,8 @@ def reality_symmetry_sweep(c_max: int = 200) -> tuple[float, float]:
     max_asym = 0.0
     for c in range(1, c_max + 1):
         s = kloosterman_matrix(c)
-        max_im = max(max_im, float(np.abs(s.imag).max()))
-        max_asym = max(max_asym, float(np.abs(s - s.T).max()))
+        max_im = worse(max_im, float(np.abs(s.imag).max()))
+        max_asym = worse(max_asym, float(np.abs(s - s.T).max()))
     return max_im, max_asym
 
 
@@ -271,5 +271,5 @@ def weil_bound_sweep(p_max: int = 200) -> float:
     worst = 0.0
     for p in primes_up_to(p_max):
         s = kloosterman_matrix(p)[1:, 1:]  # unit rows/columns only
-        worst = max(worst, float(np.abs(s).max()) / (2 * math.sqrt(p)))
+        worst = worse(worst, float(np.abs(s).max()) / (2 * math.sqrt(p)))
     return worst

@@ -36,6 +36,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
+from .arith import worse
+
 __all__ = [
     "PRUNE_EPS",
     "Window",
@@ -94,7 +96,7 @@ class FormalSeries:
             x, num, den = key
             if not window.contains(x, num, den):
                 raise ValueError(f"key {key} outside window {window}")
-            if abs(coeff) >= prune or prune == 0.0:
+            if not abs(coeff) < prune:  # NaN is kept, never pruned
                 kept[key] = coeff
         self.terms = kept
         self.window = window
@@ -298,5 +300,5 @@ def compare(a: FormalSeries, b: FormalSeries, window: Window) -> float:
     worst = 0.0
     for key in a.terms.keys() | b.terms.keys():
         if window.contains(*key):
-            worst = max(worst, abs(a.terms.get(key, 0j) - b.terms.get(key, 0j)))
+            worst = worse(worst, abs(a.terms.get(key, 0j) - b.terms.get(key, 0j)))
     return worst

@@ -34,7 +34,12 @@ Coefficients with (m1, N) > 1 are a domain error, not zero.
 All draws are keyed by (seed, role, p, k) through independently seeded
 generators, so models are deterministic and order-independent.  A model
 is immutable after construction; the per-prime caches are idempotent,
-so concurrent reads are safe.
+so concurrent reads are safe.  coefficient(m1, m2) memoizes its final
+value (sign factor and any injected corruption included) per instance
+under the key (m1, m2), since the verifiers ask for the same index
+pairs many times.  The memo is a cache of the same immutable function:
+corrupted, scale_ramified and contragredient build new instances, so
+each twin starts with an empty memo and never sees its parent's values.
 
 The relation verifiers treat the model as untrusted input and enumerate
 the divisor sums in full, so any alternative coefficient source can be
@@ -48,7 +53,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .arith import divisors, factorize
+from .arith import divisors, factorize, worse
 from .characters import DirichletCharacter, principal_character
 
 __all__ = [
@@ -112,6 +117,7 @@ class HeckeCoefficientModel:
         self._ramified: dict[tuple[int, int], complex] = {}
         self._h: dict[int, list[complex]] = {}
         self._coeff: dict[tuple[int, int], complex] = {}
+        self._memo: dict[tuple[int, int], complex] = {}
         self._ram_scale: complex = 1 + 0j
         self._corruption: tuple[tuple[int, int], complex] | None = None
 
@@ -188,6 +194,9 @@ class HeckeCoefficientModel:
 
     def coefficient(self, m1: int, m2: int) -> complex:
         """A(m1, m2) for nonzero integers; (|m1|, N) = 1 required."""
+        val = self._memo.get((m1, m2))
+        if val is not None:
+            return val
         if m1 == 0 or m2 == 0:
             raise ValueError("coefficient indices must be nonzero")
         sign_factor = self.psi.parity if m2 < 0 else 1
@@ -209,6 +218,7 @@ class HeckeCoefficientModel:
         val *= sign_factor
         if self._corruption is not None and (m1, m2) == self._corruption[0]:
             val += self._corruption[1]
+        self._memo[(m1, m2)] = val
         return val
 
     def contragredient(self) -> "HeckeCoefficientModel":
@@ -397,5 +407,5 @@ def euler_product_residual(
         rhs = 1 + 0j
         for p, e in factorize(n):
             rhs *= useq(p, e)[e]
-        worst = max(worst, abs(lhs - rhs))
+        worst = worse(worst, abs(lhs - rhs))
     return worst

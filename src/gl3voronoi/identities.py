@@ -44,7 +44,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .arith import divisors, mobius
+from .arith import divisors, mobius, worse
 from .characters import (
     DirichletCharacter,
     gauss_sum,
@@ -128,7 +128,7 @@ def ramanujan_lemma_residual(
             cmod = l1 * cstar
             lhs += gauss_sum_table(chi_star, cmod)[m % cmod] * chi_star(ell // l1)
         rhs = tau * chibar(m // ell) * ell if m % ell == 0 else 0j
-        worst = max(worst, abs(lhs - rhs))
+        worst = worse(worst, abs(lhs - rhs))
     return worst
 
 
@@ -547,5 +547,5 @@ def verify_orthogonality_equivalence(
                 for i in range(len(chars))
             )
             rhs = phi_c * a_qn * roots[abar * n % c]
-            worst = max(worst, abs(lhs - rhs))
+            worst = worse(worst, abs(lhs - rhs))
     return worst

@@ -13,6 +13,7 @@ from gl3voronoi.arith import (
     mod_inverse,
     primes_up_to,
     unit_group_generators,
+    worse,
 )
 
 
@@ -134,3 +135,15 @@ def test_primes_and_is_prime():
     assert ps[:5] == [2, 3, 5, 7, 11] and ps[-1] == 97
     assert all(is_prime(p) for p in ps)
     assert not any(is_prime(n) for n in (0, 1, 4, 91, 100))
+
+
+def test_worse_keeps_non_finite_residuals():
+    nan = math.nan
+    assert max(0.0, nan) == 0.0  # the builtin hides a NaN that comes second
+    assert worse(0.0, 1e-12, 3e-13) == 1e-12
+    assert worse(2.0) == 2.0
+    assert math.isnan(worse(0.0, nan, 1.0))
+    assert math.isnan(worse(0.0, 1.0, nan))
+    assert math.isnan(worse(nan, 5.0))
+    assert math.isnan(worse(math.inf, nan))
+    assert worse(0.0, math.inf, 1.0) == math.inf

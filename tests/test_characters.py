@@ -2,11 +2,13 @@ import cmath
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from gl3voronoi.arith import euler_phi
+from gl3voronoi.arith import divisors, euler_phi
 from gl3voronoi.characters import (
     _gauss_sum_any_modulus,
+    _gauss_sums,
     enumerate_characters,
     gauss_sum,
     gauss_sum_table,
@@ -204,3 +206,71 @@ def test_modulus_one_character():
     one = principal_character(1)
     for n in (-5, 0, 1, 7):
         assert one(n) == 1
+
+
+def test_integer_exponent_algebra_matches_fraction_oracle():
+    # the oracle works on angle(), the exact Fraction form of the numerators
+    for q in range(1, 61):
+        units = [a for a in range(1, q + 1) if math.gcd(a, q) == 1]
+        chars = enumerate_characters(q)
+        for chi in chars:
+            vals = chi.values()
+            for n in range(q):
+                a = chi.angle(n)
+                assert vals[n] == (0 if a is None else root_of_unity(a)), (chi, n)
+            conductor = min(
+                d
+                for d in divisors(q)
+                if all(chi.angle(a) == 0 for a in units if (a - 1) % d == 0)
+            )
+            assert chi.conductor == conductor
+            assert chi.parity == (1 if chi.angle(-1) == 0 else -1)
+            star = primitive_part(chi)
+            assert star.modulus == conductor
+            assert all(star.angle(a) == chi.angle(a) for a in units)
+            for other in (chars[-1], chi.conjugate(), chi):
+                prod = multiply(chi, other)
+                assert prod.modulus == q
+                assert all(
+                    prod.angle(a) == (chi.angle(a) + other.angle(a)) % 1 for a in units
+                )
+    for q1 in range(1, 13):
+        for q2 in range(1, 13):
+            q = math.lcm(q1, q2)
+            units = [a for a in range(1, q + 1) if math.gcd(a, q) == 1]
+            for chi1 in enumerate_characters(q1):
+                for chi2 in enumerate_characters(q2):
+                    prod = multiply(chi1, chi2)
+                    assert prod.modulus == q
+                    assert all(
+                        prod.angle(a) == (chi1.angle(a) + chi2.angle(a)) % 1 for a in units
+                    )
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal values and equal signs of zeros."""
+    return (
+        np.array_equal(a, b)
+        and np.array_equal(np.signbit(a.real), np.signbit(b.real))
+        and np.array_equal(np.signbit(a.imag), np.signbit(b.imag))
+    )
+
+
+def test_batched_gauss_sums_rows_equal_one_character_calls():
+    ms = np.arange(-7, 8)
+    batches = [
+        (enumerate_characters(5), [5, 20, 6, 12, 1]),
+        (enumerate_characters(8), [8, 24, 12, 1]),
+        (enumerate_characters(12), [12, 36, 30, 1]),
+        # mixed moduli, as in the Kloosterman-reduction sweep
+        ([primitive_part(ch.conjugate()) for ch in enumerate_characters(24)], [24, 48, 10, 1]),
+    ]
+    for chis, moduli in batches:
+        for c in moduli:
+            for cols in (ms, ms[7:8]):  # one column is not summed pairwise
+                batch = _gauss_sums(chis, c, cols)
+                assert batch.shape == (len(chis), len(cols))
+                for row, chi in zip(batch, chis):
+                    assert _same_bits(row, _gauss_sums((chi,), c, cols)[0]), (chi, c)
+    chi = enumerate_characters(7)[3]
+    assert list(_gauss_sums((chi,), 14, np.arange(14))[0]) == list(gauss_sum_table(chi, 14))

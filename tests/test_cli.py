@@ -1,4 +1,5 @@
 import json
+import math
 import re
 from dataclasses import fields, replace
 
@@ -164,6 +165,71 @@ def test_cli_fault_injection_fails(capsys):
     out = capsys.readouterr().out
     assert code == 1
     assert "FAIL" in out and "fault" in out
+
+
+def _verdicts(out: str) -> dict[str, str]:
+    return {line.split()[1]: line.split()[0] for line in out.splitlines()}
+
+
+def test_exit_code_needs_failing_probes_and_passing_checks(capsys, monkeypatch):
+    argv = ["verify", "orthogonality", "--fault-injection", "--orthogonality-c-max", "3"]
+    # both probes FAIL as they must and the check passes
+    assert main(argv + ["--window", "48:48:48"]) == 0
+    assert _verdicts(capsys.readouterr().out) == {
+        "fe-rearrangement-sensitivity": "FAIL",
+        "orthogonality": "PASS",
+        "z-expansion-fault-injected": "FAIL",
+    }
+    # a failing check fails the run even though the probes FAIL
+    assert main(argv + ["--window", "48:48:48", "--tol", "1e-300"]) == 1
+    assert _verdicts(capsys.readouterr().out)["orthogonality"] == "FAIL"
+    # at P = 24 the corrupted dual term A(1, 2) has Y numerator 3^3 = 27,
+    # outside the window: that probe wrongly PASSes, so the run fails
+    # although every check passes
+    assert main(argv + ["--window", "36:24:24"]) == 1
+    assert _verdicts(capsys.readouterr().out) == {
+        "fe-rearrangement-sensitivity": "PASS",
+        "orthogonality": "PASS",
+        "z-expansion-fault-injected": "FAIL",
+    }
+    blind = VerificationReport.make("blind-probe", {"expected": "fail"}, 0.0, 1e-9, 0)
+    monkeypatch.setattr("gl3voronoi.cli.check_fault_injection", lambda config: [blind])
+    assert main(argv + ["--window", "48:48:48"]) == 1
+
+
+def test_report_with_nan_residual_fails():
+    assert not VerificationReport.make("x", {}, float("nan"), 1e-9, 0).passed
+    assert not VerificationReport.make("x", {}, float("inf"), 1e-9, 0).passed
+
+
+def test_raising_check_becomes_one_failing_report(capsys, monkeypatch):
+    def broken(config):
+        raise ZeroDivisionError("boom")
+
+    monkeypatch.setitem(CHECKS, "euler-product", broken)
+    reports = run_suite(FAST, ["gauss-modulus", "euler-product", "orthogonality"])
+    assert [r.check_name for r in reports] == ["euler-product", "gauss-modulus", "orthogonality"]
+    failed = reports[0]
+    assert not failed.passed
+    assert math.isnan(failed.max_residual)
+    assert failed.parameters == {"error": "ZeroDivisionError: boom"}
+    assert failed.tolerance == DEFAULT_TOLERANCES["euler-product"]
+    assert all(r.passed for r in reports[1:])
+    assert main(["verify", "euler-product", "--format", "json"]) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    (report,) = json.loads(captured.out)["reports"]
+    assert report["check_name"] == "euler-product" and report["pass"] is False
+    assert report["parameters"]["error"] == "ZeroDivisionError: boom"
+
+
+def test_raising_fault_probe_is_not_isolated(monkeypatch):
+    def broken(config):
+        raise ZeroDivisionError("boom")
+
+    monkeypatch.setattr("gl3voronoi.cli.check_fault_injection", broken)
+    with pytest.raises(ZeroDivisionError):
+        run_suite(replace(FAST, fault_injection=True), ["gauss-modulus"])
 
 
 def test_cli_tolerance_override(capsys):

@@ -134,3 +134,11 @@ def test_pruning_does_not_change_compares():
     p1 = series_mul(pruned, other, w)
     p2 = series_mul(unpruned, other, w, prune=0.0)
     assert compare(p1, p2, w) < 1e-12
+
+
+def test_non_finite_terms_are_never_pruned():
+    w = Window(4, 4, 4)
+    s = FormalSeries({(1, 1, 1): math.nan, (2, 1, 1): math.inf, (3, 1, 1): 1e-16}, w)
+    assert set(s.terms) == {(1, 1, 1), (2, 1, 1)}
+    assert math.isnan(compare(s, FormalSeries({}, w), w))
+    assert math.isnan(compare(FormalSeries({(1, 1, 1): 1.0}, w), s, w))

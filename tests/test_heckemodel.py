@@ -225,3 +225,41 @@ def test_euler_product_domain():
     m = new_model(1, seed=0)
     with pytest.raises(ValueError):
         euler_product_residual(m, principal_character(5), 1.0, 10)
+
+
+def test_memoized_coefficients_match_a_fresh_model():
+    psi = quadratic_mod(3)  # odd: a negative m2 flips the sign
+    grid = [(m1, m2) for m1 in (1, 2, 5, 7, 10) for m2 in (1, -1, 2, -3, 9, -10, 25, -36)]
+    warm = new_model(3, psi, seed=11)
+    first = {k: warm.coefficient(*k) for k in grid}
+    again = {k: warm.coefficient(*k) for k in reversed(grid)}
+    fresh = {k: new_model(3, psi, seed=11).coefficient(*k) for k in grid}
+    assert first == again == fresh
+    assert first[(2, -3)] == -warm.coefficient(2, 3) != 0
+    for _ in range(2):  # a domain error is never memoized
+        with pytest.raises(CoefficientDomainError):
+            warm.coefficient(6, 1)
+
+
+def test_twins_built_after_the_memo_fills_see_their_own_values():
+    m = new_model(2, seed=5)
+    grid = [(1, 2), (1, 4), (3, 2), (1, -2), (3, 1)]
+    parent = {k: m.coefficient(*k) for k in grid}
+    delta = 1e-3 - 2e-3j
+    bad = m.corrupted((1, 2), delta)
+    assert bad.coefficient(1, 2) == parent[(1, 2)] + delta
+    assert {k: bad.coefficient(*k) for k in grid[1:]} == {k: parent[k] for k in grid[1:]}
+    f = 0.5 - 0.25j
+    scaled = m.scale_ramified(f)
+    assert scaled.coefficient(1, 2) == parent[(1, 2)] * f  # 2 | N: ramified
+    assert scaled.coefficient(3, 1) == parent[(3, 1)]
+    assert {k: m.coefficient(*k) for k in grid} == parent
+    m1 = new_model(1, seed=4)
+    a12 = m1.coefficient(1, 2)
+    assert abs(m1.contragredient().coefficient(2, 1) - a12) < 1e-13
+
+
+def test_euler_product_residual_keeps_nan():
+    m = new_model(1, seed=1729).corrupted((1, 7), math.nan)
+    for chi in enumerate_characters(5):
+        assert math.isnan(euler_product_residual(m, chi, 2.0, 300))
