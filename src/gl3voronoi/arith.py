@@ -1,8 +1,8 @@
 """Exact integer utilities, and the residual accumulator of the checks.
 
-Everything here is pure and deterministic; all values are immutable after
-construction, so concurrent reads are safe.  Trial division is used
-throughout: every modulus handled by the suite is far below 10**6.
+Everything here is pure and deterministic, and all values are immutable
+after construction.  Trial division is used throughout: every modulus
+handled by the suite is far below 10**6.
 """
 
 from __future__ import annotations

@@ -26,8 +26,7 @@ changes no partial sum: every row equals the one-character call bit for
 bit, signs of zeros included.
 Modulus 1 is supported (the trivial character is 1 everywhere).
 
-Characters are immutable and hashable; the lazy caches are idempotent,
-so racing initializations are harmless.
+Characters are immutable and hashable; the lazy caches are idempotent.
 """
 
 from __future__ import annotations

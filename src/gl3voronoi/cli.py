@@ -10,7 +10,8 @@ determinism contract.
 Exit codes: 0 when every check passes and every fault probe (a report
 whose parameters say ``expected: fail``) fails, 1 otherwise, 2 on usage
 errors, which include every invalid configuration.  A check that raises
-becomes one failing report named after it, so the others still run.
+becomes one failing report named after it, so the others still run, and
+a check that evaluates no case FAILs: an empty sweep proves nothing.
 
 Configuration is SuiteConfig alone: each of its fields is both a
 ``--flag-with-dashes`` of ``verify`` and a ``key_with_underscores`` of
@@ -186,10 +187,17 @@ class SuiteConfig:
         q's; m_set has no zero; every cstar has a primitive character;
         every Hecke-relation index fits factorize; the triple of (nu1, nu2)
         is purely imaginary, as unitarity on the critical line needs;
-        every tolerance override names a check.
+        every tolerance override names a check; under fault injection the
+        window holds both probes' corrupted terms.
         """
         if min(self.window) < 1:
             raise ValueError("window fields must be positive")
+        x_max, p_max, q_max = self.window
+        if self.fault_injection and (x_max < 4 or p_max < 27 or q_max < 2):
+            # the Z probe's A(1, 2) enters the Z expansion only through the
+            # X = 2^2 carriers; the rearrangement probe's A~(1, 2) sits at
+            # Y = 3^3/2: outside the window, a probe is blind
+            raise ValueError("window: fault injection needs X >= 4, P >= 27 and Q >= 2")
         for name, kind in _FIELD_TYPES.items():
             value = getattr(self, name)
             low = 0 if name == "m2_max" else 1
@@ -223,7 +231,17 @@ _FIELD_TYPES = typing.get_type_hints(SuiteConfig)
 # -- individual checks -------------------------------------------------------
 
 
-def _report(config, name, parameters, residual, t0, tolerance_of=None) -> VerificationReport:
+def _report(
+    config, name, parameters, residual, cases, t0, tolerance_of=None
+) -> VerificationReport:
+    """Report of a check that folded `cases` residuals into `residual`.
+
+    With no case the check proved nothing, so it FAILs with residual NaN
+    and an ``error`` parameter, unless the parameters already carry one.
+    """
+    if not cases:
+        parameters = {"error": "no cases evaluated", **parameters}
+        residual = math.nan
     return VerificationReport.make(
         name,
         parameters,
@@ -244,7 +262,7 @@ def check_gauss_modulus(config: SuiteConfig) -> list[VerificationReport]:
             worst = worse(worst, abs(abs(gauss_sum(chi)) - math.sqrt(c)))
             count += 1
     params = {"c_max": config.gauss_c_max, "primitive_count": count}
-    return [_report(config, "gauss-modulus", params, worst, t0)]
+    return [_report(config, "gauss-modulus", params, worst, count, t0)]
 
 
 def check_kloosterman_basic(config: SuiteConfig) -> list[VerificationReport]:
@@ -258,7 +276,8 @@ def check_kloosterman_basic(config: SuiteConfig) -> list[VerificationReport]:
         "max_asymmetry": f"{max_asym:.3e}",
         "weil_ratio": f"{weil:.6f}",
     }
-    return [_report(config, "kloosterman-basic", params, residual, t0)]
+    cases = config.kloosterman_c_max  # one reality and symmetry residual per modulus
+    return [_report(config, "kloosterman-basic", params, residual, cases, t0)]
 
 
 def check_kloosterman_reduction(config: SuiteConfig) -> list[VerificationReport]:
@@ -272,18 +291,20 @@ def check_kloosterman_reduction(config: SuiteConfig) -> list[VerificationReport]
         "m2_max": config.m2_max,
         "cases": cases,
     }
-    return [_report(config, "kloosterman-reduction", params, worst, t0)]
+    return [_report(config, "kloosterman-reduction", params, worst, cases, t0)]
 
 
 def check_additive_collapse(config: SuiteConfig) -> list[VerificationReport]:
     t0 = time.perf_counter()
     worst, cases = additive_collapse_sweep(config.collapse_c_max)
     params = {"c_max": config.collapse_c_max, "cases": cases}
-    return [_report(config, "additive-collapse", params, worst, t0)]
+    return [_report(config, "additive-collapse", params, worst, cases, t0)]
 
 
-def _hecke_sweep_for_model(model, primes, power_bound) -> float:
+def _hecke_sweep_for_model(model, primes, power_bound) -> tuple[float, int]:
+    """(worst relation residual, number of residuals) for one model."""
     worst = 0.0
+    cases = 0
     level = model.level
     for p in primes:
         if level % p == 0:
@@ -297,6 +318,7 @@ def _hecke_sweep_for_model(model, primes, power_bound) -> float:
                         hecke_relation_residual_1(model, n, n1, n2),
                         hecke_relation_residual_2(model, n, n1, n2),
                     )
+                    cases += 2
     if level > 1:
         p0 = min(p for p, _ in factorize(level))
         for p in primes:
@@ -310,7 +332,8 @@ def _hecke_sweep_for_model(model, primes, power_bound) -> float:
                             worst = worse(
                                 worst, hecke_relation_residual_2(model, m, a, b)
                             )
-    return worst
+                            cases += 1
+    return worst, cases
 
 
 def check_hecke_relations(config: SuiteConfig) -> list[VerificationReport]:
@@ -318,13 +341,16 @@ def check_hecke_relations(config: SuiteConfig) -> list[VerificationReport]:
     primes = primes_up_to(config.prime_bound)
     worst = 0.0
     models = 0
+    cases = 0
     for level in config.hecke_levels:
         psis = enumerate_characters(level)
         for i in range(config.trials):
             psi = psis[i % len(psis)]
-            model = new_model(level, psi, config.prime_bound, seed=config.seed + i)
-            worst = worse(worst, _hecke_sweep_for_model(model, primes, config.power_bound))
+            model = new_model(level, psi, seed=config.seed + i)
+            residual, count = _hecke_sweep_for_model(model, primes, config.power_bound)
+            worst = worse(worst, residual)
             models += 1
+            cases += count
     params = {
         "levels": ",".join(map(str, config.hecke_levels)),
         "prime_bound": config.prime_bound,
@@ -332,13 +358,14 @@ def check_hecke_relations(config: SuiteConfig) -> list[VerificationReport]:
         "models": models,
         "seed": config.seed,
     }
-    return [_report(config, "hecke-relations", params, worst, t0)]
+    return [_report(config, "hecke-relations", params, worst, cases, t0)]
 
 
 def check_euler_product(config: SuiteConfig) -> list[VerificationReport]:
     t0 = time.perf_counter()
     worst = 0.0
     worst_alt = 0.0
+    cases = 0
     for level in config.euler_levels:
         for j, psi in enumerate(enumerate_characters(level)):
             model = new_model(level, psi, seed=config.seed + j)
@@ -353,6 +380,7 @@ def check_euler_product(config: SuiteConfig) -> list[VerificationReport]:
                         model, chi, 2.5, config.euler_n_max, variant="quadratic-psi"
                     ),
                 )
+                cases += 1
     params = {
         "n_max": config.euler_n_max,
         "levels": ",".join(map(str, config.euler_levels)),
@@ -361,7 +389,7 @@ def check_euler_product(config: SuiteConfig) -> list[VerificationReport]:
         # for nontrivial nebentypus; kept visible for contrast
         "alt_quadratic_psi_residual": f"{worst_alt:.3e}",
     }
-    return [_report(config, "euler-product", params, worst, t0)]
+    return [_report(config, "euler-product", params, worst, cases, t0)]
 
 
 def check_ramanujan_lemma(config: SuiteConfig) -> list[VerificationReport]:
@@ -389,7 +417,7 @@ def check_ramanujan_lemma(config: SuiteConfig) -> list[VerificationReport]:
         "ell_max": config.ramanujan_ell_max,
         "cases": cases,
     }
-    return [_report(config, "ramanujan-lemma", params, worst, t0)]
+    return [_report(config, "ramanujan-lemma", params, worst, cases, t0)]
 
 
 def _identity_cases(config: SuiteConfig):
@@ -421,8 +449,6 @@ def _identity_sweep(config: SuiteConfig, name: str, verify) -> list[Verification
     for model, q, chi in _identity_cases(config):
         worst = worse(worst, verify(model, q, chi, window))
         runs += 1
-    if runs == 0:
-        return []  # empty sweep: nothing to report
     params = {
         "window": ":".join(map(str, config.window)),
         "levels": ",".join(map(str, config.levels)),
@@ -432,7 +458,7 @@ def _identity_sweep(config: SuiteConfig, name: str, verify) -> list[Verification
         "seed": config.seed,
         "runs": runs,
     }
-    return [_report(config, name, params, worst, t0)]
+    return [_report(config, name, params, worst, runs, t0)]
 
 
 def check_z_expansion(config: SuiteConfig) -> list[VerificationReport]:
@@ -463,7 +489,7 @@ def check_moebius_assembly(config: SuiteConfig) -> list[VerificationReport]:
         "runs": runs,
         "seed": config.seed,
     }
-    return [_report(config, "moebius-assembly", params, worst, t0)]
+    return [_report(config, "moebius-assembly", params, worst, runs, t0)]
 
 
 def check_orthogonality(config: SuiteConfig) -> list[VerificationReport]:
@@ -484,7 +510,7 @@ def check_orthogonality(config: SuiteConfig) -> list[VerificationReport]:
         "runs": runs,
         "seed": config.seed,
     }
-    return [_report(config, "orthogonality", params, worst, t0)]
+    return [_report(config, "orthogonality", params, worst, runs, t0)]
 
 
 BESSEL_GRID = tuple(
@@ -506,6 +532,7 @@ def check_bessel_identity(config: SuiteConfig) -> list[VerificationReport]:
         "bessel-identity",
         {"grid_points": len(BESSEL_GRID)},
         worst,
+        len(BESSEL_GRID),
         t0,
     )
     t1 = time.perf_counter()
@@ -515,6 +542,7 @@ def check_bessel_identity(config: SuiteConfig) -> list[VerificationReport]:
         "bessel-identity-spot",
         {"s": 1.0, "k": 0, "y": 1.0, "closed_form": "pi*exp(-2*pi)"},
         spot,
+        1,
         t1,
     )
     return [grid_report, spot_report]
@@ -524,6 +552,7 @@ def check_gamma_unitarity(config: SuiteConfig) -> list[VerificationReport]:
     t0 = time.perf_counter()
     g = GammaData(config.nu1, config.nu2)
     worst = 0.0
+    cases = 0
     for chi in enumerate_characters(5):
         if not chi.is_primitive:
             continue
@@ -532,6 +561,7 @@ def check_gamma_unitarity(config: SuiteConfig) -> list[VerificationReport]:
         for t in (0.0, 1.0, 2.3):
             val = xi_factor(0.5 + 1j * t, g, kappa, tau, tau, 5)
             worst = worse(worst, abs(abs(val) - 1.0))
+            cases += 1
     # exact vanishing of the derived-triple sum, no tolerance
     import random
 
@@ -555,7 +585,7 @@ def check_gamma_unitarity(config: SuiteConfig) -> list[VerificationReport]:
         "exact_failures": exact_failures,
         "seed": config.seed,
     }
-    return [_report(config, "gamma-unitarity", params, worst, t0)]
+    return [_report(config, "gamma-unitarity", params, worst, cases, t0)]
 
 
 def check_fault_injection(config: SuiteConfig) -> list[VerificationReport]:
@@ -572,12 +602,12 @@ def check_fault_injection(config: SuiteConfig) -> list[VerificationReport]:
     t0 = time.perf_counter()
     residual = verify_Z_expansion(model.corrupted((1, 2), 1e-3), 1, chi, window)
     params = {"corruption": "A(1,2) += 1e-3", "expected": "fail"}
-    z_probe = _report(config, "z-expansion-fault-injected", params, residual, t0, "z-expansion")
+    z_probe = _report(config, "z-expansion-fault-injected", params, residual, 1, t0, "z-expansion")
     t0 = time.perf_counter()
     residual = fe_rearrangement_sensitivity(model, 1, chi, window, 1e-3)
     params = {"corruption": "one-sided dual A(1,2) += 1e-3", "expected": "fail"}
     fe_probe = _report(
-        config, "fe-rearrangement-sensitivity", params, residual, t0, "fe-rearrangement"
+        config, "fe-rearrangement-sensitivity", params, residual, 1, t0, "fe-rearrangement"
     )
     return [z_probe, fe_probe]
 
@@ -605,9 +635,9 @@ def run_suite(config: SuiteConfig, names: list[str] | None = None) -> list[Verif
     Individual check failures are recorded in their reports and never
     abort the suite: a check that raises gives one FAIL report under its
     name, with a NaN residual and the exception as its ``error``
-    parameter.  The fault probes are not isolated, since they are meant
-    to FAIL and a crash there must stay loud.  Reports come back sorted
-    by check name.
+    parameter, as does a check that evaluates no case.  The fault probes
+    are not isolated, since they are meant to FAIL and a crash there
+    must stay loud.  Reports come back sorted by check name.
     """
     config.validate()
     selected = sorted(names) if names else sorted(CHECKS)
@@ -621,7 +651,7 @@ def run_suite(config: SuiteConfig, names: list[str] | None = None) -> list[Verif
             reports.extend(CHECKS[name](config))
         except Exception as exc:
             params = {"error": f"{type(exc).__name__}: {exc}"}
-            reports.append(_report(config, name, params, math.nan, t0))
+            reports.append(_report(config, name, params, math.nan, 0, t0))
     if config.fault_injection:
         reports.extend(check_fault_injection(config))
     return sorted(reports, key=lambda r: r.check_name)

@@ -148,7 +148,7 @@ def char_kloosterman_reduction_residual(
 
 
 def char_kloosterman_reduction_sweep(
-    c_max: int = 40, m_set: tuple[int, ...] = (1, -1, 2, -2, 6, -6), m2_max: int = 12
+    c_max: int, m_set: tuple[int, ...], m2_max: int
 ) -> tuple[float, int]:
     """Max collapse residual over c <= c_max, all chi mod c, m in m_set,
     all m1 | c m, |m2| <= m2_max.  Returns (max residual, case count).
@@ -217,7 +217,7 @@ def _collapse_residual_at(theta: DirichletCharacter, n: int) -> float:
     return abs(lhs - rhs)
 
 
-def additive_collapse_sweep(c_max: int = 36) -> tuple[float, int]:
+def additive_collapse_sweep(c_max: int) -> tuple[float, int]:
     """Max additive-collapse residual over c <= c_max, every level N | c,
     every psi mod N and chi mod c with psi*chi primitive, and all n mod c.
 
@@ -250,7 +250,7 @@ def additive_collapse_sweep(c_max: int = 36) -> tuple[float, int]:
 # -- bulk sanity sweeps ------------------------------------------------------
 
 
-def reality_symmetry_sweep(c_max: int = 200) -> tuple[float, float]:
+def reality_symmetry_sweep(c_max: int) -> tuple[float, float]:
     """(max |Im S|, max |S(a,b;c) - S(b,a;c)|) over all a, b mod c, c <= c_max."""
     max_im = 0.0
     max_asym = 0.0
@@ -261,7 +261,7 @@ def reality_symmetry_sweep(c_max: int = 200) -> tuple[float, float]:
     return max_im, max_asym
 
 
-def weil_bound_sweep(p_max: int = 200) -> float:
+def weil_bound_sweep(p_max: int) -> float:
     """Max of |S(a,b;p)| / (2 sqrt p) over primes p <= p_max, (ab, p) = 1.
 
     Classical sanity oracle, external to the verified identities.

@@ -89,14 +89,13 @@ class FormalSeries:
         window: Window,
         num_bound: Optional[int] = None,
         den_bound: Optional[int] = None,
-        prune: float = PRUNE_EPS,
     ):
         kept = {}
         for key, coeff in terms.items():
             x, num, den = key
             if not window.contains(x, num, den):
                 raise ValueError(f"key {key} outside window {window}")
-            if not abs(coeff) < prune:  # NaN is kept, never pruned
+            if not abs(coeff) < PRUNE_EPS:  # NaN is kept, never pruned
                 kept[key] = coeff
         self.terms = kept
         self.window = window
@@ -147,9 +146,7 @@ def _require_cover(a: FormalSeries, b: FormalSeries, window: Window, side: str):
             )
 
 
-def series_mul(
-    a: FormalSeries, b: FormalSeries, window: Window, prune: float = PRUNE_EPS
-) -> FormalSeries:
+def series_mul(a: FormalSeries, b: FormalSeries, window: Window) -> FormalSeries:
     """Product of two series, pruned to the window.
 
     Raises CompletenessError when the factor windows provably cannot
@@ -198,7 +195,7 @@ def series_mul(
             if a.den_bound is not None and b.den_bound is not None
             else None
         )
-    return FormalSeries(acc, window, num_bound, den_bound, prune=prune)
+    return FormalSeries(acc, window, num_bound, den_bound)
 
 
 def _no_drops(s: FormalSeries) -> bool:
@@ -230,7 +227,6 @@ def build_lseries(
     shift: int,
     restriction: Optional[Callable[[int], bool]],
     window: Window,
-    prune: float = PRUNE_EPS,
 ) -> FormalSeries:
     """Series sum_n coeff_fn(n) n^-(w_mult*w + s_mult*s + shift).
 
@@ -284,7 +280,7 @@ def build_lseries(
         num_bound, den_bound = None, 1
     else:
         num_bound, den_bound = 1, None
-    return FormalSeries(terms, window, num_bound, den_bound, prune=prune)
+    return FormalSeries(terms, window, num_bound, den_bound)
 
 
 def compare(a: FormalSeries, b: FormalSeries, window: Window) -> float:

@@ -9,7 +9,7 @@ A model produces coefficients A(m1, m2) for nonzero integers m1, m2 with
       A(n,1) A(n2,n1) = sum_{abc=n, a|n1, b|n2} psi(ab) A(c n2/b, b n1/a)
       A(1,m) A(n2,n1) = sum_{abc=m, b|n1, c|n2} psi(c)  A(b n2/c, a n1/b)
   (first: (n, N) = 1; second: (n1 n2, N) = 1, m arbitrary);
-- the adjoint relation A(n,1) = psi(n) conj(A(1,n)) for unitary draws;
+- the adjoint relation A(n,1) = psi(n) conj(A(1,n));
 - the sign rule A(+-m1, (-1)^k m2) = psi(-1)^k A(m1, m2).
 
 Construction: at each prime p not dividing N draw alpha, beta on the
@@ -28,18 +28,19 @@ A(1, p^k) = h_k, hence the local generating function
     sum_k A(1, p^k) T^k = (1 - A(1,p) T + A(p,1) T^2 - psi(p) T^3)^(-1).
 
 At primes p | N the second-index values A(1, p^k) are free parameters
-c_{p,k} drawn from the closed unit disc (a zero-ramified preset exists).
+c_{p,k} drawn from the closed unit disc.
 Coefficients with (m1, N) > 1 are a domain error, not zero.
 
 All draws are keyed by (seed, role, p, k) through independently seeded
 generators, so models are deterministic and order-independent.  A model
-is immutable after construction; the per-prime caches are idempotent,
-so concurrent reads are safe.  coefficient(m1, m2) memoizes its final
-value (sign factor and any injected corruption included) per instance
-under the key (m1, m2), since the verifiers ask for the same index
-pairs many times.  The memo is a cache of the same immutable function:
-corrupted, scale_ramified and contragredient build new instances, so
-each twin starts with an empty memo and never sees its parent's values.
+is immutable after construction; the per-prime caches are idempotent.
+coefficient(m1, m2) memoizes its final value (sign factor and any
+injected corruption included) per instance under the key (m1, m2),
+since the verifiers ask for the same index pairs many times.  The memo
+is a cache of the same immutable function: corrupted, scale_ramified
+and contragredient return copies with empty caches, so each twin keeps
+every change of its parent, adds its own, and never sees its parent's
+cached values.
 
 The relation verifiers treat the model as untrusted input and enumerate
 the divisor sums in full, so any alternative coefficient source can be
@@ -49,6 +50,7 @@ plugged in.
 from __future__ import annotations
 
 import cmath
+import copy
 import math
 import random
 from dataclasses import dataclass
@@ -92,34 +94,33 @@ def _unit(rng: random.Random) -> complex:
 
 
 class HeckeCoefficientModel:
-    def __init__(
-        self,
-        level: int,
-        psi: DirichletCharacter,
-        prime_bound: int = 13,
-        seed: int = 0,
-        unitary: bool = True,
-        zero_ramified: bool = False,
-        _seed_key: str | None = None,
-        _parent: "HeckeCoefficientModel | None" = None,
-    ):
+    def __init__(self, level: int, psi: DirichletCharacter, seed: int):
         if psi.modulus != level:
             raise ValueError("nebentypus modulus must equal the level")
         self.level = level
         self.psi = psi
-        self.prime_bound = prime_bound
         self.seed = seed
-        self.unitary = unitary
-        self.zero_ramified = zero_ramified
-        self._seed_key = _seed_key if _seed_key is not None else str(seed)
-        self._parent = _parent
+        self._seed_key = str(seed)
+        # a contragredient inverts its parent's local triples
+        self._parent: HeckeCoefficientModel | None = None
+        self._ram_scale: complex = 1 + 0j
+        self._corruption: tuple[tuple[int, int], complex] | None = None
+        self._clear_caches()
+
+    def _clear_caches(self) -> None:
         self._satake: dict[int, SatakeTriple] = {}
         self._ramified: dict[tuple[int, int], complex] = {}
         self._h: dict[int, list[complex]] = {}
         self._coeff: dict[tuple[int, int], complex] = {}
         self._memo: dict[tuple[int, int], complex] = {}
-        self._ram_scale: complex = 1 + 0j
-        self._corruption: tuple[tuple[int, int], complex] | None = None
+
+    def _twin(self, **changes) -> "HeckeCoefficientModel":
+        """Copy with empty caches and the given attributes set."""
+        twin = copy.copy(self)
+        twin._clear_caches()
+        for name, value in changes.items():
+            setattr(twin, name, value)
+        return twin
 
     # -- local data ----------------------------------------------------------
 
@@ -134,11 +135,7 @@ class HeckeCoefficientModel:
             triple = self._parent.satake(p).inverse()
         else:
             rng = random.Random(f"{self._seed_key}|satake|{p}")
-            if self.unitary:
-                alpha, beta = _unit(rng), _unit(rng)
-            else:
-                alpha = (0.8 + 0.45 * rng.random()) * _unit(rng)
-                beta = (0.8 + 0.45 * rng.random()) * _unit(rng)
+            alpha, beta = _unit(rng), _unit(rng)
             gamma = self.psi(p) / (alpha * beta)
             triple = SatakeTriple(alpha, beta, gamma)
         assert abs(triple.product - self.psi(p)) < 1e-12
@@ -149,8 +146,6 @@ class HeckeCoefficientModel:
         """Free second-index value A(1, p^k) at p | N; k = 0 gives 1."""
         if k == 0:
             return 1 + 0j
-        if self.zero_ramified:
-            return 0j
         key = (p, k)
         val = self._ramified.get(key)
         if val is None:
@@ -225,17 +220,15 @@ class HeckeCoefficientModel:
         """Dual model: A~(m1,m2) = psibar(m1 m2) A(m2, m1) off the level.
 
         Local triples are inverted; the ramified sequence is an
-        independent fresh draw (the dual is not pinned at p | N).
+        independent fresh draw (the dual is not pinned at p | N), so it
+        carries neither the parent's ramified scale nor its corruption.
         """
-        return HeckeCoefficientModel(
-            self.level,
-            self.psi.conjugate(),
-            self.prime_bound,
-            seed=self.seed,
-            unitary=self.unitary,
-            zero_ramified=self.zero_ramified,
+        return self._twin(
+            psi=self.psi.conjugate(),
             _seed_key=self._seed_key + "|contra",
             _parent=self,
+            _ram_scale=1 + 0j,
+            _corruption=None,
         )
 
     def corrupted(self, index: tuple[int, int], delta: complex) -> "HeckeCoefficientModel":
@@ -243,55 +236,20 @@ class HeckeCoefficientModel:
 
         Fault-injection helper: a verifier unable to detect this is broken.
         """
-        twin = HeckeCoefficientModel(
-            self.level,
-            self.psi,
-            self.prime_bound,
-            seed=self.seed,
-            unitary=self.unitary,
-            zero_ramified=self.zero_ramified,
-            _seed_key=self._seed_key,
-            _parent=self._parent,
-        )
-        twin._corruption = (index, delta)
-        return twin
+        return self._twin(_corruption=(index, delta))
 
     def scale_ramified(self, factor: complex) -> "HeckeCoefficientModel":
         """Copy with every free ramified value c_{p,k}, k >= 1, scaled."""
-        twin = HeckeCoefficientModel(
-            self.level,
-            self.psi,
-            self.prime_bound,
-            seed=self.seed,
-            unitary=self.unitary,
-            zero_ramified=self.zero_ramified,
-            _seed_key=self._seed_key,
-            _parent=self._parent,
-        )
-        twin._ram_scale = factor
-        return twin
+        return self._twin(_ram_scale=factor)
 
 
 def new_model(
-    level: int,
-    psi: DirichletCharacter | None = None,
-    prime_bound: int = 13,
-    seed: int = 0,
-    unitary: bool = True,
-    zero_ramified: bool = False,
+    level: int, psi: DirichletCharacter | None = None, seed: int = 0
 ) -> HeckeCoefficientModel:
     """Seeded model; psi defaults to the principal character mod level."""
     if psi is None:
         psi = principal_character(level)
-    model = HeckeCoefficientModel(
-        level, psi, prime_bound, seed, unitary, zero_ramified
-    )
-    from .arith import primes_up_to
-
-    for p in primes_up_to(prime_bound):
-        if level % p:
-            model.satake(p)  # eager warm-up; draws are order-independent anyway
-    return model
+    return HeckeCoefficientModel(level, psi, seed)
 
 
 # -- relation verifiers -------------------------------------------------------

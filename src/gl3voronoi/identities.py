@@ -20,8 +20,7 @@ Conventions shared by every builder here:
 - G(q, l, chi*, s) denotes its dual, built WITHOUT the transcendental
   archimedean factor: that factor occurs to exactly the first power in
   every term on both sides of the rearrangement identity, is treated as
-  an uninterpreted unit symbol, and is cancelled structurally (the
-  builders count its power and the verifier asserts the counts agree).
+  an uninterpreted unit symbol, and is cancelled structurally.
   Tolerances: end-to-end identity runs are exact up to floating
   roundoff, budgeted at 1e-8 for the windowed sweeps.
 
@@ -41,7 +40,6 @@ Conventions shared by every builder here:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .arith import divisors, mobius, worse
@@ -56,7 +54,6 @@ from .heckemodel import HeckeCoefficientModel
 from .expsums import _exp_table, _units_and_inverses
 
 __all__ = [
-    "IdentityCase",
     "ramanujan_lemma_residual",
     "build_H",
     "build_G",
@@ -67,33 +64,16 @@ __all__ = [
     "verify_orthogonality_equivalence",
 ]
 
-# power of the stripped archimedean unit symbol carried by each builder;
-# the rearrangement verifier asserts the two sides agree before comparing
-_GPM_POWER_LHS = 1
-_GPM_POWER_RHS = 1
-
-
-@dataclass(frozen=True)
-class IdentityCase:
-    """One parameter tuple for a windowed identity sweep.
-
-    Coprimality of q and cstar with the level is enforced here because
-    every verifier below assumes it.
-    """
-
-    model: HeckeCoefficientModel
-    chi_star: DirichletCharacter
-    q: int
-    window: Window
-
-    def __post_init__(self):
-        n = self.model.level
-        if not self.chi_star.is_primitive:
-            raise ValueError("chi* must be primitive")
-        if math.gcd(self.q, n) != 1:
-            raise ValueError(f"q={self.q} must be coprime to the level {n}")
-        if math.gcd(self.chi_star.modulus, n) != 1:
-            raise ValueError("the conductor of chi* must be coprime to the level")
+def _check_case(model: HeckeCoefficientModel, chi_star: DirichletCharacter, q: int) -> None:
+    """Enforce what every windowed verifier below assumes: chi* is
+    primitive, and q and cstar are coprime to the level."""
+    n = model.level
+    if not chi_star.is_primitive:
+        raise ValueError("chi* must be primitive")
+    if math.gcd(q, n) != 1:
+        raise ValueError(f"q={q} must be coprime to the level {n}")
+    if math.gcd(chi_star.modulus, n) != 1:
+        raise ValueError("the conductor of chi* must be coprime to the level")
 
 
 def ramanujan_lemma_residual(
@@ -315,7 +295,7 @@ def verify_Z_expansion(
     the inner index n through num(d2 n / l^2) >= n / l^2, so
     n <= p_max l^2.  Returns the windowed compare residual.
     """
-    IdentityCase(model, chi_star, q, window)
+    _check_case(model, chi_star, q)
     level = model.level
     restrict = _restrict(level)
     chibar = chi_star.conjugate()
@@ -378,7 +358,7 @@ def verify_fe_rearrangement(
     H replaced by the stripped dual series G.
 
     Both sides carry the archimedean unit symbol to exactly the first
-    power in every term (asserted), so cancelling it is structural.
+    power in every term, so cancelling it is structural.
     The two normalizations are linked by tau(chi*) tau(chibar*) =
     chi*(-1) cstar, which is asserted numerically before comparing.
 
@@ -391,8 +371,7 @@ def verify_fe_rearrangement(
     coefficient cannot break it; use fe_rearrangement_sensitivity for
     the verifier's own fault probe.
     """
-    IdentityCase(model, chi_star, q, window)
-    assert _GPM_POWER_LHS == _GPM_POWER_RHS
+    _check_case(model, chi_star, q)
     if dual is None:
         dual = model.contragredient()
     return _fe_residual(model, q, chi_star, window, dual, dual)
@@ -485,7 +464,7 @@ def verify_moebius_assembly(
     Enumeration bound: each inner term lands at Y = e1 d2 n / l^2 with
     reduced numerator >= n / l^2, so n <= p_max l^2.
     """
-    IdentityCase(model, chi_star, q, window)
+    _check_case(model, chi_star, q)
     level = model.level
     if math.gcd(m, level) != 1:
         raise ValueError(f"m={m} must be coprime to the level {level}")
@@ -513,7 +492,7 @@ def verify_moebius_assembly(
 
 
 def verify_orthogonality_equivalence(
-    model: HeckeCoefficientModel, c: int, q: int, n_max: int = 24
+    model: HeckeCoefficientModel, c: int, q: int, n_max: int
 ) -> float:
     """Character decomposition of additive twists against the H family.
 

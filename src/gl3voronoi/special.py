@@ -110,15 +110,11 @@ def fourier_bessel_lhs(s: complex, k: int, y: float) -> complex:
         raise ValueError("k = 0 requires Re s > 1/2")
     if k == 1 and s.real <= 1.0:
         raise ValueError("k = 1 requires Re s > 1")
-    w = 2 * math.pi * abs(y)
-    kw = dict(limit=600, epsabs=1e-12, epsrel=1e-10)
-    if k == 0:
-        re = _quad(lambda u: ((u * u + 1) ** (-s)).real, 0, math.inf, weight="cos", wvar=w, **kw)
-        im = _quad(lambda u: ((u * u + 1) ** (-s)).imag, 0, math.inf, weight="cos", wvar=w, **kw) if s.imag else 0.0
-        return 2 * complex(re, im)
-    re = _quad(lambda u: (u * (u * u + 1) ** (-s)).real, 0, math.inf, weight="sin", wvar=w, **kw)
-    im = _quad(lambda u: (u * (u * u + 1) ** (-s)).imag, 0, math.inf, weight="sin", wvar=w, **kw) if s.imag else 0.0
-    return 2j * (1 if y > 0 else -1) * complex(re, im)
+    weight = "sin" if k else "cos"
+    kw = dict(weight=weight, wvar=2 * math.pi * abs(y), limit=600, epsabs=1e-12, epsrel=1e-10)
+    re = _quad(lambda u: (u**k * (u * u + 1) ** (-s)).real, 0, math.inf, **kw)
+    im = _quad(lambda u: (u**k * (u * u + 1) ** (-s)).imag, 0, math.inf, **kw) if s.imag else 0.0
+    return 2 * (1j * (1 if y > 0 else -1)) ** k * complex(re, im)
 
 
 def fourier_bessel_rhs(s: complex, k: int, y: float) -> complex:

@@ -128,21 +128,29 @@ def test_determinism_modulo_runtime():
     assert json.dumps(strip(a), sort_keys=True) == json.dumps(strip(b), sort_keys=True)
 
 
-def test_empty_sweep_gives_empty_report(capsys):
-    # empty q list: no identity cases, empty report, exit 0
-    code = main(
-        [
-            "verify",
-            "z-expansion",
-            "--q-list",
-            "",
-            "--format",
-            "json",
-        ]
-    )
-    payload = json.loads(capsys.readouterr().out)
-    assert code == 0
-    assert payload["reports"] == []
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "z-expansion --q-list=",
+        "z-expansion --levels 2 --q-list 2",
+        "fe-rearrangement --levels 3 --cstar-list 3",
+        "ramanujan-lemma --ramanujan-levels 2 --ramanujan-cstar 4",
+        "hecke-relations --prime-bound 1",
+        "hecke-relations --prime-bound 2 --hecke-levels 2 --trials 1",
+        "hecke-relations --hecke-levels=",
+        "euler-product --euler-levels=",
+        "moebius-assembly --moebius-cstar=",
+        "kloosterman-reduction --m-set= --c-max 4",
+    ],
+    ids=lambda argv: argv.replace(" ", "_"),
+)
+def test_zero_cases_is_never_a_pass(argv, capsys):
+    # a sweep that evaluates nothing proves nothing: one FAIL report, exit 1
+    assert main(["verify", *argv.split(), "--format", "json"]) == 1
+    (report,) = json.loads(capsys.readouterr().out)["reports"]
+    assert report["check_name"] == argv.split()[0]
+    assert report["pass"] is False and math.isnan(report["max_residual"])
+    assert report["parameters"]["error"] == "no cases evaluated"
 
 
 def test_cli_single_check_pass(capsys):
@@ -152,6 +160,10 @@ def test_cli_single_check_pass(capsys):
     assert out.startswith("PASS")
 
 
+def _verdicts(out: str) -> dict[str, str]:
+    return {line.split()[1]: line.split()[0] for line in out.splitlines()}
+
+
 def test_cli_fault_injection_fails(capsys):
     code = main(
         [
@@ -159,16 +171,13 @@ def test_cli_fault_injection_fails(capsys):
             "orthogonality",
             "--fault-injection",
             "--window",
-            "36:24:24",
+            "48:48:48",
         ]
     )
-    out = capsys.readouterr().out
-    assert code == 1
-    assert "FAIL" in out and "fault" in out
-
-
-def _verdicts(out: str) -> dict[str, str]:
-    return {line.split()[1]: line.split()[0] for line in out.splitlines()}
+    verdicts = _verdicts(capsys.readouterr().out)
+    assert code == 0
+    assert verdicts["z-expansion-fault-injected"] == "FAIL"
+    assert verdicts["fe-rearrangement-sensitivity"] == "FAIL"
 
 
 def test_exit_code_needs_failing_probes_and_passing_checks(capsys, monkeypatch):
@@ -183,15 +192,10 @@ def test_exit_code_needs_failing_probes_and_passing_checks(capsys, monkeypatch):
     # a failing check fails the run even though the probes FAIL
     assert main(argv + ["--window", "48:48:48", "--tol", "1e-300"]) == 1
     assert _verdicts(capsys.readouterr().out)["orthogonality"] == "FAIL"
-    # at P = 24 the corrupted dual term A(1, 2) has Y numerator 3^3 = 27,
-    # outside the window: that probe wrongly PASSes, so the run fails
-    # although every check passes
-    assert main(argv + ["--window", "36:24:24"]) == 1
-    assert _verdicts(capsys.readouterr().out) == {
-        "fe-rearrangement-sensitivity": "PASS",
-        "orthogonality": "PASS",
-        "z-expansion-fault-injected": "FAIL",
-    }
+    # at P = 24 the corrupted dual term A~(1, 2), at Y = 3^3/2, is outside
+    # the window and its probe would be blind: a usage error
+    assert main(argv + ["--window", "36:24:24"]) == 2
+    assert "fault injection" in capsys.readouterr().err
     blind = VerificationReport.make("blind-probe", {"expected": "fail"}, 0.0, 1e-9, 0)
     monkeypatch.setattr("gl3voronoi.cli.check_fault_injection", lambda config: [blind])
     assert main(argv + ["--window", "48:48:48"]) == 1
@@ -229,7 +233,7 @@ def test_raising_fault_probe_is_not_isolated(monkeypatch):
 
     monkeypatch.setattr("gl3voronoi.cli.check_fault_injection", broken)
     with pytest.raises(ZeroDivisionError):
-        run_suite(replace(FAST, fault_injection=True), ["gauss-modulus"])
+        run_suite(replace(FAST, fault_injection=True, window=(48, 48, 48)), ["gauss-modulus"])
 
 
 def test_cli_tolerance_override(capsys):
@@ -393,6 +397,9 @@ def test_config_rejects_unknown_bool_word(tmp_path, capsys):
         ("--power-bound", "9"),
         ("--nu1", "0.5"),
         ("--nu1", "nan"),
+        pytest.param("--fault-injection", "--window=36:24:24", id="fault-injection-36:24:24"),
+        pytest.param("--fault-injection", "--window=3:27:2", id="fault-injection-3:27:2"),
+        pytest.param("--fault-injection", "--window=36:27:1", id="fault-injection-36:27:1"),
     ],
 )
 def test_invalid_config_exits_2_before_any_check(flag, value, capsys, monkeypatch):

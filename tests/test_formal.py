@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gl3voronoi.formal import (
+    PRUNE_EPS,
     CompletenessError,
     FormalSeries,
     Window,
@@ -125,15 +126,16 @@ def test_mul_associative_commutative(a, b, c):
 
 def test_pruning_does_not_change_compares():
     w = Window(16, 6, 6)
-    terms = {(2, 1, 1): 1.0 + 0j, (3, 2, 1): 1e-16 + 0j}
-    pruned = FormalSeries(dict(terms), w, 2, 1)
-    unpruned = FormalSeries(dict(terms), w, 2, 1, prune=0.0)
-    assert (3, 2, 1) not in pruned.terms and (3, 2, 1) in unpruned.terms
-    assert compare(pruned, unpruned, w) < 1e-12
+    tiny = PRUNE_EPS / 10
+    pruned = FormalSeries({(2, 1, 1): 1.0 + 0j, (3, 2, 1): tiny + 0j}, w, 2, 1)
+    assert pruned.terms == {(2, 1, 1): 1.0 + 0j}  # the sub-PRUNE_EPS term is dropped
     other = build_lseries(lambda n: 1.0, 2, -1, 0, None, Window(16, 1, 4))
-    p1 = series_mul(pruned, other, w)
-    p2 = series_mul(unpruned, other, w, prune=0.0)
-    assert compare(p1, p2, w) < 1e-12
+    product = series_mul(pruned, other, w)
+    # the unpruned product by hand: (2,1,1) and (3,2,1) times (n^2, 1, n), X <= 16
+    reference = {(2, 1, 1): 1.0, (8, 1, 2): 1.0, (3, 2, 1): tiny, (12, 1, 1): tiny}
+    assert product.terms == {(2, 1, 1): 1.0, (8, 1, 2): 1.0}
+    assert max(abs(product.terms.get(k, 0j) - v) for k, v in reference.items()) == tiny
+    assert compare(product, FormalSeries(reference, w), w) == 0.0
 
 
 def test_non_finite_terms_are_never_pruned():

@@ -13,7 +13,6 @@ from gl3voronoi.characters import (
 from gl3voronoi.formal import FormalSeries, Window, compare
 from gl3voronoi.heckemodel import new_model
 from gl3voronoi.identities import (
-    IdentityCase,
     build_G,
     build_H,
     fe_rearrangement_sensitivity,
@@ -42,10 +41,12 @@ def quadratic_mod(p):
 def test_identity_case_enforces_coprimality():
     psi = quadratic_mod(3)
     model = new_model(3, psi, seed=0)
-    with pytest.raises(ValueError):
-        IdentityCase(model, primitive_mod(5), 3, WINDOW)  # q shares a factor with N
-    with pytest.raises(ValueError):
-        IdentityCase(model, primitive_mod(3), 1, WINDOW)  # cstar shares a factor with N
+    with pytest.raises(ValueError, match="q=3 must be coprime"):
+        verify_Z_expansion(model, 3, primitive_mod(5), SMALL)  # q shares a factor with N
+    with pytest.raises(ValueError, match="conductor of chi"):
+        verify_Z_expansion(model, 1, primitive_mod(3), SMALL)  # cstar shares a factor with N
+    with pytest.raises(ValueError, match="primitive"):
+        verify_Z_expansion(model, 1, enumerate_characters(5)[0], SMALL)  # principal chi*
 
 
 # -- generating identity for nonprimitive Gauss sums -------------------------
@@ -299,14 +300,14 @@ def test_moebius_assembly_nontrivial_level():
 
 def test_orthogonality_examples():
     model = new_model(1, seed=0)
-    assert verify_orthogonality_equivalence(model, 1, 1) < 1e-13
-    assert verify_orthogonality_equivalence(model, 3, 1) < 1e-12
-    assert verify_orthogonality_equivalence(model, 8, 3) < 1e-9
+    assert verify_orthogonality_equivalence(model, 1, 1, n_max=24) < 1e-13
+    assert verify_orthogonality_equivalence(model, 3, 1, n_max=24) < 1e-12
+    assert verify_orthogonality_equivalence(model, 8, 3, n_max=24) < 1e-9
 
 
 def test_orthogonality_respects_level():
     psi = quadratic_mod(3)
     model = new_model(3, psi, seed=0)
-    assert verify_orthogonality_equivalence(model, 8, 2) < 1e-9
+    assert verify_orthogonality_equivalence(model, 8, 2, n_max=24) < 1e-9
     with pytest.raises(ValueError):
-        verify_orthogonality_equivalence(model, 6, 1)
+        verify_orthogonality_equivalence(model, 6, 1, n_max=24)
