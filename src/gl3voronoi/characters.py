@@ -44,6 +44,7 @@ from .arith import divisors, euler_phi, unit_group_generators
 __all__ = [
     "DirichletCharacter",
     "enumerate_characters",
+    "primitive_characters",
     "principal_character",
     "primitive_part",
     "multiply",
@@ -212,6 +213,12 @@ def enumerate_characters(q: int) -> list[DirichletCharacter]:
         DirichletCharacter(q, combo)
         for combo in itertools.product(*[range(r) for _, r in gens])
     ]
+
+
+@lru_cache(maxsize=None)
+def primitive_characters(q: int) -> tuple[DirichletCharacter, ...]:
+    """The primitive characters mod q in enumeration order; none if q = 2 mod 4."""
+    return tuple(chi for chi in enumerate_characters(q) if chi.is_primitive)
 
 
 def _order_exponent(chi: DirichletCharacter, n: int, r: int) -> int:

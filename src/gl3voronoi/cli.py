@@ -25,14 +25,15 @@ import argparse
 import cmath
 import json
 import math
+import random
 import sys
 import time
 import typing
 from dataclasses import dataclass, field, replace
 
 from . import __version__
-from .arith import factorize, is_prime, primes_up_to, worse
-from .characters import enumerate_characters, gauss_sum
+from .arith import euler_phi, factorize, is_prime, primes_up_to, worse
+from .characters import enumerate_characters, gauss_sum, primitive_characters
 from .expsums import (
     additive_collapse_sweep,
     char_kloosterman_reduction_sweep,
@@ -183,12 +184,13 @@ class SuiteConfig:
         """Raise ValueError for any value that a check cannot run on.
 
         Int fields but the seed are bounds >= 1 (m2_max >= 0, as |m2|
-        <= m2_max); int tuples but m_set hold positive levels, moduli or
-        q's; m_set has no zero; every cstar has a primitive character;
-        every Hecke-relation index fits factorize; the triple of (nu1, nu2)
-        is purely imaginary, as unitarity on the critical line needs;
-        every tolerance override names a check; under fault injection the
-        window holds both probes' corrupted terms.
+        <= m2_max; kloosterman_c_max >= 2, as Weil's bound needs a prime);
+        int tuples but m_set hold positive levels, moduli or q's; m_set
+        has no zero; every cstar has a primitive character; every
+        Hecke-relation index fits factorize; the triple of (nu1, nu2) is
+        purely imaginary, as unitarity on the critical line needs; every
+        tolerance override names a check; under fault injection the window
+        holds both probes' corrupted terms.
         """
         if min(self.window) < 1:
             raise ValueError("window fields must be positive")
@@ -200,7 +202,7 @@ class SuiteConfig:
             raise ValueError("window: fault injection needs X >= 4, P >= 27 and Q >= 2")
         for name, kind in _FIELD_TYPES.items():
             value = getattr(self, name)
-            low = 0 if name == "m2_max" else 1
+            low = {"m2_max": 0, "kloosterman_c_max": 2}.get(name, 1)
             if kind is int and name != "seed" and value < low:
                 raise ValueError(f"{name} must be >= {low}")
             if kind == tuple[int, ...] and name != "m_set" and min(value, default=1) < 1:
@@ -256,9 +258,7 @@ def check_gauss_modulus(config: SuiteConfig) -> list[VerificationReport]:
     worst = 0.0
     count = 0
     for c in range(1, config.gauss_c_max + 1):
-        for chi in enumerate_characters(c):
-            if not chi.is_primitive:
-                continue
+        for chi in primitive_characters(c):
             worst = worse(worst, abs(abs(gauss_sum(chi)) - math.sqrt(c)))
             count += 1
     params = {"c_max": config.gauss_c_max, "primitive_count": count}
@@ -336,6 +336,15 @@ def _hecke_sweep_for_model(model, primes, power_bound) -> tuple[float, int]:
     return worst, cases
 
 
+def _models(config: SuiteConfig, level: int, count: int):
+    """(i, model i) for i < count, the one seeding rule of the checks:
+    nebentypus enumerate_characters(level)[i mod phi(level)], seed
+    config.seed + i."""
+    psis = enumerate_characters(level)
+    for i in range(count):
+        yield i, new_model(level, psis[i % len(psis)], seed=config.seed + i)
+
+
 def check_hecke_relations(config: SuiteConfig) -> list[VerificationReport]:
     t0 = time.perf_counter()
     primes = primes_up_to(config.prime_bound)
@@ -343,10 +352,7 @@ def check_hecke_relations(config: SuiteConfig) -> list[VerificationReport]:
     models = 0
     cases = 0
     for level in config.hecke_levels:
-        psis = enumerate_characters(level)
-        for i in range(config.trials):
-            psi = psis[i % len(psis)]
-            model = new_model(level, psi, seed=config.seed + i)
+        for _, model in _models(config, level, config.trials):
             residual, count = _hecke_sweep_for_model(model, primes, config.power_bound)
             worst = worse(worst, residual)
             models += 1
@@ -367,8 +373,7 @@ def check_euler_product(config: SuiteConfig) -> list[VerificationReport]:
     worst_alt = 0.0
     cases = 0
     for level in config.euler_levels:
-        for j, psi in enumerate(enumerate_characters(level)):
-            model = new_model(level, psi, seed=config.seed + j)
+        for _, model in _models(config, level, euler_phi(level)):
             for chi in enumerate_characters(config.euler_chi_modulus):
                 worst = worse(
                     worst,
@@ -397,11 +402,10 @@ def check_ramanujan_lemma(config: SuiteConfig) -> list[VerificationReport]:
     worst = 0.0
     cases = 0
     for cstar in config.ramanujan_cstar:
-        prim = [c for c in enumerate_characters(cstar) if c.is_primitive]
         for level in config.ramanujan_levels:
             if math.gcd(cstar, level) > 1:
                 continue
-            for chi in prim:
+            for chi in primitive_characters(cstar):
                 for m in range(1, config.ramanujan_m_max + 1):
                     worst = worse(
                         worst,
@@ -420,35 +424,25 @@ def check_ramanujan_lemma(config: SuiteConfig) -> list[VerificationReport]:
     return [_report(config, "ramanujan-lemma", params, worst, cases, t0)]
 
 
-def _identity_cases(config: SuiteConfig):
-    """(model, q, chi*) sweep shared by the windowed identity checks."""
-    prim = {
-        c: [ch for ch in enumerate_characters(c) if ch.is_primitive]
-        for c in config.cstar_list
-    }
-    for level in config.levels:
-        psis = enumerate_characters(level)
-        for q in config.q_list:
-            if math.gcd(q, level) > 1:
-                continue
-            for cstar in config.cstar_list:
-                if math.gcd(cstar, level) > 1:
-                    continue
-                for i in range(config.seeds_per_case):
-                    psi = psis[i % len(psis)]
-                    model = new_model(level, psi, seed=config.seed + i)
-                    chi = prim[cstar][i % len(prim[cstar])]
-                    yield model, q, chi
-
-
 def _identity_sweep(config: SuiteConfig, name: str, verify) -> list[VerificationReport]:
+    """Windowed identity sweep: model i of a level serves every (q, chi*)
+    case, chi* the i-th primitive character mod cstar (cyclically)."""
     t0 = time.perf_counter()
     window = config.window_obj()
     worst = 0.0
     runs = 0
-    for model, q, chi in _identity_cases(config):
-        worst = worse(worst, verify(model, q, chi, window))
-        runs += 1
+    for level in config.levels:
+        pairs = [
+            (q, cstar)
+            for q in config.q_list
+            for cstar in config.cstar_list
+            if math.gcd(q * cstar, level) == 1
+        ]
+        for i, model in _models(config, level, config.seeds_per_case):
+            for q, cstar in pairs:
+                prim = primitive_characters(cstar)
+                worst = worse(worst, verify(model, q, prim[i % len(prim)], window))
+                runs += 1
     params = {
         "window": ":".join(map(str, config.window)),
         "levels": ",".join(map(str, config.levels)),
@@ -477,7 +471,7 @@ def check_moebius_assembly(config: SuiteConfig) -> list[VerificationReport]:
     worst = 0.0
     runs = 0
     for cstar in config.moebius_cstar:
-        chi = [c for c in enumerate_characters(cstar) if c.is_primitive][0]
+        chi = primitive_characters(cstar)[0]
         for q in range(1, config.moebius_q_max + 1):
             for m in range(1, config.moebius_m_max + 1):
                 worst = worse(worst, verify_moebius_assembly(model, q, m, chi, window))
@@ -553,9 +547,7 @@ def check_gamma_unitarity(config: SuiteConfig) -> list[VerificationReport]:
     g = GammaData(config.nu1, config.nu2)
     worst = 0.0
     cases = 0
-    for chi in enumerate_characters(5):
-        if not chi.is_primitive:
-            continue
+    for chi in primitive_characters(5):
         tau = gauss_sum(chi)
         kappa = 0 if chi.parity == 1 else 1
         for t in (0.0, 1.0, 2.3):
@@ -563,8 +555,6 @@ def check_gamma_unitarity(config: SuiteConfig) -> list[VerificationReport]:
             worst = worse(worst, abs(abs(val) - 1.0))
             cases += 1
     # exact vanishing of the derived-triple sum, no tolerance
-    import random
-
     rng = random.Random(config.seed)
     exact_failures = 0
     for _ in range(100):
@@ -597,7 +587,7 @@ def check_fault_injection(config: SuiteConfig) -> list[VerificationReport]:
     dual on one side only (verifier sensitivity, not identity failure).
     """
     window = config.window_obj()
-    chi = [c for c in enumerate_characters(3) if c.is_primitive][0]
+    chi = primitive_characters(3)[0]
     model = new_model(1, seed=config.seed)
     t0 = time.perf_counter()
     residual = verify_Z_expansion(model.corrupted((1, 2), 1e-3), 1, chi, window)
@@ -817,9 +807,8 @@ def _config_from_args(args) -> SuiteConfig:
 
 
 def _cmd_chars_list(args) -> int:
-    for chi in enumerate_characters(args.modulus):
-        if args.primitive_only and not chi.is_primitive:
-            continue
+    chars = primitive_characters if args.primitive_only else enumerate_characters
+    for chi in chars(args.modulus):
         tags = []
         if chi.is_principal:
             tags.append("principal")
@@ -837,6 +826,11 @@ def _cmd_verify(args) -> int:
     try:
         config = _config_from_args(args)
         config.validate()
+        if config.output:
+            try:
+                open(config.output, "a").close()
+            except OSError as exc:
+                raise OSError(f"cannot write report to {config.output}: {exc}") from exc
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -33,7 +33,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import divisors, mod_inverse, worse
+from .arith import divisors, mod_inverse, primes_up_to, worse
 from .characters import (
     DirichletCharacter,
     _exp_table,
@@ -266,8 +266,6 @@ def weil_bound_sweep(p_max: int) -> float:
 
     Classical sanity oracle, external to the verified identities.
     """
-    from .arith import primes_up_to
-
     worst = 0.0
     for p in primes_up_to(p_max):
         s = kloosterman_matrix(p)[1:, 1:]  # unit rows/columns only

@@ -45,13 +45,15 @@ from functools import lru_cache
 from .arith import divisors, mobius, worse
 from .characters import (
     DirichletCharacter,
+    _exp_table,
+    enumerate_characters,
     gauss_sum,
     gauss_sum_table,
     primitive_part,
 )
 from .formal import FormalSeries, Window, build_lseries, compare, series_mul
 from .heckemodel import HeckeCoefficientModel
-from .expsums import _exp_table, _units_and_inverses
+from .expsums import _units_and_inverses
 
 __all__ = [
     "ramanujan_lemma_residual",
@@ -509,8 +511,6 @@ def verify_orthogonality_equivalence(
         raise ValueError(f"c={c} must be coprime to the level {level}")
     if math.gcd(q, level) != 1:
         raise ValueError(f"q={q} must be coprime to the level {level}")
-    from .characters import enumerate_characters
-
     chars = enumerate_characters(c)
     tabs = [gauss_sum_table(primitive_part(ch.conjugate()), c) for ch in chars]
     vals = [ch.values() for ch in chars]

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gl3voronoi.arith import divisors, euler_phi
+from gl3voronoi.arith import divisors, euler_phi, mobius
 from gl3voronoi.characters import (
     _gauss_sum_any_modulus,
     _gauss_sums,
@@ -14,6 +14,7 @@ from gl3voronoi.characters import (
     gauss_sum_table,
     generalized_gauss_sum,
     multiply,
+    primitive_characters,
     primitive_part,
     principal_character,
     root_of_unity,
@@ -99,6 +100,16 @@ def test_primitive_part():
             for n in range(q):
                 if math.gcd(n, q) == 1:
                     assert abs(chi(n) - star(n)) < 1e-12
+
+
+def test_primitive_characters():
+    for q in range(1, 61):
+        prim = primitive_characters(q)
+        assert isinstance(prim, tuple)
+        assert prim == tuple(c for c in enumerate_characters(q) if c.is_primitive)
+        assert primitive_characters(q) is prim
+        assert (not prim) == (q % 4 == 2)
+        assert len(prim) == sum(mobius(q // d) * euler_phi(d) for d in divisors(q))
 
 
 def test_multiply():

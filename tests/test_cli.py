@@ -7,6 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gl3voronoi.cli as cli
+from gl3voronoi.arith import worse
+from gl3voronoi.characters import enumerate_characters, primitive_characters
 from gl3voronoi.cli import (
     CONFIG_PARSERS,
     DEFAULT_TOLERANCES,
@@ -15,11 +18,15 @@ from gl3voronoi.cli import (
     _build_parser,
     _config_from_args,
     VerificationReport,
+    check_fe_rearrangement,
+    check_z_expansion,
     emit_report,
     load_config_file,
     main,
     run_suite,
 )
+from gl3voronoi.heckemodel import new_model
+from gl3voronoi.identities import verify_fe_rearrangement, verify_Z_expansion
 
 FAST = SuiteConfig(
     window=(16, 12, 12),
@@ -199,6 +206,53 @@ def test_exit_code_needs_failing_probes_and_passing_checks(capsys, monkeypatch):
     blind = VerificationReport.make("blind-probe", {"expected": "fail"}, 0.0, 1e-9, 0)
     monkeypatch.setattr("gl3voronoi.cli.check_fault_injection", lambda config: [blind])
     assert main(argv + ["--window", "48:48:48"]) == 1
+
+
+def test_unwritable_output_exits_2_before_any_check(tmp_path, capsys, monkeypatch):
+    def never(config):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setitem(CHECKS, "gauss-modulus", never)
+    path = tmp_path / "missing" / "r.json"
+    assert main(["verify", "gauss-modulus", "--output", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot write report to {path}")
+    assert captured.out == "" and not path.parent.exists()
+
+
+def test_identity_sweeps_build_each_model_once(monkeypatch):
+    config = replace(
+        FAST, levels=(1, 2), q_list=(1, 2, 3), cstar_list=(3, 5), seeds_per_case=2
+    )
+    window = config.window_obj()
+    for check, verify in (
+        (check_z_expansion, verify_Z_expansion),
+        (check_fe_rearrangement, verify_fe_rearrangement),
+    ):
+        built = []
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return new_model(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "new_model", counting)
+        (report,) = check(config)
+        assert len(built) == len(config.levels) * config.seeds_per_case
+        # the same fold over a fresh model per (level, q, cstar, i) case
+        worst, runs = 0.0, 0
+        for level in config.levels:
+            psis = enumerate_characters(level)
+            for q in config.q_list:
+                for cstar in config.cstar_list:
+                    if math.gcd(q * cstar, level) > 1:
+                        continue
+                    prim = primitive_characters(cstar)
+                    for i in range(config.seeds_per_case):
+                        model = new_model(level, psis[i % len(psis)], seed=config.seed + i)
+                        worst = worse(worst, verify(model, q, prim[i % len(prim)], window))
+                        runs += 1
+        assert report.passed and report.parameters["runs"] == str(runs)
+        assert report.max_residual == worst
 
 
 def test_report_with_nan_residual_fails():
@@ -395,6 +449,7 @@ def test_config_rejects_unknown_bool_word(tmp_path, capsys):
         ("--m-set", "0"),
         ("--cstar-list", "2"),
         ("--power-bound", "9"),
+        ("--kloosterman-c-max", "1"),
         ("--nu1", "0.5"),
         ("--nu1", "nan"),
         pytest.param("--fault-injection", "--window=36:24:24", id="fault-injection-36:24:24"),
