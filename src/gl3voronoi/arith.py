@@ -70,14 +70,18 @@ def factorize(n: int) -> list[tuple[int, int]]:
     return out
 
 
-def divisors(n: int) -> list[int]:
-    """All positive divisors of |n|, ascending.  Rejects n = 0."""
+@lru_cache(maxsize=None)
+def divisors(n: int) -> tuple[int, ...]:
+    """All positive divisors of |n|, ascending.  Rejects n = 0.
+
+    Cached: every caller of one n shares the result, hence a tuple.
+    """
     if n == 0:
         raise ValueError("divisors of 0 are not defined")
     divs = [1]
     for p, e in factorize(abs(n)):
         divs = [d * p**k for d in divs for k in range(e + 1)]
-    return sorted(divs)
+    return tuple(sorted(divs))
 
 
 def mobius(n: int) -> int:

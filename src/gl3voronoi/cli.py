@@ -424,9 +424,12 @@ def check_ramanujan_lemma(config: SuiteConfig) -> list[VerificationReport]:
     return [_report(config, "ramanujan-lemma", params, worst, cases, t0)]
 
 
-def _identity_sweep(config: SuiteConfig, name: str, verify) -> list[VerificationReport]:
+def _identity_sweep(
+    config: SuiteConfig, name: str, verify, per_model=lambda model: {}
+) -> list[VerificationReport]:
     """Windowed identity sweep: model i of a level serves every (q, chi*)
-    case, chi* the i-th primitive character mod cstar (cyclically)."""
+    case, chi* the i-th primitive character mod cstar (cyclically); the
+    keyword arguments per_model(model) go to each of its cases."""
     t0 = time.perf_counter()
     window = config.window_obj()
     worst = 0.0
@@ -439,9 +442,10 @@ def _identity_sweep(config: SuiteConfig, name: str, verify) -> list[Verification
             if math.gcd(q * cstar, level) == 1
         ]
         for i, model in _models(config, level, config.seeds_per_case):
+            kw = per_model(model)
             for q, cstar in pairs:
                 prim = primitive_characters(cstar)
-                worst = worse(worst, verify(model, q, prim[i % len(prim)], window))
+                worst = worse(worst, verify(model, q, prim[i % len(prim)], window, **kw))
                 runs += 1
     params = {
         "window": ":".join(map(str, config.window)),
@@ -460,7 +464,13 @@ def check_z_expansion(config: SuiteConfig) -> list[VerificationReport]:
 
 
 def check_fe_rearrangement(config: SuiteConfig) -> list[VerificationReport]:
-    return _identity_sweep(config, "fe-rearrangement", verify_fe_rearrangement)
+    # one contragredient per model, shared by all of its cases
+    return _identity_sweep(
+        config,
+        "fe-rearrangement",
+        verify_fe_rearrangement,
+        lambda model: {"dual": model.contragredient()},
+    )
 
 
 def check_moebius_assembly(config: SuiteConfig) -> list[VerificationReport]:
@@ -807,6 +817,9 @@ def _config_from_args(args) -> SuiteConfig:
 
 
 def _cmd_chars_list(args) -> int:
+    if args.modulus < 1:
+        print(f"error: --modulus must be >= 1, got {args.modulus}", file=sys.stderr)
+        return 2
     chars = primitive_characters if args.primitive_only else enumerate_characters
     for chi in chars(args.modulus):
         tags = []

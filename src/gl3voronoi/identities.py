@@ -125,29 +125,40 @@ def build_H(
 ) -> FormalSeries:
     """Twisted coefficient series H(q, l, chi*, s) at modulus c = l cstar.
 
-    s-only (X = 1).  The n-th term lands at Y = shift n/l^2 with reduced
-    numerator >= n/l^2, so n <= p_max * l^2 exhausts the window; the
-    denominators never exceed l^2, which is recorded as the den bound.
+    s-only (X = 1).  The n-th term lands at Y = shift n / l^2, whose
+    reduced denominator divides l^2, which is recorded as the den bound.
+    So the in-window keys are the coprime (num, den) with den | l^2,
+    den <= q_max and num <= p_max, and each is hit by at most one index,
+    n = num (l^2 / den) / shift, kept when it is an integer: walking that
+    key grid is exhaustive, since Y is injective in n, and touches no
+    index whose term falls outside the window.
     """
     cstar = chi_star.modulus
     c = ell * cstar
     gtab = gauss_sum_table(chi_star.conjugate(), c)
     ell2 = ell * ell
     terms: dict[tuple[int, int, int], complex] = {}
-    p_max, q_max = window.p_max, window.q_max
-    for n in range(1, p_max * ell2 + 1):
-        gv = gtab[n % c]
-        if not gv:
-            continue
-        nn = shift * n
-        g = math.gcd(nn, ell2)
-        num, den = nn // g, ell2 // g
-        if num > p_max or den > q_max:
-            continue
-        coeff = scale * model.coefficient(q, n) * gv / ell
-        if coeff:
-            terms[(1, num, den)] = coeff
+    for den in divisors(ell2):
+        if den > window.q_max:
+            break
+        step = ell2 // den
+        for num in _coprime_to(den, window.p_max):
+            t = num * step
+            if t % shift:
+                continue
+            n = t // shift
+            gv = gtab[n % c]
+            if not gv:
+                continue
+            coeff = scale * model.coefficient(q, n) * gv / ell
+            if coeff:
+                terms[(1, num, den)] = coeff
     return FormalSeries(terms, window, num_bound=None, den_bound=ell2)
+
+
+@lru_cache(maxsize=None)
+def _coprime_to(den: int, p_max: int) -> tuple[int, ...]:
+    return tuple(a for a in range(1, p_max + 1) if math.gcd(a, den) == 1)
 
 
 @lru_cache(maxsize=None)
@@ -294,8 +305,9 @@ def verify_Z_expansion(
             psi(d2) chi*(d1 d2) l^-2w d2^-s H(q d1/d2, l, chi*, s)
 
     Enumeration bounds: d1, l are bounded through X = (d1 l)^2 <= x_max;
-    the inner index n through num(d2 n / l^2) >= n / l^2, so
-    n <= p_max l^2.  Returns the windowed compare residual.
+    the inner index n by build_H's key grid, whose keys d2 n / l^2 have
+    num <= p_max and den | l^2, den <= q_max.  Returns the windowed
+    compare residual.
     """
     _check_case(model, chi_star, q)
     level = model.level
@@ -324,8 +336,9 @@ def verify_Z_expansion(
     # L(s, F x chi*): s-only, numerators up to p_max times the partner's
     # denominator bound (the guard would refuse anything smaller)
     need_p = window.p_max * (p1.den_bound or 1)
+    a_1 = model.row(1, need_p)
     s2 = build_lseries(
-        lambda n: model.coefficient(1, n) * chi_star(n),
+        lambda n: a_1[n - 1] * chi_star(n),
         w_mult=0,
         s_mult=1,
         shift=0,
@@ -463,8 +476,9 @@ def verify_moebius_assembly(
     psi(d2) chi*(d1 d2) d2^-s H(Q d1/d2, l, chi*, s).  At m = 1 this
     reduces to one-dimensional Moebius inversion over e1 | q.
 
-    Enumeration bound: each inner term lands at Y = e1 d2 n / l^2 with
-    reduced numerator >= n / l^2, so n <= p_max l^2.
+    Enumeration bound: each inner term lands at Y = e1 d2 n / l^2, so
+    build_H's key grid (num <= p_max, den | l^2, den <= q_max) holds
+    every index that reaches the window.
     """
     _check_case(model, chi_star, q)
     level = model.level

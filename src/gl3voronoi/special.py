@@ -22,9 +22,6 @@ import cmath
 import math
 from dataclasses import dataclass, field
 
-import scipy.integrate
-import scipy.special
-
 __all__ = [
     "PoleError",
     "QuadratureError",
@@ -52,6 +49,8 @@ def log_gamma(z: complex) -> complex:
     Relative accuracy is 1e-12 or better on |Re z| <= 20, |Im z| <= 50.
     Raises PoleError at nonpositive integers.
     """
+    import scipy.special  # here, not at the top: most checks never need scipy
+
     z = complex(z)
     if z.imag == 0.0 and z.real <= 0.0 and z.real == int(z.real):
         raise PoleError(f"log_gamma pole at {z}")
@@ -59,6 +58,8 @@ def log_gamma(z: complex) -> complex:
 
 
 def _quad(f, a, b, **kw) -> float:
+    import scipy.integrate  # here, not at the top: most checks never need scipy
+
     out = scipy.integrate.quad(f, a, b, full_output=1, **kw)
     if len(out) > 3:
         raise QuadratureError(out[3])

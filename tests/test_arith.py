@@ -60,11 +60,13 @@ def test_factorize_roundtrip_exhaustive():
 
 
 def test_divisors_examples():
-    assert divisors(6) == [1, 2, 3, 6]
-    assert divisors(-6) == [1, 2, 3, 6]  # divisors taken of the absolute value
-    assert divisors(1) == [1]
+    assert divisors(6) == (1, 2, 3, 6)
+    assert divisors(-6) == (1, 2, 3, 6)  # divisors taken of the absolute value
+    assert divisors(1) == (1,)
     with pytest.raises(ValueError):
         divisors(0)
+    # cached: one shared, immutable result per n
+    assert divisors(360) is divisors(360)
 
 
 def test_mobius_examples():

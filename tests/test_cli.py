@@ -1,7 +1,11 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from dataclasses import fields, replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -25,7 +29,7 @@ from gl3voronoi.cli import (
     main,
     run_suite,
 )
-from gl3voronoi.heckemodel import new_model
+from gl3voronoi.heckemodel import HeckeCoefficientModel, new_model
 from gl3voronoi.identities import verify_fe_rearrangement, verify_Z_expansion
 
 FAST = SuiteConfig(
@@ -235,9 +239,19 @@ def test_identity_sweeps_build_each_model_once(monkeypatch):
             built.append(args)
             return new_model(*args, **kwargs)
 
+        duals = []
+
+        def counting_dual(model, original=HeckeCoefficientModel.contragredient):
+            duals.append(model)
+            return original(model)
+
         monkeypatch.setattr(cli, "new_model", counting)
-        (report,) = check(config)
+        with monkeypatch.context() as patch:
+            patch.setattr(HeckeCoefficientModel, "contragredient", counting_dual)
+            (report,) = check(config)
         assert len(built) == len(config.levels) * config.seeds_per_case
+        # the fe sweep hands each model's one contragredient to all of its cases
+        assert len(duals) == (len(built) if check is check_fe_rearrangement else 0)
         # the same fold over a fresh model per (level, q, cstar, i) case
         worst, runs = 0.0, 0
         for level in config.levels:
@@ -313,6 +327,29 @@ def test_cli_chars_list(capsys):
     assert main(["chars", "list", "--modulus", "8", "--primitive-only"]) == 0
     out = capsys.readouterr().out
     assert len(out.strip().splitlines()) == 2
+
+
+@pytest.mark.parametrize("modulus", ["0", "-3"])
+def test_cli_chars_list_rejects_nonpositive_modulus(modulus, capsys):
+    assert main(["chars", "list", f"--modulus={modulus}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: --modulus must be >= 1") and captured.out == ""
+
+
+def test_identity_checks_run_without_scipy():
+    # scipy is imported by the special-function checks alone
+    script = (
+        "import sys\n"
+        "from gl3voronoi.cli import main\n"
+        "assert main(['verify', 'z-expansion', '--window', '16:12:12', '--q-list', '1',"
+        " '--cstar-list', '3', '--levels', '1', '--seeds-per-case', '1']) == 0\n"
+        "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_gamma_unitarity_gate(capsys):

@@ -144,3 +144,86 @@ def test_non_finite_terms_are_never_pruned():
     assert set(s.terms) == {(1, 1, 1), (2, 1, 1)}
     assert math.isnan(compare(s, FormalSeries({}, w), w))
     assert math.isnan(compare(FormalSeries({(1, 1, 1): 1.0}, w), s, w))
+
+
+def _pair_loop(a, b, window):
+    """series_mul as the loop over every pair of terms that it replaced."""
+    acc = {}
+    x_max, p_max, q_max = window.x_max, window.p_max, window.q_max
+    dropped_y = False
+    for (xa, na, da), ca in a.terms.items():
+        if xa > x_max:
+            continue
+        for (xb, nb, db), cb in b.terms.items():
+            x = xa * xb
+            if x > x_max:
+                continue
+            nn = na * nb
+            dd = da * db
+            if nn > p_max * dd or dd > q_max * nn:
+                dropped_y = True
+                continue
+            g = math.gcd(nn, dd)
+            nn //= g
+            dd //= g
+            if nn > p_max or dd > q_max:
+                dropped_y = True
+                continue
+            key = (x, nn, dd)
+            acc[key] = acc.get(key, 0j) + ca * cb
+    if not dropped_y and all(
+        s.num_bound <= s.window.p_max and s.den_bound <= s.window.q_max for s in (a, b)
+    ):
+        bounds = (max((k[1] for k in acc), default=1), max((k[2] for k in acc), default=1))
+    else:
+        bounds = (a.num_bound * b.num_bound, a.den_bound * b.den_bound)
+    return [(k, repr(v)) for k, v in acc.items()], bounds
+
+
+def _same_as_pair_loop(a, b, window):
+    product = series_mul(a, b, window)
+    terms, bounds = _pair_loop(a, b, window)
+    # the same terms in the same order, so a product of products sums alike
+    assert [(k, repr(v)) for k, v in product.terms.items()] == terms
+    assert (product.num_bound, product.den_bound) == bounds
+    return bounds
+
+
+def test_series_mul_matches_the_pair_loop():
+    big = Window(64, 64, 64)
+    a = FormalSeries({(1, 1, 1): 1 + 1j, (2, 1, 3): 0.5 + 0j, (4, 5, 2): -2j}, big, 5, 3)
+    # an X-dropped partner whose Y is out of range too leaves the bounds exact
+    far = FormalSeries({(1, 1, 1): 1 + 0j, (8, 40, 1): 3 + 0j}, big, 40, 1)
+    assert _same_as_pair_loop(a, far, Window(4, 30, 30)) == (5, 3)
+    # a Y-dropped partner with X in range gives the product bounds
+    near = FormalSeries({(1, 1, 1): 1 + 0j, (1, 40, 1): 3 + 0j}, big, 40, 1)
+    assert _same_as_pair_loop(a, near, Window(4, 30, 30)) == (200, 3)
+    one = FormalSeries({(1, 1, 1): 1 + 0j}, big, 1, 1)
+    assert _same_as_pair_loop(one, near, Window(4, 30, 30)) == (40, 1)
+    low = FormalSeries({(1, 1, 1): 1 + 0j, (1, 1, 40): 3 + 0j}, big, 1, 40)
+    assert _same_as_pair_loop(a, low, Window(4, 30, 30)) == (5, 120)
+    # Y exactly on the window's edges, partners out of Y order, a NaN term
+    b = FormalSeries(
+        {(1, 6, 1): 1j, (1, 1, 1): 2 + 0j, (1, 1, 6): math.nan, (2, 3, 2): 1 - 1j}, big, 6, 6
+    )
+    _same_as_pair_loop(a, b, Window(8, 6, 6))
+    _same_as_pair_loop(b, a, Window(8, 6, 6))
+    assert math.isnan(series_mul(a, b, Window(8, 6, 6)).terms[(1, 1, 6)].real)
+
+
+@st.composite
+def _wide_series(draw):
+    terms = {}
+    for _ in range(draw(st.integers(0, 12))):
+        num, den = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+        g = math.gcd(num, den)
+        key = (draw(st.integers(1, 6)), num // g, den // g)
+        terms[key] = draw(st.one_of(_coeffs, st.just(complex(math.nan, 0))))
+    bounds = (max((k[1] for k in terms), default=1), max((k[2] for k in terms), default=1))
+    return FormalSeries(terms, Window(36, 144, 144), *bounds)
+
+
+@given(_wide_series(), _wide_series(), st.integers(1, 12), st.integers(1, 10), st.integers(1, 10))
+@settings(max_examples=50, deadline=None)
+def test_series_mul_matches_the_pair_loop_everywhere(a, b, x_max, p_max, q_max):
+    _same_as_pair_loop(a, b, Window(x_max, p_max, q_max))

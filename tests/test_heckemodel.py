@@ -275,3 +275,47 @@ def test_twins_compose():
     for twin in (scaled_then_corrupted, corrupted_then_scaled):
         dual = twin.contragredient()
         assert {k: dual.coefficient(*k) for k in grid} == {k: plain.coefficient(*k) for k in grid}
+
+
+def _same_row(model, m1, n_max):
+    row = model.row(m1, n_max)
+    assert len(row) == n_max
+    assert all(row[n - 1] == model.coefficient(m1, n) for n in range(1, n_max + 1))
+    # bit for bit, against a fresh copy's per-index path
+    fresh = model._twin()
+    assert [repr(v) for v in row] == [repr(fresh.coefficient(m1, n)) for n in range(1, n_max + 1)]
+
+
+def test_row_matches_coefficient():
+    _same_row(new_model(1, seed=9), 1, 400)  # level 1
+    # ramified primes: 2 and 3 at level 6; 3 at level 3, with a nebentypus
+    for q in (1, 5, 7 * 11 * 13):
+        _same_row(new_model(6, seed=2), q, 240)
+    for q in (2**3 * 5**2, 4 * 7):
+        _same_row(new_model(3, quadratic_mod(3), seed=2), q, 240)
+    _same_row(new_model(1, seed=4), 2 * 3 * 5 * 7, 300)  # several primes in q
+    # twins: corrupted (on the row's m1 and on another), rescaled, dual
+    m = new_model(2, seed=5)
+    delta = 1e-3 - 2e-3j
+    _same_row(m.corrupted((3, 4), delta), 3, 60)
+    _same_row(m.corrupted((5, 4), delta), 3, 60)
+    _same_row(m.scale_ramified(0.5 - 0.25j), 3, 60)
+    _same_row(m.contragredient(), 9, 60)
+    with pytest.raises(CoefficientDomainError):
+        m.row(6, 10)
+    with pytest.raises(ValueError):
+        m.row(0, 10)
+
+
+def test_rows_are_cached_per_model_and_empty_in_twins():
+    m = new_model(2, seed=5)
+    long = m.row(3, 80)
+    assert m.row(3, 80) is long
+    assert m.row(3, 20) == long[:20]  # a shorter row is cut from the cached one
+    assert m.row(3, 100)[:80] == long
+    delta = 1e-3
+    bad = m.corrupted((3, 5), delta)  # A(3, 5) is entry 4
+    assert bad.row(3, 80)[4] == long[4] + delta
+    assert bad.row(3, 80)[:4] == long[:4] and bad.row(3, 80)[5:] == long[5:]
+    scaled = m.scale_ramified(2)
+    assert scaled.row(3, 80)[1] == long[1] * 2  # A(3, 2), 2 | N: ramified

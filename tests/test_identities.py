@@ -129,6 +129,51 @@ def test_build_H_independent_loop_order():
     assert compare(h, other, w) < 1e-13
 
 
+def _build_H_by_index_scan(q, ell, chi, model, window, shift, scale):
+    """build_H as a scan of every index n <= p_max l^2, each kept when its
+    key shift n / l^2 lands in the window."""
+    c = ell * chi.modulus
+    gtab = gauss_sum_table(chi.conjugate(), c)
+    ell2 = ell * ell
+    terms = {}
+    for n in range(1, window.p_max * ell2 + 1):
+        gv = gtab[n % c]
+        if not gv:
+            continue
+        g = math.gcd(shift * n, ell2)
+        num, den = shift * n // g, ell2 // g
+        if num > window.p_max or den > window.q_max:
+            continue
+        coeff = scale * model.coefficient(q, n) * gv / ell
+        if coeff:
+            terms[(1, num, den)] = coeff
+    return FormalSeries(terms, window)
+
+
+@pytest.mark.parametrize(
+    "level, q, ell, shift, window",
+    [
+        (1, 1, 1, 1, Window(1, 24, 24)),
+        (2, 3, 3, 1, Window(1, 24, 24)),
+        (1, 2, 4, 5, Window(1, 24, 24)),  # shift > 1, coprime to l
+        (1, 6, 6, 4, Window(1, 24, 24)),  # shift shares 2 with l
+        (1, 1, 6, 9, Window(1, 20, 12)),  # q_max < l^2, shift shares 3 with l
+        (2, 1, 5, 3, Window(1, 30, 10)),  # q_max < l^2 = 25
+    ],
+)
+def test_build_H_key_grid_matches_index_scan(level, q, ell, shift, window):
+    chi = primitive_mod(5, 1)
+    model = new_model(level, seed=3)
+    scale = 0.5 - 0.25j
+    h = build_H(q, ell, chi, model, window, shift=shift, scale=scale)
+    scan = _build_H_by_index_scan(q, ell, chi, model, window, shift, scale)
+    assert h.terms
+    assert {k: repr(v) for k, v in h.terms.items()} == {
+        k: repr(v) for k, v in scan.terms.items()
+    }
+    assert h.den_bound == ell * ell and h.num_bound is None
+
+
 def test_build_G_divisor_collapse():
     # q = 1, l = 1: the d-sum collapses to d = 1
     chi = primitive_mod(3)

@@ -2,9 +2,11 @@
 
 For every pinned seed in bench/expected.json, every workload and both
 sizes (full and tiny), runs each checkout's bench/child.py with that
-checkout's src/ and bench/ on PYTHONPATH and PYTHONHASHSEED=0.  Prints
-each report whose max_residual repr, verdict or parameters differ
-(runtime_ms is not compared) and exits 1 on any difference.
+checkout's src/ and bench/ on PYTHONPATH and PYTHONHASHSEED=0; then, once
+per checkout, `verify all --format json` at the default SuiteConfig.
+Prints each report whose max_residual repr, verdict or parameters differ
+(runtime_ms is not compared), one count line for the workloads and one
+for the default run, and exits 1 on any difference.
 """
 
 import json
@@ -32,6 +34,31 @@ def run(root: Path, tag: str, workload: str, seed: int, tiny: bool, tmp: str) ->
     }
 
 
+def run_default(root: Path) -> dict:
+    """check name -> (max_residual repr, verdict, parameters) of the
+    default `verify all`."""
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONHASHSEED="0")
+    cmd = [sys.executable, "-m", "gl3voronoi.cli", "verify", "all", "--format", "json"]
+    proc = subprocess.run(cmd, cwd=root, env=env, capture_output=True, text=True, timeout=900)
+    if proc.returncode not in (0, 1):
+        return {"<verify all error>": proc.stderr}
+    return {
+        r["check_name"]: (repr(r["max_residual"]), r["pass"], r["parameters"])
+        for r in json.loads(proc.stdout)["reports"]
+    }
+
+
+def report_differences(old: dict, new: dict, where: str) -> int:
+    """Print each check whose entry differs; return how many did."""
+    differ = 0
+    for name in sorted(old.keys() | new.keys()):
+        if old.get(name) != new.get(name):
+            differ += 1
+            print(f"{where} {name}")
+            print(f"  parent: {old.get(name)}\n  change: {new.get(name)}")
+    return differ
+
+
 def main() -> int:
     if len(sys.argv) != 3:
         sys.exit(__doc__)
@@ -44,15 +71,15 @@ def main() -> int:
             for tiny in (False, True):
                 for seed in expected["seeds"]:
                     old, new = (run(r, t, workload, seed, tiny, tmp) for r, t in zip(roots, "ab"))
-                    for name in sorted(old.keys() | new.keys()):
-                        compared += 1
-                        if old.get(name) != new.get(name):
-                            differ += 1
-                            size = "tiny" if tiny else "full"
-                            print(f"{workload} {size} seed {seed} {name}")
-                            print(f"  parent: {old.get(name)}\n  change: {new.get(name)}")
+                    compared += len(old.keys() | new.keys())
+                    size = "tiny" if tiny else "full"
+                    differ += report_differences(old, new, f"{workload} {size} seed {seed}")
+    old, new = (run_default(r) for r in roots)
+    default_differ = report_differences(old, new, "default verify all")
+    print(f"default verify all: {len(old.keys() | new.keys())} reports compared, "
+          f"{default_differ} differ")
     print(f"{compared} reports compared, {differ} differ")
-    return 1 if differ else 0
+    return 1 if differ or default_differ else 0
 
 
 if __name__ == "__main__":
