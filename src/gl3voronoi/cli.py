@@ -33,7 +33,7 @@ from dataclasses import dataclass, field, replace
 
 from . import __version__
 from .arith import euler_phi, factorize, is_prime, primes_up_to, worse
-from .characters import enumerate_characters, gauss_sum, primitive_characters
+from .characters import _gauss_sums, enumerate_characters, gauss_sum, primitive_characters
 from .expsums import (
     additive_collapse_sweep,
     char_kloosterman_reduction_sweep,
@@ -189,8 +189,8 @@ class SuiteConfig:
         has no zero; every cstar has a primitive character; every
         Hecke-relation index fits factorize; the triple of (nu1, nu2) is
         purely imaginary, as unitarity on the critical line needs; every
-        tolerance override names a check; under fault injection the window
-        holds both probes' corrupted terms.
+        tolerance override names a check and is finite and > 0; under
+        fault injection the window holds both probes' corrupted terms.
         """
         if min(self.window) < 1:
             raise ValueError("window fields must be positive")
@@ -222,9 +222,12 @@ class SuiteConfig:
         triple = GammaData(self.nu1, self.nu2).triple if finite else ()
         if not finite or max(abs(a.real) for a in triple) >= 1e-12:
             raise ValueError("nu1, nu2: unitarity needs Re nu1 = Re nu2 = 1/3")
-        for check in self.tolerances:
+        for check, tol in self.tolerances.items():
             if check not in DEFAULT_TOLERANCES:
                 raise ValueError(f"tolerance override for unknown check {check!r}")
+            # NaN or <= 0 fails every finite residual, inf passes all of them
+            if not (math.isfinite(tol) and tol > 0):
+                raise ValueError(f"tolerance for {check} must be finite and > 0, got {tol}")
 
 
 _FIELD_TYPES = typing.get_type_hints(SuiteConfig)
@@ -258,8 +261,12 @@ def check_gauss_modulus(config: SuiteConfig) -> list[VerificationReport]:
     worst = 0.0
     count = 0
     for c in range(1, config.gauss_c_max + 1):
-        for chi in primitive_characters(c):
-            worst = worse(worst, abs(abs(gauss_sum(chi)) - math.sqrt(c)))
+        prim = primitive_characters(c)
+        if not prim:
+            continue
+        # one batched kernel call: row i is tau(prim[i]) bit for bit
+        for tau in _gauss_sums(prim, c, [1 % c])[:, 0].tolist():
+            worst = worse(worst, abs(abs(tau) - math.sqrt(c)))
             count += 1
     params = {"c_max": config.gauss_c_max, "primitive_count": count}
     return [_report(config, "gauss-modulus", params, worst, count, t0)]

@@ -85,9 +85,10 @@ def kloosterman_matrix(c: int) -> np.ndarray:
         return np.ones((1, 1), dtype=complex)
     units, invs = _units_and_inverses(c)
     j = np.arange(c)
-    v = np.exp(2j * np.pi * (np.outer(j, units) % c) / c)
-    w = np.exp(2j * np.pi * (np.outer(j, invs) % c) / c)
-    return v @ w.T
+    # one exponential per reduced angle k/c, the same values an exp of
+    # each reduced (j u mod c)/c gives
+    roots = np.exp(2j * np.pi * np.arange(c) / c)
+    return roots[np.outer(j, units) % c] @ roots[np.outer(j, invs) % c].T
 
 
 def ramanujan_sum(c: int, m: int) -> complex:
@@ -154,7 +155,11 @@ def char_kloosterman_reduction_sweep(
     all m1 | c m, |m2| <= m2_max.  Returns (max residual, case count).
 
     Vectorized over characters and m2; spot tuples are cross-checked
-    against the scalar path in the test suite.
+    against the scalar path in the test suite.  Within one c, the
+    inverse-side phases and the Gauss sums g(chibar*, C, m2) depend on
+    (m, m1) only through C = |c m| / m1, so each is built once per C,
+    with sign +1: since m2s is symmetric and each column of the kernel
+    is computed on its own, the sign -1 block is the +1 block reversed.
     """
     m2s = np.arange(-m2_max, m2_max + 1)
     worst = 0.0
@@ -166,20 +171,26 @@ def char_kloosterman_reduction_sweep(
             [[ch.values()[a % c] for a in units_c] for ch in chars]
         ).conjugate()
         prim = [primitive_part(ch.conjugate()) for ch in chars]
+        g1_rows = [gauss_sum_table(ps, c) for ps in prim]
+        # C -> (inverse-side phases, Gauss-sum block at sign +1), for this c only
+        blocks: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         for m in m_set:
-            sgn = 1 if m > 0 else -1
             for m1 in divisors(c * m):
                 big_c = abs(c * m) // m1
                 units_big, invs_big = _units_and_inverses(big_c)
-                du = np.array(units_big)
-                dv = np.array(invs_big)
+                if big_c not in blocks:
+                    phase2 = np.exp(2j * np.pi * np.outer(m2s, invs_big) / big_c)
+                    # uncached beyond c: whole tables at the large moduli
+                    # big_c would cost memory
+                    blocks[big_c] = phase2, _gauss_sums(prim, big_c, m2s)
+                phase2, g2 = blocks[big_c]
+                if m < 0:
+                    g2 = g2[:, ::-1]
                 x = (units_c * m) % big_c
-                phase1 = np.exp(2j * np.pi * np.outer(x, du) / big_c)
-                phase2 = np.exp(2j * np.pi * np.outer(m2s, dv) / big_c)
+                # angles not reduced mod big_c: a root table would change the roundoff
+                phase1 = np.exp(2j * np.pi * np.outer(x, units_big) / big_c)
                 lhs = xbar @ (phase1 @ phase2.T)  # (n_chi, n_m2)
-                g1 = np.array([gauss_sum_table(ps, c)[m1 % c] for ps in prim])
-                # uncached: whole tables at the large moduli big_c would cost memory
-                g2 = _gauss_sums(prim, big_c, sgn * m2s)
+                g1 = np.array([row[m1 % c] for row in g1_rows])
                 resid = float(np.abs(lhs - g1[:, None] * g2).max())
                 worst = worse(worst, resid)
                 cases += len(chars) * len(m2s)

@@ -163,6 +163,8 @@ class HeckeCoefficientModel:
         if h is None:
             h = [1 + 0j]
             self._h[p] = h
+        if len(h) > upto:
+            return h
         t = self.satake(p)
         e1 = t.alpha + t.beta + t.gamma
         e2 = t.alpha * t.beta + t.beta * t.gamma + t.gamma * t.alpha

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import gl3voronoi.cli as cli
 from gl3voronoi.arith import worse
-from gl3voronoi.characters import enumerate_characters, primitive_characters
+from gl3voronoi.characters import enumerate_characters, gauss_sum, primitive_characters
 from gl3voronoi.cli import (
     CONFIG_PARSERS,
     DEFAULT_TOLERANCES,
@@ -23,6 +23,7 @@ from gl3voronoi.cli import (
     _config_from_args,
     VerificationReport,
     check_fe_rearrangement,
+    check_gauss_modulus,
     check_z_expansion,
     emit_report,
     load_config_file,
@@ -162,6 +163,18 @@ def test_zero_cases_is_never_a_pass(argv, capsys):
     assert report["check_name"] == argv.split()[0]
     assert report["pass"] is False and math.isnan(report["max_residual"])
     assert report["parameters"]["error"] == "no cases evaluated"
+
+
+def test_gauss_modulus_batched_kernel_matches_per_character_loop():
+    worst = 0.0
+    count = 0
+    for c in range(1, 31):
+        for chi in primitive_characters(c):
+            worst = worse(worst, abs(abs(gauss_sum(chi)) - math.sqrt(c)))
+            count += 1
+    (report,) = check_gauss_modulus(replace(SuiteConfig(), gauss_c_max=30))
+    assert repr(report.max_residual) == repr(worst)
+    assert report.parameters["primitive_count"] == str(count)
 
 
 def test_cli_single_check_pass(capsys):
@@ -502,3 +515,21 @@ def test_invalid_config_exits_2_before_any_check(flag, value, capsys, monkeypatc
     assert main(["verify", "all", flag, value]) == 2
     assert "error:" in capsys.readouterr().err
     SuiteConfig().validate()
+
+
+@pytest.mark.parametrize("value", ["nan", "-1", "0", "inf"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_bad_tolerance_exits_2_before_any_check(source, value, tmp_path, capsys, monkeypatch):
+    # NaN or a tolerance <= 0 would FAIL every check, inf PASS every one
+    def never(config):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr("gl3voronoi.cli.CHECKS", {name: never for name in CHECKS})
+    if source == "flag":
+        argv = ["verify", "gamma-unitarity", f"--tol={value}"]
+    else:
+        cfg = tmp_path / "tol.cfg"
+        cfg.write_text(f"tol.gauss-modulus = {value}\n")
+        argv = ["verify", "gauss-modulus", "--config", str(cfg)]
+    assert main(argv) == 2
+    assert "error:" in capsys.readouterr().err

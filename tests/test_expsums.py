@@ -1,16 +1,21 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 
-from gl3voronoi.arith import divisors, mobius, mod_inverse
+from gl3voronoi.arith import divisors, mobius, mod_inverse, worse
 from gl3voronoi.characters import (
+    _gauss_sums,
     enumerate_characters,
     gauss_sum,
+    gauss_sum_table,
     multiply,
+    primitive_part,
     principal_character,
 )
 from gl3voronoi.expsums import (
+    _units_and_inverses,
     additive_collapse_residual,
     additive_collapse_sweep,
     char_kloosterman_reduction_residual,
@@ -45,6 +50,17 @@ def test_kloosterman_matrix_matches_scalar():
         for a in range(c):
             for b in range(c):
                 assert abs(mat[a, b] - kloosterman(a, b, c)) < 1e-11
+
+
+def test_kloosterman_matrix_matches_two_exponential_construction():
+    # the root-table gather against one exponential per matrix entry,
+    # bit for bit
+    for c in range(2, 61):
+        units, invs = _units_and_inverses(c)
+        j = np.arange(c)
+        v = np.exp(2j * np.pi * (np.outer(j, units) % c) / c)
+        w = np.exp(2j * np.pi * (np.outer(j, invs) % c) / c)
+        assert np.array_equal(kloosterman_matrix(c).view(float), (v @ w.T).view(float)), c
 
 
 def test_reality_symmetry_weil():
@@ -124,6 +140,47 @@ def test_reduction_sweep_cross_check():
                     for m2 in (-4, 1, 3):
                         r = char_kloosterman_reduction_residual(chi, c, m, m1, m2)
                         assert r < 1e-10, (c, chi, m, m1, m2)
+
+
+def reduction_sweep_per_tuple(c_max, m_set, m2_max):
+    """The sweep with every block rebuilt for each (c, m, m1)."""
+    m2s = np.arange(-m2_max, m2_max + 1)
+    worst = 0.0
+    cases = 0
+    for c in range(1, c_max + 1):
+        units_c = np.array([a for a in range(1, c + 1) if math.gcd(a, c) == 1])
+        chars = enumerate_characters(c)
+        xbar = np.array(
+            [[ch.values()[a % c] for a in units_c] for ch in chars]
+        ).conjugate()
+        prim = [primitive_part(ch.conjugate()) for ch in chars]
+        for m in m_set:
+            sgn = 1 if m > 0 else -1
+            for m1 in divisors(c * m):
+                big_c = abs(c * m) // m1
+                units_big, invs_big = _units_and_inverses(big_c)
+                du = np.array(units_big)
+                dv = np.array(invs_big)
+                x = (units_c * m) % big_c
+                phase1 = np.exp(2j * np.pi * np.outer(x, du) / big_c)
+                phase2 = np.exp(2j * np.pi * np.outer(m2s, dv) / big_c)
+                lhs = xbar @ (phase1 @ phase2.T)
+                g1 = np.array([gauss_sum_table(ps, c)[m1 % c] for ps in prim])
+                g2 = _gauss_sums(prim, big_c, sgn * m2s)
+                resid = float(np.abs(lhs - g1[:, None] * g2).max())
+                worst = worse(worst, resid)
+                cases += len(chars) * len(m2s)
+    return worst, cases
+
+
+@pytest.mark.parametrize("m_set", [(1, -1, 2, -2), (3, -5)], ids=["paired", "unpaired"])
+@pytest.mark.parametrize("m2_max", [0, 4])
+def test_reduction_sweep_shares_blocks_bit_for_bit(m_set, m2_max):
+    # one block per (c, C) and the sign -1 block read reversed give the
+    # per-(m, m1) sweep's result exactly
+    for c_max in (1, 6, 12):
+        shared = char_kloosterman_reduction_sweep(c_max, m_set, m2_max)
+        assert repr(shared) == repr(reduction_sweep_per_tuple(c_max, m_set, m2_max))
 
 
 def test_additive_collapse_worked_example():

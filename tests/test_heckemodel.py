@@ -235,6 +235,19 @@ def test_memoized_coefficients_match_a_fresh_model():
             warm.coefficient(6, 1)
 
 
+def test_hvals_reads_a_long_enough_list_without_satake(monkeypatch):
+    m = new_model(1, seed=3)
+    first = list(m._hvals(7, 6))
+    calls = []
+    satake = m.satake
+    monkeypatch.setattr(m, "satake", lambda p: calls.append(p) or satake(p))
+    for k in (0, 3, 6):
+        assert m._hvals(7, k) == first
+    assert calls == []
+    assert len(m._hvals(7, 9)) == 10 and calls == [7]  # growing needs the triple
+    assert m._hvals(7, 9) == new_model(1, seed=3)._hvals(7, 9)
+
+
 def test_twins_built_after_the_memo_fills_see_their_own_values():
     m = new_model(2, seed=5)
     grid = [(1, 2), (1, 4), (3, 2), (1, -2), (3, 1)]
