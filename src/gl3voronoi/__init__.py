@@ -5,7 +5,7 @@ Submodules:
 - ``arith``       exact integer utilities (factorization, divisors, Moebius,
                   modular inverses, unit-group structure)
 - ``characters``  Dirichlet characters, conductors, Gauss sums
-- ``expsums``     Kloosterman and Ramanujan sums, character-average collapses
+- ``expsums``     Kloosterman sums, character-average collapses
 - ``heckemodel``  relation-satisfying GL(3) coefficient families
 - ``formal``      sparse exact algebra of double Dirichlet monomials
 - ``identities``  per-identity builders and residual verifiers

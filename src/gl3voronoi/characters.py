@@ -49,7 +49,6 @@ __all__ = [
     "primitive_part",
     "multiply",
     "gauss_sum",
-    "generalized_gauss_sum",
     "gauss_sum_table",
 ]
 
@@ -57,12 +56,6 @@ __all__ = [
 @lru_cache(maxsize=None)
 def _root_of_unity(num: int, den: int) -> complex:
     return cmath.exp(2j * math.pi * num / den)
-
-
-def root_of_unity(angle: Fraction) -> complex:
-    """e(angle) from an exact fraction of a full turn."""
-    a = angle % 1
-    return _root_of_unity(a.numerator, a.denominator)
 
 
 @lru_cache(maxsize=None)
@@ -286,21 +279,6 @@ def gauss_sum(chi: DirichletCharacter) -> complex:
     """tau(chi) = sum over u mod q of chi(u) e(u/q), by direct summation."""
     q = chi.modulus
     return gauss_sum_table(chi, q)[1 % q]
-
-
-def generalized_gauss_sum(chi_star: DirichletCharacter, c: int, m: int) -> complex:
-    """g(chi*, c, m) = sum over units u mod c of e(u m / c) chi*(u).
-
-    chi* must be primitive and its modulus must divide c; m is reduced
-    mod c (negative shifts allowed).
-    """
-    if not chi_star.is_primitive:
-        raise ValueError("generalized Gauss sum requires a primitive character")
-    if c % chi_star.modulus:
-        raise ValueError(
-            f"conductor {chi_star.modulus} does not divide modulus {c}"
-        )
-    return _gauss_sum_any_modulus(chi_star, c, m)
 
 
 def _gauss_sum_any_modulus(chi_star: DirichletCharacter, c: int, m: int) -> complex:

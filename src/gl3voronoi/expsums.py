@@ -1,9 +1,8 @@
-"""Kloosterman sums, Ramanujan sums, and character-average collapses.
+"""Kloosterman sums and character-average collapses.
 
 S(a, b; c) = sum over units x mod c of e((a x + b x~)/c), with x~ the
 inverse of x mod c.  S(a, b; 1) = 1 (empty modulus).  Sums are computed
-by direct enumeration over units with a precomputed inverse table;
-twisted multiplicativity is provided only as a cross-check oracle.
+by direct enumeration over units with a precomputed inverse table.
 
 The two residual functions verify, by full enumeration on both sides:
 
@@ -42,7 +41,6 @@ from .characters import (
     enumerate_characters,
     gauss_sum,
     gauss_sum_table,
-    generalized_gauss_sum,
     multiply,
     primitive_part,
 )
@@ -50,8 +48,6 @@ from .characters import (
 __all__ = [
     "kloosterman",
     "kloosterman_matrix",
-    "ramanujan_sum",
-    "twisted_multiplicativity_residual",
     "char_kloosterman_reduction_residual",
     "char_kloosterman_reduction_sweep",
     "additive_collapse_residual",
@@ -91,29 +87,6 @@ def kloosterman_matrix(c: int) -> np.ndarray:
     return roots[np.outer(j, units) % c] @ roots[np.outer(j, invs) % c].T
 
 
-def ramanujan_sum(c: int, m: int) -> complex:
-    """sum over units u mod c of e(u m / c)."""
-    if c < 1:
-        raise ValueError(f"modulus must be positive, got {c}")
-    units, _ = _units_and_inverses(c)
-    roots = _exp_table(c)
-    return sum(roots[u * m % c] for u in units)
-
-
-def twisted_multiplicativity_residual(a: int, b: int, c1: int, c2: int) -> float:
-    """|S(a,b;c1 c2) - S(a c2~, b c2~; c1) S(a c1~, b c1~; c2)| for (c1,c2)=1.
-
-    Cross-check oracle only; the enumerating path is primary.
-    """
-    if math.gcd(c1, c2) != 1:
-        raise ValueError("moduli must be coprime")
-    c2_inv = mod_inverse(c2, c1)
-    c1_inv = mod_inverse(c1, c2)
-    lhs = kloosterman(a, b, c1 * c2)
-    rhs = kloosterman(a * c2_inv, b * c2_inv, c1) * kloosterman(a * c1_inv, b * c1_inv, c2)
-    return abs(lhs - rhs)
-
-
 # -- character-averaged collapse --------------------------------------------
 
 
@@ -142,7 +115,7 @@ def char_kloosterman_reduction_residual(
             continue
         lhs += chibar_vals[a % c] * kloosterman(a * m, m2, big_c)
     ps = primitive_part(chibar)
-    rhs = generalized_gauss_sum(ps, c, m1) * _gauss_sum_any_modulus(
+    rhs = _gauss_sum_any_modulus(ps, c, m1) * _gauss_sum_any_modulus(
         ps, big_c, (1 if m > 0 else -1) * m2
     )
     return abs(lhs - rhs)

@@ -35,7 +35,6 @@ import bisect
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Optional
 
 from .arith import worse
@@ -110,10 +109,6 @@ class FormalSeries:
 
     def __len__(self) -> int:
         return len(self.terms)
-
-    def coeff(self, x: int, y: Fraction) -> complex:
-        y = Fraction(y)
-        return self.terms.get((x, y.numerator, y.denominator), 0j)
 
     def __repr__(self) -> str:
         return f"FormalSeries({len(self.terms)} terms, window={self.window})"

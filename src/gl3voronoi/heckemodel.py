@@ -37,12 +37,12 @@ is immutable after construction; the per-prime caches are idempotent.
 coefficient(m1, m2) memoizes its final value (sign factor and any
 injected corruption included) per instance under the key (m1, m2),
 since the verifiers ask for the same index pairs many times.
-row(m1, n_max) gives A(m1, 1..n_max) at once, bit-identical to
-coefficient, from one multiplicative pass over a sieve, and caches the
-row per m1.  The memo and the rows are caches of the same immutable
-function: corrupted, scale_ramified and contragredient return copies
-with empty caches, so each twin keeps every change of its parent, adds
-its own, and never sees its parent's cached values or rows.
+row(n_max) gives the first row A(1, 1..n_max) at once, bit-identical to
+coefficient, from one multiplicative pass over a sieve, and caches it.
+The memo and the row are caches of the same immutable function:
+corrupted and contragredient return copies with empty caches, so a twin
+never sees its parent's cached values or row.  A corrupted dual keeps
+the dual's values; the dual of a corrupted model drops the corruption.
 
 The relation verifiers treat the model as untrusted input and enumerate
 the divisor sums in full, so any alternative coefficient source can be
@@ -55,13 +55,11 @@ import cmath
 import copy
 import math
 import random
-from dataclasses import dataclass
 
 from .arith import divisors, factorize, primes_up_to, worse
 from .characters import DirichletCharacter, principal_character
 
 __all__ = [
-    "SatakeTriple",
     "HeckeCoefficientModel",
     "new_model",
     "CoefficientDomainError",
@@ -75,22 +73,6 @@ class CoefficientDomainError(ValueError):
     """First index shares a factor with the level: coefficient undefined."""
 
 
-@dataclass(frozen=True)
-class SatakeTriple:
-    """Local parameter triple at an unramified prime; product is psi(p)."""
-
-    alpha: complex
-    beta: complex
-    gamma: complex
-
-    @property
-    def product(self) -> complex:
-        return self.alpha * self.beta * self.gamma
-
-    def inverse(self) -> "SatakeTriple":
-        return SatakeTriple(1 / self.alpha, 1 / self.beta, 1 / self.gamma)
-
-
 def _unit(rng: random.Random) -> complex:
     return cmath.exp(2j * math.pi * rng.random())
 
@@ -101,21 +83,19 @@ class HeckeCoefficientModel:
             raise ValueError("nebentypus modulus must equal the level")
         self.level = level
         self.psi = psi
-        self.seed = seed
         self._seed_key = str(seed)
         # a contragredient inverts its parent's local triples
         self._parent: HeckeCoefficientModel | None = None
-        self._ram_scale: complex = 1 + 0j
         self._corruption: tuple[tuple[int, int], complex] | None = None
         self._clear_caches()
 
     def _clear_caches(self) -> None:
-        self._satake: dict[int, SatakeTriple] = {}
+        self._satake: dict[int, tuple[complex, complex, complex]] = {}
         self._ramified: dict[tuple[int, int], complex] = {}
         self._h: dict[int, list[complex]] = {}
         self._coeff: dict[tuple[int, int], complex] = {}
         self._memo: dict[tuple[int, int], complex] = {}
-        self._rows: dict[int, tuple[complex, ...]] = {}
+        self._row: tuple[complex, ...] = ()
 
     def _twin(self, **changes) -> "HeckeCoefficientModel":
         """Copy with empty caches and the given attributes set."""
@@ -127,21 +107,22 @@ class HeckeCoefficientModel:
 
     # -- local data ----------------------------------------------------------
 
-    def satake(self, p: int) -> SatakeTriple:
-        """Local triple at p (requires p coprime to the level)."""
+    def satake(self, p: int) -> tuple[complex, complex, complex]:
+        """Local triple (alpha, beta, gamma) at p, whose product is psi(p)
+        (requires p coprime to the level)."""
         if self.level % p == 0:
             raise CoefficientDomainError(f"prime {p} divides the level {self.level}")
         cached = self._satake.get(p)
         if cached is not None:
             return cached
         if self._parent is not None:
-            triple = self._parent.satake(p).inverse()
+            triple = tuple(1 / t for t in self._parent.satake(p))
         else:
             rng = random.Random(f"{self._seed_key}|satake|{p}")
             alpha, beta = _unit(rng), _unit(rng)
-            gamma = self.psi(p) / (alpha * beta)
-            triple = SatakeTriple(alpha, beta, gamma)
-        assert abs(triple.product - self.psi(p)) < 1e-12
+            triple = (alpha, beta, self.psi(p) / (alpha * beta))
+        alpha, beta, gamma = triple
+        assert abs(alpha * beta * gamma - self.psi(p)) < 1e-12
         self._satake[p] = triple
         return triple
 
@@ -155,7 +136,7 @@ class HeckeCoefficientModel:
             rng = random.Random(f"{self._seed_key}|ramified|{p}|{k}")
             val = math.sqrt(rng.random()) * _unit(rng)  # uniform on the disc
             self._ramified[key] = val
-        return val * self._ram_scale
+        return val
 
     def _hvals(self, p: int, upto: int) -> list[complex]:
         """Complete homogeneous h_0..h_upto of the local triple at p."""
@@ -165,10 +146,10 @@ class HeckeCoefficientModel:
             self._h[p] = h
         if len(h) > upto:
             return h
-        t = self.satake(p)
-        e1 = t.alpha + t.beta + t.gamma
-        e2 = t.alpha * t.beta + t.beta * t.gamma + t.gamma * t.alpha
-        e3 = t.product
+        alpha, beta, gamma = self.satake(p)
+        e1 = alpha + beta + gamma
+        e2 = alpha * beta + beta * gamma + gamma * alpha
+        e3 = alpha * beta * gamma
         while len(h) <= upto:
             k = len(h)
             h.append(
@@ -221,75 +202,56 @@ class HeckeCoefficientModel:
         self._memo[(m1, m2)] = val
         return val
 
-    def row(self, m1: int, n_max: int) -> tuple[complex, ...]:
-        """(A(m1, 1), ..., A(m1, n_max)); m1 >= 1 and (m1, N) = 1 required.
+    def row(self, n_max: int) -> tuple[complex, ...]:
+        """(A(1, 1), ..., A(1, n_max)), equal to coefficient(1, n) bit for bit.
 
         One multiplicative pass over a largest-prime-factor sieve: with
-        p the largest prime of n and p^e || n, A(m1, n) without its m1-only
-        factors is that of n / p^e times the local factor at p^e, so each
-        value takes the local factors in ascending prime order, then the
-        factors of the primes of m1 not dividing n, exactly as coefficient
-        does, and equals coefficient(m1, n).  Cached per m1 (the longest
-        row built), in place of n_max coefficient calls.
+        p the largest prime of n and p^e || n, A(1, n) is A(1, n / p^e)
+        times the local factor at p^e, so each value takes the local
+        factors in ascending prime order, as coefficient does.  The
+        longest row built is cached, in place of n_max coefficient calls.
         """
-        cached = self._rows.get(m1)
-        if cached is None or len(cached) < n_max:
-            cached = self._rows[m1] = self._build_row(m1, n_max)
-        return cached if len(cached) == n_max else cached[:n_max]
+        if len(self._row) < n_max:
+            self._row = self._build_row(n_max)
+        return self._row if len(self._row) == n_max else self._row[:n_max]
 
-    def _build_row(self, m1: int, n_max: int) -> tuple[complex, ...]:
-        if m1 < 1:
-            raise ValueError(f"row needs a first index >= 1, got {m1}")
-        if math.gcd(m1, self.level) != 1:
-            raise CoefficientDomainError(
-                f"first index {m1} shares a factor with the level {self.level}"
-            )
-        ks = dict(factorize(m1))
+    def _build_row(self, n_max: int) -> tuple[complex, ...]:
         largest = list(range(n_max + 1))  # largest prime factor of each n >= 2
         for p in primes_up_to(n_max):
             largest[p::p] = [p] * (n_max // p)
-        tail = [(p, self._local(p, k1, 0)) for p, k1 in ks.items()]
         local: dict[tuple[int, int], complex] = {}
-        head = [1 + 0j] * (n_max + 1)  # the product over the primes of n
-        out = []
-        for n in range(1, n_max + 1):
-            if n > 1:
-                p = largest[n]
-                m, e = n // p, 1
-                while m % p == 0:
-                    m //= p
-                    e += 1
-                f = local.get((p, e))
-                if f is None:
-                    if self.level % p == 0:
-                        f = self.ramified(p, e)
-                    else:
-                        f = self._local(p, ks.get(p, 0), e)
-                    local[(p, e)] = f
-                head[n] = head[m] * f
-            val = head[n]
-            for p, t in tail:
-                if n % p:
-                    val *= t
-            out.append(val)
+        out = [1 + 0j] * (n_max + 1)
+        for n in range(2, n_max + 1):
+            p = largest[n]
+            m, e = n // p, 1
+            while m % p == 0:
+                m //= p
+                e += 1
+            f = local.get((p, e))
+            if f is None:
+                if self.level % p == 0:
+                    f = self.ramified(p, e)
+                else:
+                    f = self._local(p, 0, e)
+                local[(p, e)] = f
+            out[n] = out[m] * f
         if self._corruption is not None:
             (c1, c2), delta = self._corruption
-            if c1 == m1 and 1 <= c2 <= n_max:
-                out[c2 - 1] += delta
-        return tuple(out)
+            if c1 == 1 and 1 <= c2 <= n_max:
+                out[c2] += delta
+        return tuple(out[1:])
 
     def contragredient(self) -> "HeckeCoefficientModel":
         """Dual model: A~(m1,m2) = psibar(m1 m2) A(m2, m1) off the level.
 
         Local triples are inverted; the ramified sequence is an
-        independent fresh draw (the dual is not pinned at p | N), so it
-        carries neither the parent's ramified scale nor its corruption.
+        independent fresh draw (the dual is not pinned at p | N), and the
+        parent's corruption is not carried over.
         """
         return self._twin(
             psi=self.psi.conjugate(),
             _seed_key=self._seed_key + "|contra",
             _parent=self,
-            _ram_scale=1 + 0j,
             _corruption=None,
         )
 
@@ -299,10 +261,6 @@ class HeckeCoefficientModel:
         Fault-injection helper: a verifier unable to detect this is broken.
         """
         return self._twin(_corruption=(index, delta))
-
-    def scale_ramified(self, factor: complex) -> "HeckeCoefficientModel":
-        """Copy with every free ramified value c_{p,k}, k >= 1, scaled."""
-        return self._twin(_ram_scale=factor)
 
 
 def new_model(

@@ -197,7 +197,7 @@ def build_G(
     chi_star: DirichletCharacter,
     model: HeckeCoefficientModel,
     window: Window,
-    contragredient: HeckeCoefficientModel | None = None,
+    contragredient: HeckeCoefficientModel,
     shift: int = 1,
     scale: complex = 1,
 ) -> FormalSeries:
@@ -210,7 +210,8 @@ def build_G(
         chi*(-N) psi(q c) cstar
             * A~(d, n) g(chi*, c, d) g(chi*, q c / d, n) / (d n)
 
-    at Y = shift q l cstar^3 / (d^2 n), X = 1.  For fixed d the keys are
+    at Y = shift q l cstar^3 / (d^2 n), X = 1, with A~ read from
+    contragredient, the model's dual.  For fixed d the keys are
     the in-window values of K/n with K = shift q l cstar^3 / d^2, enumerated
     through the inverse key map.  Denominators divide K's denominator
     times n only through the key grid, hence are q_max-complete by
@@ -220,7 +221,6 @@ def build_G(
     psi = model.psi
     cstar = chi_star.modulus
     c = ell * cstar
-    dual = contragredient if contragredient is not None else model.contragredient()
     pref = scale * chi_star(-level) * psi(q * c) * cstar
     terms: dict[tuple[int, int, int], complex] = {}
     if not pref:
@@ -241,7 +241,7 @@ def build_G(
             g2 = gtab2[n % mod2]
             if not g2:
                 continue
-            coeff = pref * dual.coefficient(d, n) * gd * g2 / (d * n)
+            coeff = pref * contragredient.coefficient(d, n) * gd * g2 / (d * n)
             if coeff:
                 key = (1, num, den)
                 terms[key] = terms.get(key, 0j) + coeff
@@ -336,7 +336,7 @@ def verify_Z_expansion(
     # L(s, F x chi*): s-only, numerators up to p_max times the partner's
     # denominator bound (the guard would refuse anything smaller)
     need_p = window.p_max * (p1.den_bound or 1)
-    a_1 = model.row(1, need_p)
+    a_1 = model.row(need_p)
     s2 = build_lseries(
         lambda n: a_1[n - 1] * chi_star(n),
         w_mult=0,

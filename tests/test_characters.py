@@ -12,13 +12,17 @@ from gl3voronoi.characters import (
     enumerate_characters,
     gauss_sum,
     gauss_sum_table,
-    generalized_gauss_sum,
     multiply,
     primitive_characters,
     primitive_part,
     principal_character,
-    root_of_unity,
 )
+
+
+def root_of_unity(angle):
+    """e(angle) from an exact fraction of a full turn."""
+    a = angle % 1
+    return cmath.exp(2j * math.pi * a.numerator / a.denominator)
 
 
 def quadratic_mod(p):
@@ -149,20 +153,19 @@ def test_gauss_modulus_primitive():
 
 
 def test_generalized_gauss_sum_examples():
+    # g(chi*, c, m) at multiples c of the conductor, read from the table
     chi3 = quadratic_mod(3)
-    assert abs(generalized_gauss_sum(chi3, 3, 1) - gauss_sum(chi3)) < 1e-14
-    assert abs(generalized_gauss_sum(chi3, 3, 0)) < 1e-14
+    assert abs(gauss_sum_table(chi3, 3)[1] - gauss_sum(chi3)) < 1e-14
+    assert abs(gauss_sum_table(chi3, 3)[0]) < 1e-14
     chi5 = quadratic_mod(5)
     # four-term enumeration oracle, computed independently
     units10 = [u for u in range(1, 11) if math.gcd(u, 10) == 1]
     oracle = sum(cmath.exp(2j * math.pi * u / 10) * chi5(u) for u in units10)
-    val = generalized_gauss_sum(chi5, 10, 1)
+    val = gauss_sum_table(chi5, 10)[1]
     assert abs(val - oracle) < 1e-13
     assert abs(val - (-chi5(2) * gauss_sum(chi5))) < 1e-12
-    with pytest.raises(ValueError):
-        generalized_gauss_sum(chi5, 12, 1)  # 5 does not divide 12
     # negative shifts reduce mod c
-    assert abs(generalized_gauss_sum(chi3, 6, -1) - generalized_gauss_sum(chi3, 6, 5)) == 0
+    assert _gauss_sum_any_modulus(chi3, 6, -1) == gauss_sum_table(chi3, 6)[5]
 
 
 def test_primitive_evaluation_formula():

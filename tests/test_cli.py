@@ -491,6 +491,15 @@ def test_config_rejects_unknown_bool_word(tmp_path, capsys):
     _bad_config_exit(tmp_path, capsys, "fault_injection = ture\n")
 
 
+@pytest.mark.parametrize("key, first, second", [("seed", 3, 4), ("tol.gauss-modulus", 1e-9, 1e-3)])
+def test_config_rejects_duplicate_key(tmp_path, capsys, key, first, second):
+    # a repeated key would otherwise run silently on its last value
+    cfg = tmp_path / "dup.cfg"
+    cfg.write_text(f"{key} = {first}\n{key} = {second}\n")
+    assert main(["verify", "gauss-modulus", "--config", str(cfg)]) == 2
+    assert f"{cfg}:2: duplicate key" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "flag, value",
     [

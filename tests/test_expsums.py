@@ -22,9 +22,7 @@ from gl3voronoi.expsums import (
     char_kloosterman_reduction_sweep,
     kloosterman,
     kloosterman_matrix,
-    ramanujan_sum,
     reality_symmetry_sweep,
-    twisted_multiplicativity_residual,
     weil_bound_sweep,
 )
 
@@ -69,6 +67,15 @@ def test_reality_symmetry_weil():
     assert weil_bound_sweep(60) <= 1.0
 
 
+def twisted_multiplicativity_residual(a, b, c1, c2):
+    """|S(a,b;c1 c2) - S(a c2~, b c2~; c1) S(a c1~, b c1~; c2)| for (c1,c2)=1."""
+    c2_inv = mod_inverse(c2, c1)
+    c1_inv = mod_inverse(c1, c2)
+    lhs = kloosterman(a, b, c1 * c2)
+    rhs = kloosterman(a * c2_inv, b * c2_inv, c1) * kloosterman(a * c1_inv, b * c1_inv, c2)
+    return abs(lhs - rhs)
+
+
 def test_twisted_multiplicativity_oracle():
     for c1, c2 in ((2, 3), (3, 4), (4, 9), (5, 8)):
         for a in (1, 2, 5):
@@ -77,6 +84,12 @@ def test_twisted_multiplicativity_oracle():
 
 
 def test_ramanujan_sum():
+    # the Ramanujan sum, sum over units u mod c of e(u m / c), is the
+    # Gauss-sum kernel's entry for the character mod 1 at moduli c that
+    # are not its conductor
+    def ramanujan_sum(c, m):
+        return gauss_sum_table(principal_character(1), c)[m % c]
+
     assert abs(ramanujan_sum(5, 0) - 4) < 1e-14
     assert abs(ramanujan_sum(5, 1) - (-1)) < 1e-14  # mobius(5)
     assert abs(ramanujan_sum(4, 2) - (-2)) < 1e-14  # e(1/2) + e(3/2)
