@@ -2,10 +2,12 @@
 
 One subcommand per verified identity, named after the identity, plus two
 module-sanity checks (gauss-modulus, kloosterman-basic) and the suite
-runner ``verify all``.  Reports are deterministic given (seed, config):
-randomness enters only through the seeded coefficient draws, checks are
-collected in name order, and runtime_ms is excluded from the
-determinism contract.
+runner ``verify all``.  A new check is one ``@_check(name)`` body, which
+folds its residuals and returns its parameters, plus a
+DEFAULT_TOLERANCES entry; the decorator registers it in CHECKS.
+Reports are deterministic given (seed, config): randomness enters only
+through the seeded coefficient draws, checks are collected in name
+order, and runtime_ms is excluded from the determinism contract.
 
 Exit codes: 0 when every check passes and every fault probe (a report
 whose parameters say ``expected: fail``) fails, 1 otherwise, 2 on usage
@@ -23,6 +25,8 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
+import itertools
 import json
 import math
 import sys
@@ -255,91 +259,84 @@ def _report(
     )
 
 
-def check_gauss_modulus(config: SuiteConfig) -> list[VerificationReport]:
-    t0 = time.perf_counter()
-    worst = 0.0
-    count = 0
+class _Fold:
+    """The worst residual of a check and the number of cases behind it."""
+
+    def __init__(self):
+        self.worst = 0.0
+        self.cases = 0
+
+    def add(self, *residuals, cases=None) -> None:
+        """Fold residuals in as `cases` cases (default: one per residual)."""
+        self.worst = worse(self.worst, *residuals)
+        self.cases += len(residuals) if cases is None else cases
+
+
+CHECKS: dict[str, typing.Callable[[SuiteConfig], list[VerificationReport]]] = {}
+
+
+def _check(name: str):
+    """Register body(config, fold) -> parameters as CHECKS[name]: the
+    registered check_x(config) -> [report] times the body and reports
+    what it folded, under the body's own name."""
+
+    def register(body):
+        @functools.wraps(body)
+        def check(config: SuiteConfig) -> list[VerificationReport]:
+            t0 = time.perf_counter()
+            fold = _Fold()
+            parameters = body(config, fold)
+            return [_report(config, name, parameters, fold.worst, fold.cases, t0)]
+
+        CHECKS[name] = check
+        return check
+
+    return register
+
+
+@_check("gauss-modulus")
+def check_gauss_modulus(config: SuiteConfig, fold: _Fold) -> dict:
     for c in range(1, config.gauss_c_max + 1):
         prim = primitive_characters(c)
         if not prim:
             continue
         # one batched kernel call: row i is tau(prim[i]) bit for bit
         for tau in _gauss_sums(prim, c, [1 % c])[:, 0].tolist():
-            worst = worse(worst, abs(abs(tau) - math.sqrt(c)))
-            count += 1
-    params = {"c_max": config.gauss_c_max, "primitive_count": count}
-    return [_report(config, "gauss-modulus", params, worst, count, t0)]
+            fold.add(abs(abs(tau) - math.sqrt(c)))
+    return {"c_max": config.gauss_c_max, "primitive_count": fold.cases}
 
 
-def check_kloosterman_basic(config: SuiteConfig) -> list[VerificationReport]:
-    t0 = time.perf_counter()
+@_check("kloosterman-basic")
+def check_kloosterman_basic(config: SuiteConfig, fold: _Fold) -> dict:
     max_im, max_asym = reality_symmetry_sweep(config.kloosterman_c_max)
     weil = weil_bound_sweep(config.kloosterman_c_max)
-    residual = worse(max_im, max_asym, weil - 1.0)
-    params = {
+    # one reality and symmetry residual per modulus
+    fold.add(max_im, max_asym, weil - 1.0, cases=config.kloosterman_c_max)
+    return {
         "c_max": config.kloosterman_c_max,
         "max_imag": f"{max_im:.3e}",
         "max_asymmetry": f"{max_asym:.3e}",
         "weil_ratio": f"{weil:.6f}",
     }
-    cases = config.kloosterman_c_max  # one reality and symmetry residual per modulus
-    return [_report(config, "kloosterman-basic", params, residual, cases, t0)]
 
 
-def check_kloosterman_reduction(config: SuiteConfig) -> list[VerificationReport]:
-    t0 = time.perf_counter()
-    worst, cases = char_kloosterman_reduction_sweep(
-        config.c_max, config.m_set, config.m2_max
-    )
-    params = {
+@_check("kloosterman-reduction")
+def check_kloosterman_reduction(config: SuiteConfig, fold: _Fold) -> dict:
+    worst, cases = char_kloosterman_reduction_sweep(config.c_max, config.m_set, config.m2_max)
+    fold.add(worst, cases=cases)
+    return {
         "c_max": config.c_max,
         "m_set": ",".join(map(str, config.m_set)),
         "m2_max": config.m2_max,
-        "cases": cases,
+        "cases": fold.cases,
     }
-    return [_report(config, "kloosterman-reduction", params, worst, cases, t0)]
 
 
-def check_additive_collapse(config: SuiteConfig) -> list[VerificationReport]:
-    t0 = time.perf_counter()
+@_check("additive-collapse")
+def check_additive_collapse(config: SuiteConfig, fold: _Fold) -> dict:
     worst, cases = additive_collapse_sweep(config.collapse_c_max)
-    params = {"c_max": config.collapse_c_max, "cases": cases}
-    return [_report(config, "additive-collapse", params, worst, cases, t0)]
-
-
-def _hecke_sweep_for_model(model, primes, power_bound) -> tuple[float, int]:
-    """(worst relation residual, number of residuals) for one model."""
-    worst = 0.0
-    cases = 0
-    level = model.level
-    for p in primes:
-        if level % p == 0:
-            continue
-        powers = [p**e for e in range(power_bound + 1)]
-        for n in powers[1:]:
-            for n1 in powers:
-                for n2 in powers:
-                    worst = worse(
-                        worst,
-                        hecke_relation_residual_1(model, n, n1, n2),
-                        hecke_relation_residual_2(model, n, n1, n2),
-                    )
-                    cases += 2
-    if level > 1:
-        p0 = min(p for p, _ in factorize(level))
-        for p in primes:
-            if level % p == 0:
-                continue
-            for j in (1, 2):
-                for e in (0, 1, 2):
-                    m = p0**j * p**e
-                    for a in (1, p, p * p):
-                        for b in (1, p):
-                            worst = worse(
-                                worst, hecke_relation_residual_2(model, m, a, b)
-                            )
-                            cases += 1
-    return worst, cases
+    fold.add(worst, cases=cases)
+    return {"c_max": config.collapse_c_max, "cases": fold.cases}
 
 
 def _models(config: SuiteConfig, level: int, count: int):
@@ -351,48 +348,49 @@ def _models(config: SuiteConfig, level: int, count: int):
         yield i, new_model(level, psis[i % len(psis)], seed=config.seed + i)
 
 
-def check_hecke_relations(config: SuiteConfig) -> list[VerificationReport]:
-    t0 = time.perf_counter()
+@_check("hecke-relations")
+def check_hecke_relations(config: SuiteConfig, fold: _Fold) -> dict:
     primes = primes_up_to(config.prime_bound)
-    worst = 0.0
     models = 0
-    cases = 0
     for level in config.hecke_levels:
+        unramified = [p for p in primes if level % p]
         for _, model in _models(config, level, config.trials):
-            residual, count = _hecke_sweep_for_model(model, primes, config.power_bound)
-            worst = worse(worst, residual)
             models += 1
-            cases += count
-    params = {
+            for p in unramified:
+                powers = [p**e for e in range(config.power_bound + 1)]
+                for n, n1, n2 in itertools.product(powers[1:], powers, powers):
+                    fold.add(
+                        hecke_relation_residual_1(model, n, n1, n2),
+                        hecke_relation_residual_2(model, n, n1, n2),
+                    )
+            if level > 1:
+                p0 = min(p for p, _ in factorize(level))
+                for p in unramified:
+                    for j, e, a, b in itertools.product((1, 2), (0, 1, 2), (1, p, p * p), (1, p)):
+                        fold.add(hecke_relation_residual_2(model, p0**j * p**e, a, b))
+    return {
         "levels": ",".join(map(str, config.hecke_levels)),
         "prime_bound": config.prime_bound,
         "power_bound": config.power_bound,
         "models": models,
         "seed": config.seed,
     }
-    return [_report(config, "hecke-relations", params, worst, cases, t0)]
 
 
-def check_euler_product(config: SuiteConfig) -> list[VerificationReport]:
-    t0 = time.perf_counter()
-    worst = 0.0
+@_check("euler-product")
+def check_euler_product(config: SuiteConfig, fold: _Fold) -> dict:
     worst_alt = 0.0
-    cases = 0
     for level in config.euler_levels:
         for _, model in _models(config, level, euler_phi(level)):
             for chi in enumerate_characters(config.euler_chi_modulus):
-                worst = worse(
-                    worst,
-                    euler_product_residual(model, chi, 2.5, config.euler_n_max),
-                )
+                fold.add(euler_product_residual(model, chi, 2.5, config.euler_n_max))
                 worst_alt = worse(
                     worst_alt,
                     euler_product_residual(
                         model, chi, 2.5, config.euler_n_max, variant="quadratic-psi"
                     ),
                 )
-                cases += 1
-    params = {
+    return {
         "n_max": config.euler_n_max,
         "levels": ",".join(map(str, config.euler_levels)),
         "chi_modulus": config.euler_chi_modulus,
@@ -400,46 +398,33 @@ def check_euler_product(config: SuiteConfig) -> list[VerificationReport]:
         # for nontrivial nebentypus; kept visible for contrast
         "alt_quadratic_psi_residual": f"{worst_alt:.3e}",
     }
-    return [_report(config, "euler-product", params, worst, cases, t0)]
 
 
-def check_ramanujan_lemma(config: SuiteConfig) -> list[VerificationReport]:
-    t0 = time.perf_counter()
-    worst = 0.0
-    cases = 0
+@_check("ramanujan-lemma")
+def check_ramanujan_lemma(config: SuiteConfig, fold: _Fold) -> dict:
     for cstar in config.ramanujan_cstar:
         for level in config.ramanujan_levels:
             if math.gcd(cstar, level) > 1:
                 continue
             for chi in primitive_characters(cstar):
                 for m in range(1, config.ramanujan_m_max + 1):
-                    worst = worse(
-                        worst,
-                        ramanujan_lemma_residual(
-                            chi, cstar, m, level, config.ramanujan_ell_max
-                        ),
+                    fold.add(
+                        ramanujan_lemma_residual(chi, cstar, m, level, config.ramanujan_ell_max)
                     )
-                    cases += 1
-    params = {
+    return {
         "cstar_list": ",".join(map(str, config.ramanujan_cstar)),
         "levels": ",".join(map(str, config.ramanujan_levels)),
         "m_max": config.ramanujan_m_max,
         "ell_max": config.ramanujan_ell_max,
-        "cases": cases,
+        "cases": fold.cases,
     }
-    return [_report(config, "ramanujan-lemma", params, worst, cases, t0)]
 
 
-def _identity_sweep(
-    config: SuiteConfig, name: str, verify, per_model=lambda model: {}
-) -> list[VerificationReport]:
+def _identity_sweep(config: SuiteConfig, fold: _Fold, verify, per_model=lambda model: {}) -> dict:
     """Windowed identity sweep: model i of a level serves every (q, chi*)
     case, chi* the i-th primitive character mod cstar (cyclically); the
     keyword arguments per_model(model) go to each of its cases."""
-    t0 = time.perf_counter()
     window = config.window_obj()
-    worst = 0.0
-    runs = 0
     for level in config.levels:
         pairs = [
             (q, cstar)
@@ -451,76 +436,62 @@ def _identity_sweep(
             kw = per_model(model)
             for q, cstar in pairs:
                 prim = primitive_characters(cstar)
-                worst = worse(worst, verify(model, q, prim[i % len(prim)], window, **kw))
-                runs += 1
-    params = {
+                fold.add(verify(model, q, prim[i % len(prim)], window, **kw))
+    return {
         "window": ":".join(map(str, config.window)),
         "levels": ",".join(map(str, config.levels)),
         "q_list": ",".join(map(str, config.q_list)),
         "cstar_list": ",".join(map(str, config.cstar_list)),
         "seeds": config.seeds_per_case,
         "seed": config.seed,
-        "runs": runs,
+        "runs": fold.cases,
     }
-    return [_report(config, name, params, worst, runs, t0)]
 
 
-def check_z_expansion(config: SuiteConfig) -> list[VerificationReport]:
-    return _identity_sweep(config, "z-expansion", verify_Z_expansion)
+@_check("z-expansion")
+def check_z_expansion(config: SuiteConfig, fold: _Fold) -> dict:
+    return _identity_sweep(config, fold, verify_Z_expansion)
 
 
-def check_fe_rearrangement(config: SuiteConfig) -> list[VerificationReport]:
+@_check("fe-rearrangement")
+def check_fe_rearrangement(config: SuiteConfig, fold: _Fold) -> dict:
     # one contragredient per model, shared by all of its cases
     return _identity_sweep(
-        config,
-        "fe-rearrangement",
-        verify_fe_rearrangement,
-        lambda model: {"dual": model.contragredient()},
+        config, fold, verify_fe_rearrangement, lambda model: {"dual": model.contragredient()}
     )
 
 
-def check_moebius_assembly(config: SuiteConfig) -> list[VerificationReport]:
-    t0 = time.perf_counter()
+@_check("moebius-assembly")
+def check_moebius_assembly(config: SuiteConfig, fold: _Fold) -> dict:
     _, p_max, q_max = config.window
     window = Window(1, p_max, q_max)
     model = new_model(1, seed=config.seed)
-    worst = 0.0
-    runs = 0
     for cstar in config.moebius_cstar:
         chi = primitive_characters(cstar)[0]
         for q in range(1, config.moebius_q_max + 1):
             for m in range(1, config.moebius_m_max + 1):
-                worst = worse(worst, verify_moebius_assembly(model, q, m, chi, window))
-                runs += 1
-    params = {
+                fold.add(verify_moebius_assembly(model, q, m, chi, window))
+    return {
         "q_max": config.moebius_q_max,
         "m_max": config.moebius_m_max,
         "cstar_list": ",".join(map(str, config.moebius_cstar)),
-        "runs": runs,
+        "runs": fold.cases,
         "seed": config.seed,
     }
-    return [_report(config, "moebius-assembly", params, worst, runs, t0)]
 
 
-def check_orthogonality(config: SuiteConfig) -> list[VerificationReport]:
-    t0 = time.perf_counter()
+@_check("orthogonality")
+def check_orthogonality(config: SuiteConfig, fold: _Fold) -> dict:
     model = new_model(1, seed=config.seed)
-    worst = 0.0
-    runs = 0
     for c in range(1, config.orthogonality_c_max + 1):
         for q in (1, 3):
-            worst = worse(
-                worst,
-                verify_orthogonality_equivalence(model, c, q, config.orthogonality_n_max),
-            )
-            runs += 1
-    params = {
+            fold.add(verify_orthogonality_equivalence(model, c, q, config.orthogonality_n_max))
+    return {
         "c_max": config.orthogonality_c_max,
         "n_max": config.orthogonality_n_max,
-        "runs": runs,
+        "runs": fold.cases,
         "seed": config.seed,
     }
-    return [_report(config, "orthogonality", params, worst, runs, t0)]
 
 
 BESSEL_GRID = tuple(
@@ -533,51 +504,39 @@ BESSEL_GRID = tuple(
 
 
 def check_bessel_identity(config: SuiteConfig) -> list[VerificationReport]:
+    """The one check with two reports, each under its own tolerance."""
     t0 = time.perf_counter()
     worst = 0.0
     for s, k, y in BESSEL_GRID:
         worst = worse(worst, fourier_bessel_identity_residual(s, k, y))
-    grid_report = _report(
-        config,
-        "bessel-identity",
-        {"grid_points": len(BESSEL_GRID)},
-        worst,
-        len(BESSEL_GRID),
-        t0,
-    )
+    params = {"grid_points": len(BESSEL_GRID)}
+    grid_report = _report(config, "bessel-identity", params, worst, len(BESSEL_GRID), t0)
     t1 = time.perf_counter()
     spot = abs(fourier_bessel_lhs(1.0, 0, 1.0) - math.pi * math.exp(-2 * math.pi))
-    spot_report = _report(
-        config,
-        "bessel-identity-spot",
-        {"s": 1.0, "k": 0, "y": 1.0, "closed_form": "pi*exp(-2*pi)"},
-        spot,
-        1,
-        t1,
-    )
+    params = {"s": 1.0, "k": 0, "y": 1.0, "closed_form": "pi*exp(-2*pi)"}
+    spot_report = _report(config, "bessel-identity-spot", params, spot, 1, t1)
     return [grid_report, spot_report]
 
 
-def check_gamma_unitarity(config: SuiteConfig) -> list[VerificationReport]:
-    t0 = time.perf_counter()
+CHECKS["bessel-identity"] = check_bessel_identity
+
+
+@_check("gamma-unitarity")
+def check_gamma_unitarity(config: SuiteConfig, fold: _Fold) -> dict:
     g = GammaData(config.nu1, config.nu2)
-    worst = 0.0
-    cases = 0
     for chi in primitive_characters(5):
         tau = gauss_sum(chi)
         kappa = 0 if chi.parity == 1 else 1
         for t in (0.0, 1.0, 2.3):
             val = xi_factor(0.5 + 1j * t, g, kappa, tau, tau, 5)
-            worst = worse(worst, abs(abs(val) - 1.0))
-            cases += 1
-    params = {
+            fold.add(abs(abs(val) - 1.0))
+    return {
         "nu1": config.nu1,
         "nu2": config.nu2,
         "unitarity_applicable": True,
         "t_grid": "0,1,2.3",
         "chi_modulus": 5,
     }
-    return [_report(config, "gamma-unitarity", params, worst, cases, t0)]
 
 
 def check_fault_injection(config: SuiteConfig) -> list[VerificationReport]:
@@ -602,23 +561,6 @@ def check_fault_injection(config: SuiteConfig) -> list[VerificationReport]:
         config, "fe-rearrangement-sensitivity", params, residual, 1, t0, "fe-rearrangement"
     )
     return [z_probe, fe_probe]
-
-
-CHECKS = {
-    "gauss-modulus": check_gauss_modulus,
-    "kloosterman-basic": check_kloosterman_basic,
-    "kloosterman-reduction": check_kloosterman_reduction,
-    "additive-collapse": check_additive_collapse,
-    "hecke-relations": check_hecke_relations,
-    "euler-product": check_euler_product,
-    "ramanujan-lemma": check_ramanujan_lemma,
-    "z-expansion": check_z_expansion,
-    "fe-rearrangement": check_fe_rearrangement,
-    "moebius-assembly": check_moebius_assembly,
-    "orthogonality": check_orthogonality,
-    "bessel-identity": check_bessel_identity,
-    "gamma-unitarity": check_gamma_unitarity,
-}
 
 
 def run_suite(config: SuiteConfig, names: list[str] | None = None) -> list[VerificationReport]:

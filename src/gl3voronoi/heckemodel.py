@@ -41,8 +41,10 @@ row(n_max) gives the first row A(1, 1..n_max) at once, bit-identical to
 coefficient, from one multiplicative pass over a sieve, and caches it.
 The memo and the row are caches of the same immutable function:
 corrupted and contragredient return copies with empty caches, so a twin
-never sees its parent's cached values or row.  A corrupted dual keeps
-the dual's values; the dual of a corrupted model drops the corruption.
+never sees its parent's cached values or row.  Corruptions stack: a
+corrupted twin of a corrupted model carries both deltas, added in the
+order they were injected.  A corrupted dual keeps the dual's values;
+the dual of a corrupted model drops every corruption.
 
 The relation verifiers treat the model as untrusted input and enumerate
 the divisor sums in full, so any alternative coefficient source can be
@@ -86,7 +88,8 @@ class HeckeCoefficientModel:
         self._seed_key = str(seed)
         # a contragredient inverts its parent's local triples
         self._parent: HeckeCoefficientModel | None = None
-        self._corruption: tuple[tuple[int, int], complex] | None = None
+        # ((m1, m2), delta) corrections, in the order they were injected
+        self._corruption: tuple[tuple[tuple[int, int], complex], ...] = ()
         self._clear_caches()
 
     def _clear_caches(self) -> None:
@@ -197,8 +200,9 @@ class HeckeCoefficientModel:
             val *= self._local(p, k1, 0)
         if m2 < 0:
             val *= self.psi.parity
-        if self._corruption is not None and (m1, m2) == self._corruption[0]:
-            val += self._corruption[1]
+        for index, delta in self._corruption:
+            if index == (m1, m2):
+                val += delta
         self._memo[(m1, m2)] = val
         return val
 
@@ -235,8 +239,7 @@ class HeckeCoefficientModel:
                     f = self._local(p, 0, e)
                 local[(p, e)] = f
             out[n] = out[m] * f
-        if self._corruption is not None:
-            (c1, c2), delta = self._corruption
+        for (c1, c2), delta in self._corruption:
             if c1 == 1 and 1 <= c2 <= n_max:
                 out[c2] += delta
         return tuple(out[1:])
@@ -252,15 +255,16 @@ class HeckeCoefficientModel:
             psi=self.psi.conjugate(),
             _seed_key=self._seed_key + "|contra",
             _parent=self,
-            _corruption=None,
+            _corruption=(),
         )
 
     def corrupted(self, index: tuple[int, int], delta: complex) -> "HeckeCoefficientModel":
-        """Copy of the model with delta added to the single coefficient A(index).
+        """Copy of the model with delta added to the coefficient A(index),
+        on top of any corruption the model already carries.
 
         Fault-injection helper: a verifier unable to detect this is broken.
         """
-        return self._twin(_corruption=(index, delta))
+        return self._twin(_corruption=self._corruption + ((index, delta),))
 
 
 def new_model(

@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 import os
@@ -7,6 +8,7 @@ import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -113,8 +115,64 @@ def test_emit_formats(tmp_path):
 
 
 def test_all_registered_checks_have_tolerances():
-    for name in CHECKS:
+    for name, fn in CHECKS.items():
         assert name in DEFAULT_TOLERANCES
+        # the benchmark's tracer rewraps each check as the cli attribute
+        # fn.__name__: a registration that lost it would go untimed
+        assert getattr(cli, fn.__name__) is fn, name
+
+
+def _bumped(table, index):
+    """A copy of table (array or tuple) with 1e-6 added at index; the
+    original may be a cached table and stays as it is."""
+    out = np.array(table)
+    out[index] += 1e-6
+    return out if isinstance(table, np.ndarray) else tuple(out.tolist())
+
+
+_TABLE_AT_3 = ("identities.gauss_sum_table", lambda t, chi, c: _bumped(t, 1) if c == 3 else t)
+
+# check -> (module.attribute of the layer below it, perturb(value, *args));
+# z-expansion and fe-rearrangement have fault-probe reports instead
+LAYER_FAULTS = {
+    "gauss-modulus": ("cli._gauss_sums", lambda g, prim, c, ms: g + 1e-6 if c == 7 else g),
+    "kloosterman-basic": (
+        "expsums.kloosterman_matrix",
+        lambda s, c: _bumped(s, (1, 2)) if c == 7 else s,
+    ),
+    "kloosterman-reduction": (
+        "expsums._gauss_sums",
+        lambda g, prim, c, ms: _bumped(g, (0, 0)) if c == 4 else g,
+    ),
+    "additive-collapse": (
+        "expsums.gauss_sum",
+        lambda tau, chi: tau + 1e-6 if chi.modulus == 5 else tau,
+    ),
+    "hecke-relations": ("cli.new_model", lambda model, *args: model.corrupted((2, 1), 1e-6)),
+    "euler-product": ("cli.new_model", lambda model, *args: model.corrupted((1, 4), 1e-6)),
+    "ramanujan-lemma": _TABLE_AT_3,
+    "orthogonality": _TABLE_AT_3,
+    "moebius-assembly": ("identities.mobius", lambda mu, n: mu * (1 + 1e-6) if n == 2 else mu),
+    "bessel-identity": ("special.bessel_k", lambda k, nu, x: k * (1 + 1e-5)),
+    "gamma-unitarity": ("cli.xi_factor", lambda xi, *args: xi * (1 + 1e-6)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LAYER_FAULTS))
+def test_check_fails_on_one_perturbed_value_of_its_layer(name, monkeypatch):
+    assert set(LAYER_FAULTS) | {"z-expansion", "fe-rearrangement"} == set(CHECKS)
+    report = CHECKS[name](FAST)[0]
+    assert report.check_name == name and report.passed
+    target, perturb = LAYER_FAULTS[name]
+    module, attr = target.rsplit(".", 1)
+    original = getattr(importlib.import_module(f"gl3voronoi.{module}"), attr)
+    monkeypatch.setattr(
+        f"gl3voronoi.{target}", lambda *args, **kw: perturb(original(*args, **kw), *args)
+    )
+    report = CHECKS[name](FAST)[0]
+    # a finite residual over the tolerance: the check saw the fault itself
+    assert report.check_name == name and not report.passed
+    assert report.tolerance < report.max_residual < math.inf
 
 
 def test_run_suite_fast_config_passes():

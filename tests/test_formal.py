@@ -176,7 +176,8 @@ def _pair_loop(a, b, window):
         bounds = (max((k[1] for k in acc), default=1), max((k[2] for k in acc), default=1))
     else:
         bounds = (a.num_bound * b.num_bound, a.den_bound * b.den_bound)
-    return [(k, repr(v)) for k, v in acc.items()], bounds
+    # the product is a FormalSeries, which prunes sums that cancel below PRUNE_EPS
+    return [(k, repr(v)) for k, v in acc.items() if not abs(v) < PRUNE_EPS], bounds
 
 
 def _same_as_pair_loop(a, b, window):
@@ -208,6 +209,11 @@ def test_series_mul_matches_the_pair_loop():
     _same_as_pair_loop(a, b, Window(8, 6, 6))
     _same_as_pair_loop(b, a, Window(8, 6, 6))
     assert math.isnan(series_mul(a, b, Window(8, 6, 6)).terms[(1, 1, 6)].real)
+    # two pairs that cancel exactly at Y = 1/2 leave no term there
+    c = FormalSeries({(1, 1, 1): 1 + 0j, (1, 1, 2): 1 + 0j}, big, 1, 2)
+    d = FormalSeries({(1, 1, 2): 1 + 0j, (1, 1, 1): -1 + 0j}, big, 1, 2)
+    assert _same_as_pair_loop(c, d, Window(1, 1, 2)) == (1, 4)
+    assert list(series_mul(c, d, Window(1, 1, 2)).terms) == [(1, 1, 1)]
 
 
 @st.composite

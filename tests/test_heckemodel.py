@@ -285,6 +285,24 @@ def test_twins_compose():
     assert {k: dual.coefficient(*k) for k in grid} == {k: plain.coefficient(*k) for k in grid}
 
 
+def test_corruptions_stack():
+    m = new_model(1, seed=1)
+    d1, d2, d3 = 1e-3, 2e-3j, -5e-4
+    stacked = m.corrupted((1, 2), d1).corrupted((1, 3), d2).corrupted((1, 2), d3)
+    grid = [(1, 2), (1, 3), (1, 4), (2, 1), (3, 1)]
+    want = {k: m.coefficient(*k) for k in grid}
+    want[(1, 2)] = want[(1, 2)] + d1 + d3  # each matching delta, in order
+    want[(1, 3)] = want[(1, 3)] + d2
+    assert {k: stacked.coefficient(*k) for k in grid} == want
+    # the first row takes every correction with m1 = 1, bit for bit
+    row = stacked.row(12)
+    assert row[1] == want[(1, 2)] and row[2] == want[(1, 3)]
+    assert row[3:] == m.row(12)[3:]
+    _same_row(stacked, 12)
+    # the dual drops every corruption
+    assert stacked.contragredient().row(12) == m.contragredient().row(12)
+
+
 def _same_row(model, n_max):
     row = model.row(n_max)
     assert len(row) == n_max
