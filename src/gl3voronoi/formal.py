@@ -266,6 +266,8 @@ def build_lseries(
     """
     if w_mult < 0:
         raise ValueError("w_mult must be nonnegative")
+    if shift < 0:
+        raise ValueError("shift must be nonnegative")
     if w_mult > 0:
         n_max = _int_root(window.x_max, w_mult)
     elif s_mult > 0:
@@ -291,11 +293,7 @@ def build_lseries(
         max_den = max(max_den, den)
         if not window.contains(x, num, den):
             continue
-        coeff = complex(coeff_fn(n))
-        if shift >= 0:
-            coeff /= n**shift
-        else:
-            coeff *= n ** (-shift)
+        coeff = complex(coeff_fn(n)) / n**shift
         key = (x, num, den)
         terms[key] = terms.get(key, 0j) + coeff
     if w_mult > 0:

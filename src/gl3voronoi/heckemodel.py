@@ -33,10 +33,13 @@ Coefficients with (m1, N) > 1 are a domain error, not zero.
 
 All draws are keyed by (seed, role, p, k) through independently seeded
 generators, so models are deterministic and order-independent.  A model
-is immutable after construction; the per-prime caches are idempotent.
-coefficient(m1, m2) memoizes its final value (sign factor and any
-injected corruption included) per instance under the key (m1, m2),
-since the verifiers ask for the same index pairs many times.
+is immutable after construction; its caches are idempotent: per prime,
+the local triple (_satake) and the complete homogeneous values h_j
+(_h), from which each local value is two products and a subtraction;
+per (p, k) the free ramified values (_ramified).  coefficient(m1, m2)
+memoizes its final value (sign factor and any injected corruption
+included) per instance under the key (m1, m2) (_memo), since the
+verifiers ask for the same index pairs many times.
 row(n_max) gives the first row A(1, 1..n_max) at once, bit-identical to
 coefficient, from one multiplicative pass over a sieve, and caches it.
 The memo and the row are caches of the same immutable function:
@@ -96,7 +99,6 @@ class HeckeCoefficientModel:
         self._satake: dict[int, tuple[complex, complex, complex]] = {}
         self._ramified: dict[tuple[int, int], complex] = {}
         self._h: dict[int, list[complex]] = {}
-        self._coeff: dict[tuple[int, int], complex] = {}
         self._memo: dict[tuple[int, int], complex] = {}
         self._row: tuple[complex, ...] = ()
 
@@ -164,14 +166,10 @@ class HeckeCoefficientModel:
 
     def _local(self, p: int, k1: int, k2: int) -> complex:
         """A(p^k1, p^k2) = s_{(k1+k2, k1, 0)} via Jacobi-Trudi."""
-        key = (p, k1 * 4096 + k2)
-        val = self._coeff.get(key)
-        if val is None:
-            h = self._hvals(p, k1 + k2 + 1)
-            val = h[k1 + k2] * h[k1]
-            if k1 >= 1:
-                val -= h[k1 + k2 + 1] * h[k1 - 1]
-            self._coeff[key] = val
+        h = self._hvals(p, k1 + k2 + 1)
+        val = h[k1 + k2] * h[k1]
+        if k1 >= 1:
+            val -= h[k1 + k2 + 1] * h[k1 - 1]
         return val
 
     # -- public surface --------------------------------------------------------

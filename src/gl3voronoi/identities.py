@@ -25,8 +25,14 @@ Conventions shared by every builder here:
   roundoff, budgeted at 1e-8 for the windowed sweeps.
 
 - build_H and build_G take a ``shift``, which moves every term from Y
-  to shift * Y before the window is applied (so only in-window keys are
-  enumerated), and a ``scale``, the first factor of every coefficient.
+  to shift * Y before the window is applied, and a ``scale``, the first
+  factor of every coefficient.
+
+- build_H, build_G and the left side of the rearrangement enumerate
+  through one key grid, ``_keys``: for a fixed K their terms sit at
+  Y = K/n (build_H: 1/Y = K/n), and ``_keys`` lists exactly the
+  in-window keys with the one index n that lands on each, so no index
+  whose term falls outside the window is touched.
 
 - The right sides of the Z expansion, the rearranged dual expansion and
   the Moebius assembly share one shell, built by ``_shell``:
@@ -125,69 +131,48 @@ def build_H(
 ) -> FormalSeries:
     """Twisted coefficient series H(q, l, chi*, s) at modulus c = l cstar.
 
-    s-only (X = 1).  The n-th term lands at Y = shift n / l^2, whose
-    reduced denominator divides l^2, which is recorded as the den bound.
-    So the in-window keys are the coprime (num, den) with den | l^2,
-    den <= q_max and num <= p_max, and each is hit by at most one index,
-    n = num (l^2 / den) / shift, kept when it is an integer: walking that
-    key grid is exhaustive, since Y is injective in n, and touches no
-    index whose term falls outside the window.
+    s-only (X = 1).  The n-th term lands at Y = shift n / l^2, so
+    1/Y = (l^2 / shift) / n and the in-window keys with their indices
+    come from ``_keys`` with the roles of num and den swapped.  Every
+    key's reduced denominator divides l^2, which is recorded as the den
+    bound.
     """
     cstar = chi_star.modulus
     c = ell * cstar
     gtab = gauss_sum_table(chi_star.conjugate(), c)
     ell2 = ell * ell
+    g = math.gcd(ell2, shift)
     terms: dict[tuple[int, int, int], complex] = {}
-    for den in divisors(ell2):
-        if den > window.q_max:
-            break
-        step = ell2 // den
-        for num in _coprime_to(den, window.p_max):
-            t = num * step
-            if t % shift:
-                continue
-            n = t // shift
-            gv = gtab[n % c]
-            if not gv:
-                continue
-            coeff = scale * model.coefficient(q, n) * gv / ell
-            if coeff:
-                terms[(1, num, den)] = coeff
+    for den, num, n in _keys(ell2 // g, shift // g, window.q_max, window.p_max):
+        gv = gtab[n % c]
+        if not gv:
+            continue
+        coeff = scale * model.coefficient(q, n) * gv / ell
+        if coeff:
+            terms[(1, num, den)] = coeff
     return FormalSeries(terms, window, num_bound=None, den_bound=ell2)
 
 
 @lru_cache(maxsize=None)
-def _coprime_to(den: int, p_max: int) -> tuple[int, ...]:
-    return tuple(a for a in range(1, p_max + 1) if math.gcd(a, den) == 1)
+def _keys(k_num: int, k_den: int, p_max: int, q_max: int) -> tuple[tuple[int, int, int], ...]:
+    """Every (num, den, n) with num/den = K/n in lowest terms, num <= p_max,
+    den <= q_max and n >= 1, where K = k_num/k_den is in lowest terms.
 
-
-@lru_cache(maxsize=None)
-def _coprime_pairs(p_max: int, q_max: int) -> tuple[tuple[int, int], ...]:
-    return tuple(
-        (a, b)
-        for a in range(1, p_max + 1)
-        for b in range(1, q_max + 1)
-        if math.gcd(a, b) == 1
-    )
-
-
-@lru_cache(maxsize=None)
-def _inverse_key_map(
-    k_num: int, k_den: int, p_max: int, q_max: int
-) -> tuple[tuple[int, int, int], ...]:
-    """All (num, den, n) with reduced(K/n) = num/den inside the Y window.
-
-    K = k_num/k_den reduced.  Each in-window key num/den corresponds to
-    at most one index n = K den / num, kept when it is a positive
-    integer; enumerating the key grid is exhaustive because the map
-    Y = K/n is injective in n.
+    Complete: num k_den n = den k_num with (num, den) = 1 forces
+    num | k_num, and (k_num, k_den) = 1 forces k_den | den.  So num runs
+    over the divisors of k_num up to p_max and den over the multiples of
+    k_den up to q_max coprime to num; conversely each such pair is hit by
+    exactly one index, n = (k_num / num) (den / k_den), since K/n is
+    injective in n.
     """
     out = []
-    for a, b in _coprime_pairs(p_max, q_max):
-        t = k_num * b
-        u = k_den * a
-        if t % u == 0 and t >= u:
-            out.append((a, b, t // u))
+    for num in divisors(k_num):
+        if num > p_max:
+            break
+        step = k_num // num
+        for den in range(k_den, q_max + 1, k_den):
+            if math.gcd(num, den) == 1:
+                out.append((num, den, step * (den // k_den)))
     return tuple(out)
 
 
@@ -211,11 +196,9 @@ def build_G(
             * A~(d, n) g(chi*, c, d) g(chi*, q c / d, n) / (d n)
 
     at Y = shift q l cstar^3 / (d^2 n), X = 1, with A~ read from
-    contragredient, the model's dual.  For fixed d the keys are
-    the in-window values of K/n with K = shift q l cstar^3 / d^2, enumerated
-    through the inverse key map.  Denominators divide K's denominator
-    times n only through the key grid, hence are q_max-complete by
-    construction; numerators are unbounded (num_bound None).
+    contragredient, the model's dual.  For fixed d the terms sit at K/n
+    with K = shift q l cstar^3 / d^2, enumerated through ``_keys``; the
+    support is unbounded past the window (num_bound, den_bound None).
     """
     level = model.level
     psi = model.psi
@@ -235,9 +218,7 @@ def build_G(
         knum = shift * q * ell * cstar**3
         kden = d * d
         g = math.gcd(knum, kden)
-        for num, den, n in _inverse_key_map(
-            knum // g, kden // g, window.p_max, window.q_max
-        ):
+        for num, den, n in _keys(knum // g, kden // g, window.p_max, window.q_max):
             g2 = gtab2[n % mod2]
             if not g2:
                 continue
@@ -377,9 +358,9 @@ def verify_fe_rearrangement(
     The two normalizations are linked by tau(chi*) tau(chibar*) =
     chi*(-1) cstar, which is asserted numerically before comparing.
 
-    Enumeration bounds: left side n^2 <= x_max and, for Y =
-    cstar^3/(n d0 d1), den >= n d0 d1 / cstar^3, so
-    d0 <= q_max cstar^3 / (n d1); right side bounds as in build_G.
+    Enumeration bounds: left side n^2 <= x_max and, for fixed (n, d1),
+    the terms at Y = (cstar^3 / (n d1)) / d0 through ``_keys``; right
+    side as in build_G.
 
     Both sides are linear in the dual coefficient family, so the
     identity holds for arbitrary dual values and perturbing a dual
@@ -441,15 +422,10 @@ def _fe_lhs_series(model, q, chi_star, window, dual, tau) -> FormalSeries:
         x = n * n
         for d1 in divisors(q):
             psn = pref * psi(n * q)
-            d0_cap = q_max * c3 // (n * d1)
-            for d0 in range(1, d0_cap + 1):
+            g = math.gcd(c3, n * d1)
+            for num, den, d0 in _keys(c3 // g, n * d1 // g, p_max, q_max):
                 cb = chibar(d0 * d1)
                 if not cb:
-                    continue
-                dd = n * d0 * d1
-                g = math.gcd(c3, dd)
-                num, den = c3 // g, dd // g
-                if num > p_max or den > q_max:
                     continue
                 coeff = psn * dual.coefficient(n * d1, (q // d1) * d0) * cb / (d0 * d1)
                 key = (x, num, den)

@@ -56,6 +56,8 @@ def test_builder_bounds_and_errors():
     s = build_lseries(lambda n: 1.0, 0, -2, 0, None, Window(1, 1, 25))
     assert {k[2] for k in s.terms} == {1, 4, 9, 16, 25}
     assert s.num_bound == 1 and s.den_bound is None
+    with pytest.raises(ValueError, match="shift"):
+        build_lseries(lambda n: 1.0, 1, 0, -1, None, Window(4, 4, 4))
 
 
 def test_guard_refuses_undersized_factor():

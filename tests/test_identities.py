@@ -2,7 +2,10 @@ import cmath
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gl3voronoi.arith import divisors
 from gl3voronoi.characters import (
     enumerate_characters,
     gauss_sum,
@@ -11,6 +14,8 @@ from gl3voronoi.characters import (
 from gl3voronoi.formal import FormalSeries, Window, compare
 from gl3voronoi.heckemodel import HeckeCoefficientModel, new_model
 from gl3voronoi.identities import (
+    _fe_lhs_series,
+    _keys,
     build_G,
     build_H,
     fe_rearrangement_sensitivity,
@@ -172,6 +177,79 @@ def test_build_H_key_grid_matches_index_scan(level, q, ell, shift, window):
     assert h.den_bound == ell * ell and h.num_bound is None
 
 
+@given(
+    st.integers(1, 400), st.integers(1, 40), st.integers(1, 40), st.integers(1, 40)
+)
+@settings(max_examples=100, deadline=None)
+def test_keys_match_an_index_scan(k_num, k_den, p_max, q_max):
+    g = math.gcd(k_num, k_den)
+    k_num, k_den = k_num // g, k_den // g
+    keys = _keys(k_num, k_den, p_max, q_max)
+    scan = set()
+    for n in range(1, k_num * q_max // k_den + 2):
+        g = math.gcd(k_num, k_den * n)
+        num, den = k_num // g, k_den * n // g
+        if num <= p_max and den <= q_max:
+            scan.add((num, den, n))
+    assert len(set(keys)) == len(keys)
+    assert set(keys) == scan
+
+
+def _build_G_by_index_scan(q, ell, chi, model, window, contragredient, shift, scale):
+    """build_G as a scan, for each d | q l, of every index n up to
+    K q_max + 1, each kept when its key K / n lands in the window."""
+    cstar = chi.modulus
+    c = ell * cstar
+    pref = scale * chi(-model.level) * model.psi(q * c) * cstar
+    gtab_c = gauss_sum_table(chi, c)
+    terms = {}
+    for d in divisors(q * ell):
+        gd = gtab_c[d % c]
+        if not gd:
+            continue
+        mod2 = q * c // d
+        gtab2 = gauss_sum_table(chi, mod2)
+        knum, kden = shift * q * ell * cstar**3, d * d
+        g = math.gcd(knum, kden)
+        knum, kden = knum // g, kden // g
+        for n in range(1, knum * window.q_max // kden + 2):
+            g = math.gcd(knum, kden * n)
+            num, den = knum // g, kden * n // g
+            if num > window.p_max or den > window.q_max:
+                continue
+            g2 = gtab2[n % mod2]
+            if not g2:
+                continue
+            coeff = pref * contragredient.coefficient(d, n) * gd * g2 / (d * n)
+            if coeff:
+                terms[(1, num, den)] = terms.get((1, num, den), 0j) + coeff
+    return FormalSeries(terms, window)
+
+
+@pytest.mark.parametrize(
+    "level, q, ell, shift, window",
+    [
+        (1, 1, 1, 1, Window(1, 48, 48)),
+        (1, 2, 3, 1, Window(1, 48, 24)),
+        (1, 1, 2, 4, Window(1, 60, 12)),  # shift > 1
+        (1, 6, 1, 2, Window(1, 60, 24)),  # q > 1, shift shares 2 with q
+        (1, 1, 6, 2, Window(1, 30, 20)),  # q_max < l^2
+        (2, 3, 3, 5, Window(1, 40, 20)),  # level 2, q_max < l^2
+    ],
+)
+def test_build_G_key_grid_matches_index_scan(level, q, ell, shift, window):
+    chi = primitive_mod(3)
+    model = new_model(level, seed=3)
+    dual = model.contragredient()
+    scale = 0.5 - 0.25j
+    got = build_G(q, ell, chi, model, window, dual, shift=shift, scale=scale)
+    scan = _build_G_by_index_scan(q, ell, chi, model, window, dual, shift, scale)
+    assert got.terms
+    assert {k: repr(v) for k, v in got.terms.items()} == {
+        k: repr(v) for k, v in scan.terms.items()
+    }
+
+
 def test_build_G_divisor_collapse():
     # q = 1, l = 1: the d-sum collapses to d = 1
     chi = primitive_mod(3)
@@ -279,6 +357,54 @@ def test_fe_rearrangement_sensitivity_probe():
     assert r1 > 1e-5
     r2 = fe_rearrangement_sensitivity(model, 1, chi, WINDOW, 2e-3)
     assert 1.9 < r2 / r1 < 2.1  # linear in the injected fault
+
+
+def _fe_lhs_by_d0_scan(model, q, chi_star, window, dual, tau):
+    """The rearrangement's left side as a scan of d0 up to
+    q_max cstar^3 / (n d1), each kept when its reduced key lands in the
+    window."""
+    psi = model.psi
+    chibar = chi_star.conjugate()
+    c3 = chi_star.modulus**3
+    pref = psi(chi_star.modulus) * chi_star(model.level) * tau**3
+    terms = {}
+    for n in range(1, math.isqrt(window.x_max) + 1):
+        if math.gcd(n, model.level) != 1:
+            continue
+        for d1 in divisors(q):
+            psn = pref * psi(n * q)
+            for d0 in range(1, window.q_max * c3 // (n * d1) + 1):
+                cb = chibar(d0 * d1)
+                if not cb:
+                    continue
+                g = math.gcd(c3, n * d0 * d1)
+                num, den = c3 // g, n * d0 * d1 // g
+                if num > window.p_max or den > window.q_max:
+                    continue
+                coeff = psn * dual.coefficient(n * d1, (q // d1) * d0) * cb / (d0 * d1)
+                key = (n * n, num, den)
+                terms[key] = terms.get(key, 0j) + coeff
+    return terms
+
+
+@pytest.mark.parametrize(
+    "level, q, cstar, window",
+    [
+        (1, 1, 3, WINDOW),
+        (1, 6, 5, Window(36, 130, 24)),
+        (2, 3, 5, Window(100, 40, 30)),
+        (1, 4, 4, Window(64, 70, 20)),
+    ],
+)
+def test_fe_lhs_key_grid_matches_d0_scan(level, q, cstar, window):
+    chi = primitive_mod(cstar)
+    model = new_model(level, seed=5)
+    dual = model.contragredient()
+    tau = gauss_sum(chi)
+    got = _fe_lhs_series(model, q, chi, window, dual, tau).terms
+    scan = _fe_lhs_by_d0_scan(model, q, chi, window, dual, tau)
+    assert got
+    assert {k: repr(v) for k, v in got.items()} == {k: repr(v) for k, v in scan.items()}
 
 
 # -- fault injection and invariances ------------------------------------------

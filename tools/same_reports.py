@@ -6,7 +6,9 @@ checkout's src/ and bench/ on PYTHONPATH and PYTHONHASHSEED=0; then, once
 per checkout, `verify all --format json` at the default SuiteConfig.
 Prints each report whose max_residual repr, verdict or parameters differ
 (runtime_ms is not compared), one count line for the workloads and one
-for the default run, and exits 1 on any difference.
+for the default run, and exits 1 on any difference.  A run that raised
+or left no result counts as a difference on its own, even when both
+checkouts fail alike.
 """
 
 import json
@@ -24,7 +26,12 @@ def run(root: Path, tag: str, workload: str, seed: int, tiny: bool, tmp: str) ->
     env = dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED="0")
     cmd = [sys.executable, str(root / "bench" / "child.py"), "--workload", workload]
     cmd += ["--seed", str(seed), "--result", result] + (["--tiny"] if tiny else [])
-    subprocess.run(cmd, cwd=root, env=env, stdout=subprocess.DEVNULL, timeout=900)
+    proc = subprocess.run(
+        cmd, cwd=root, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+        text=True, timeout=900,
+    )
+    if not os.path.exists(result):
+        return {"<child error>": f"no result file, exit {proc.returncode}: {proc.stderr}"}
     out = json.loads(Path(result).read_text())
     if "error" in out:
         return {"<child error>": out["error"]}
@@ -48,11 +55,15 @@ def run_default(root: Path) -> dict:
     }
 
 
+ERRORS = ("<child error>", "<verify all error>")
+
+
 def report_differences(old: dict, new: dict, where: str) -> int:
-    """Print each check whose entry differs; return how many did."""
+    """Print each check whose entry differs, and each error entry of
+    either side; return how many there were."""
     differ = 0
     for name in sorted(old.keys() | new.keys()):
-        if old.get(name) != new.get(name):
+        if name in ERRORS or old.get(name) != new.get(name):
             differ += 1
             print(f"{where} {name}")
             print(f"  parent: {old.get(name)}\n  change: {new.get(name)}")
