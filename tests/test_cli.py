@@ -423,6 +423,22 @@ def test_identity_checks_run_without_scipy():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_special_function_checks_run_with_scipy_blocked():
+    # a None entry in sys.modules makes any `import scipy` raise ImportError
+    script = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from gl3voronoi.cli import main\n"
+        "assert main(['verify', 'bessel-identity']) == 0\n"
+        "assert main(['verify', 'gamma-unitarity']) == 0\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_gamma_unitarity_gate(capsys):
     # a non-imaginary derived triple would leave the critical-line check
     # with nothing to evaluate, so the config is rejected before it runs

@@ -7,6 +7,8 @@ from gl3voronoi.characters import enumerate_characters, gauss_sum
 from gl3voronoi.special import (
     GammaData,
     PoleError,
+    QuadratureError,
+    _quad,
     bessel_k,
     fourier_bessel_identity_residual,
     fourier_bessel_lhs,
@@ -20,6 +22,11 @@ def test_log_gamma_classical_values():
     assert log_gamma(1) == 0
     assert abs(log_gamma(0.5) - math.log(math.sqrt(math.pi))) < 1e-14
     assert abs(cmath.exp(log_gamma(5.0)) - 24.0) < 1e-12
+    # |Gamma(1/2 + it)|^2 = pi / cosh(pi t): a shift of log Gamma that keeps
+    # its conjugation symmetry, which gamma-unitarity cannot see, moves this
+    for t in (0, 1, 2.3, 10, 50):
+        closed = 0.5 * math.log(math.pi / math.cosh(math.pi * t))
+        assert abs(log_gamma(0.5 + 1j * t).real - closed) < 1e-13, t
 
 
 def test_log_gamma_reflection():
@@ -68,8 +75,10 @@ def test_bessel_half_integer_closed_form():
     x = 2 * math.pi
     closed = math.sqrt(math.pi / (2 * x)) * math.exp(-x)
     assert abs(bessel_k(0.5, x) - closed) / closed < 1e-10
-    # K_{3/2}(x) = sqrt(pi/2x) e^-x (1 + 1/x)
-    for x in (0.5, 1.0, 3.0):
+    # K_{3/2}(x) = sqrt(pi/2x) e^-x (1 + 1/x); at x = 30 a cut where e^(-x cosh t)
+    # falls below e^-42 would end the sum early, and at x = 400 the integrand
+    # is a spike that h = 0.05 would not resolve
+    for x in (0.5, 1.0, 3.0, 30.0, 400.0):
         closed = math.sqrt(math.pi / (2 * x)) * math.exp(-x) * (1 + 1 / x)
         assert abs(bessel_k(1.5, x) - closed) / closed < 1e-10
 
@@ -97,6 +106,16 @@ def test_fourier_bessel_spot_value():
     spot = math.pi * math.exp(-2 * math.pi)
     assert abs(fourier_bessel_lhs(1.0, 0, 1.0) - spot) < 1e-8
     assert abs(fourier_bessel_rhs(1.0, 0, 1.0) - spot) < 1e-8
+    # |y| = 2.5: the integral is 1e-6 of its integrand, the grid's worst cancellation
+    closed = math.pi * math.exp(-5 * math.pi)
+    for y in (2.5, -2.5):
+        assert abs(fourier_bessel_lhs(1.0, 0, y) - closed) < 1e-9 * closed, y
+
+
+def test_quad_raises_when_its_last_term_is_not_negligible():
+    assert _quad(iter((1.0, 1e-13))) == 1.0 + 1e-13
+    with pytest.raises(QuadratureError):
+        _quad(iter((1.0, 1e-11)))
 
 
 def test_fourier_bessel_grid():

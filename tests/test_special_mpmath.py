@@ -43,9 +43,8 @@ def test_bessel_k_against_mpmath():
 
 
 def test_bessel_k_complex_order_with_small_imaginary_part():
-    # Im K is 0.019 beside Re K = -0.46: the imaginary quadrature alone
-    # cannot reach epsrel 1e-13 and reports roundoff, though its error
-    # estimate is far below 1e-10 |K|, so no QuadratureError is raised
+    # Im K is 0.019 beside Re K = -0.46: the error must stay within
+    # 1e-10 of |K| as a whole, and no QuadratureError may be raised
     ref = complex(mpmath.besselk(mpmath.mpc(1.2 - 2j), 0.5))
     assert abs(bessel_k(1.2 - 2j, 0.5) - ref) < 1e-10 * abs(ref)
 
@@ -73,7 +72,6 @@ def test_fourier_bessel_lhs_against_mpmath_closed_form(s, k, y):
         * mpmath.besselk(sm - 0.5 - k, 2 * mpmath.pi * abs(y))
     )
     # at |y| = 2.5 the integral is about 1e-6 of its integrand's size, so
-    # roundoff alone reads as 1e-9 relative; bessel-identity's margin
-    # needs every point <= 1e-8
-    bound = 1e-11 if abs(y) == 1.0 else 1e-8
+    # roundoff weighs more there than at |y| = 1
+    bound = 1e-11 if abs(y) == 1.0 else 1e-9
     assert abs(fourier_bessel_lhs(s, k, y) - ref) < bound * abs(ref)
