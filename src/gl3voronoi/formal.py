@@ -31,8 +31,6 @@ Series are immutable once built; builders are pure.
 
 from __future__ import annotations
 
-import bisect
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -50,10 +48,6 @@ __all__ = [
 ]
 
 PRUNE_EPS = 1e-15
-
-# relative widening of series_mul's Y range: float Y values of window
-# keys are off by a few units of 2^-53 at most
-_Y_MARGIN = 1e-9
 
 
 class CompletenessError(ValueError):
@@ -152,15 +146,9 @@ def series_mul(a: FormalSeries, b: FormalSeries, window: Window) -> FormalSeries
 
     Pairs are visited term by term of a, and for each a-term its
     partners in b's order, so every key's sum is formed in one fixed
-    order.  A pair can land only if its Y = (na nb) / (da db) lies in
-    [1 / q_max, p_max], since the reduced numerator is >= Y and the
-    reduced denominator >= 1 / Y.  b's terms are sorted by Y once, and
-    each a-term visits, still in b's order, only the partners in that
-    range (found by bisection, widened by a margin far above float
-    rounding).  A skipped partner with X in range would have been a
-    dropped Y; the least partner X on each side of the range tells
-    whether there was one, so the dropped flag, and with it the bounds
-    recorded on the product, are those of the full pair loop.
+    order.  A pair whose X lies in the window but whose Y does not is
+    dropped; when nothing was dropped anywhere, the product's actual
+    extents are recorded as its bounds.
 
     Raises CompletenessError when the factor windows provably cannot
     fill the requested window.
@@ -170,26 +158,11 @@ def series_mul(a: FormalSeries, b: FormalSeries, window: Window) -> FormalSeries
     acc: dict[tuple[int, int, int], complex] = {}
     x_max, p_max, q_max = window.x_max, window.p_max, window.q_max
     gcd = math.gcd
-    bitems = list(b.terms.items())
-    y_of = [nb / db for (_, nb, db), _ in bitems]
-    order = sorted(range(len(bitems)), key=y_of.__getitem__)  # b's terms by Y
-    ys = [y_of[j] for j in order]
-    xs = [bitems[j][0][0] for j in order]
-    inf = math.inf
-    x_below = [inf, *itertools.accumulate(xs, min)]  # least X of order[:i]
-    x_above = [*itertools.accumulate(reversed(xs), min)][::-1] + [inf]  # of order[i:]
-    lo_y, hi_y = (1 - _Y_MARGIN) / q_max, (1 + _Y_MARGIN) * p_max
     dropped_y = False
     for (xa, na, da), ca in a.terms.items():
         if xa > x_max:
             continue
-        ya = na / da
-        lo = bisect.bisect_left(ys, lo_y / ya)
-        hi = bisect.bisect_right(ys, hi_y / ya)
-        if not dropped_y and min(x_below[lo], x_above[hi]) <= x_max // xa:
-            dropped_y = True
-        for j in sorted(order[lo:hi]):
-            (xb, nb, db), cb = bitems[j]
+        for (xb, nb, db), cb in b.terms.items():
             x = xa * xb
             if x > x_max:
                 continue

@@ -40,11 +40,8 @@ per (p, k) the free ramified values (_ramified).  coefficient(m1, m2)
 memoizes its final value (sign factor and any injected corruption
 included) per instance under the key (m1, m2) (_memo), since the
 verifiers ask for the same index pairs many times.
-row(n_max) gives the first row A(1, 1..n_max) at once, bit-identical to
-coefficient, from one multiplicative pass over a sieve, and caches it.
-The memo and the row are caches of the same immutable function:
 corrupted and contragredient return copies with empty caches, so a twin
-never sees its parent's cached values or row.  Corruptions stack: a
+never sees its parent's cached values.  Corruptions stack: a
 corrupted twin of a corrupted model carries both deltas, added in the
 order they were injected.  A corrupted dual keeps the dual's values;
 the dual of a corrupted model drops every corruption.
@@ -61,7 +58,7 @@ import copy
 import math
 import random
 
-from .arith import divisors, factorize, primes_up_to, worse
+from .arith import divisors, factorize, worse
 from .characters import DirichletCharacter, principal_character
 
 __all__ = [
@@ -100,7 +97,6 @@ class HeckeCoefficientModel:
         self._ramified: dict[tuple[int, int], complex] = {}
         self._h: dict[int, list[complex]] = {}
         self._memo: dict[tuple[int, int], complex] = {}
-        self._row: tuple[complex, ...] = ()
 
     def _twin(self, **changes) -> "HeckeCoefficientModel":
         """Copy with empty caches and the given attributes set."""
@@ -203,44 +199,6 @@ class HeckeCoefficientModel:
                 val += delta
         self._memo[(m1, m2)] = val
         return val
-
-    def row(self, n_max: int) -> tuple[complex, ...]:
-        """(A(1, 1), ..., A(1, n_max)), equal to coefficient(1, n) bit for bit.
-
-        One multiplicative pass over a largest-prime-factor sieve: with
-        p the largest prime of n and p^e || n, A(1, n) is A(1, n / p^e)
-        times the local factor at p^e, so each value takes the local
-        factors in ascending prime order, as coefficient does.  The
-        longest row built is cached, in place of n_max coefficient calls.
-        """
-        if len(self._row) < n_max:
-            self._row = self._build_row(n_max)
-        return self._row if len(self._row) == n_max else self._row[:n_max]
-
-    def _build_row(self, n_max: int) -> tuple[complex, ...]:
-        largest = list(range(n_max + 1))  # largest prime factor of each n >= 2
-        for p in primes_up_to(n_max):
-            largest[p::p] = [p] * (n_max // p)
-        local: dict[tuple[int, int], complex] = {}
-        out = [1 + 0j] * (n_max + 1)
-        for n in range(2, n_max + 1):
-            p = largest[n]
-            m, e = n // p, 1
-            while m % p == 0:
-                m //= p
-                e += 1
-            f = local.get((p, e))
-            if f is None:
-                if self.level % p == 0:
-                    f = self.ramified(p, e)
-                else:
-                    f = self._local(p, 0, e)
-                local[(p, e)] = f
-            out[n] = out[m] * f
-        for (c1, c2), delta in self._corruption:
-            if c1 == 1 and 1 <= c2 <= n_max:
-                out[c2] += delta
-        return tuple(out[1:])
 
     def contragredient(self) -> "HeckeCoefficientModel":
         """Dual model: A~(m1,m2) = psibar(m1 m2) A(m2, m1) off the level.

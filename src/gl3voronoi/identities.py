@@ -28,11 +28,12 @@ Conventions shared by every builder here:
   to shift * Y before the window is applied, and a ``scale``, the first
   factor of every coefficient.
 
-- build_H, build_G and the left side of the rearrangement enumerate
-  through one key grid, ``_keys``: for a fixed K their terms sit at
-  Y = K/n (build_H: 1/Y = K/n), and ``_keys`` lists exactly the
-  in-window keys with the one index n that lands on each, so no index
-  whose term falls outside the window is touched.
+- build_H, build_G and the left sides of the Z expansion and the
+  rearrangement enumerate through one key grid, ``_keys``: for a fixed
+  K their terms sit at Y = K/n (build_H and the Z left side: 1/Y =
+  K/n), and ``_keys`` lists exactly the in-window keys with the one
+  index n that lands on each, so no index whose term falls outside the
+  window is touched.
 
 - The right sides of the Z expansion, the rearranged dual expansion and
   the Moebius assembly share one shell, built by ``_shell``:
@@ -57,7 +58,9 @@ from .characters import (
     gauss_sum_table,
     primitive_part,
 )
-from .formal import FormalSeries, Window, build_lseries, compare, series_mul
+from .formal import (
+    CompletenessError, FormalSeries, Window, _no_drops, build_lseries, compare, series_mul
+)
 from .heckemodel import HeckeCoefficientModel
 from .expsums import _units_and_inverses
 
@@ -71,6 +74,7 @@ __all__ = [
     "verify_moebius_assembly",
     "verify_orthogonality_equivalence",
 ]
+
 
 def _check_case(model: HeckeCoefficientModel, chi_star: DirichletCharacter, q: int) -> None:
     """Enforce what every windowed verifier below assumes: chi* is
@@ -274,8 +278,9 @@ def verify_Z_expansion(
 ) -> float:
     """Expansion of Z(s,w) through the shifted twisted series.
 
-    Left side (built with the generic windowed product and its
-    completeness guards):
+    Left side: the quotient L_q^(N)(2w-s, F) / L^(N)(2w-2s+1, chibar*),
+    a windowed product, times L(s, F x chi*), each key summed in the
+    quotient's order:
 
         Z(s,w) = L_q^(N)(2w-s, F) * L(s, F x chi*) / L^(N)(2w-2s+1, chibar*)
 
@@ -285,10 +290,12 @@ def verify_Z_expansion(
         sum_{(d1,N)=1} d1^-2w tau(chibar*)^-1 sum_{d2|q} sum_{(l,N)=1}
             psi(d2) chi*(d1 d2) l^-2w d2^-s H(q d1/d2, l, chi*, s)
 
-    Enumeration bounds: d1, l are bounded through X = (d1 l)^2 <= x_max;
-    the inner index n by build_H's key grid, whose keys d2 n / l^2 have
-    num <= p_max and den | l^2, den <= q_max.  Returns the windowed
-    compare residual.
+    Enumeration bounds: the quotient must provably hold its whole slice
+    X <= x_max (CompletenessError otherwise), and its term (X, 1, D) meets
+    m at 1/Y = D/m, so ``_keys`` lists the m that land.  On the right, d1,
+    l are bounded through X = (d1 l)^2 <= x_max; the inner index n by
+    build_H's key grid, whose keys d2 n / l^2 have num <= p_max and
+    den | l^2, den <= q_max.  Returns the windowed compare residual.
     """
     _check_case(model, chi_star, q)
     level = model.level
@@ -314,19 +321,20 @@ def verify_Z_expansion(
         window=Window(window.x_max, 1, window.x_max),
     )
     p1 = series_mul(s1, s3, Window(window.x_max, 1, window.x_max))
-    # L(s, F x chi*): s-only, numerators up to p_max times the partner's
-    # denominator bound (the guard would refuse anything smaller)
-    need_p = window.p_max * (p1.den_bound or 1)
-    a_1 = model.row(need_p)
-    s2 = build_lseries(
-        lambda n: a_1[n - 1] * chi_star(n),
-        w_mult=0,
-        s_mult=1,
-        shift=0,
-        restriction=None,
-        window=Window(window.x_max, need_p, 1),
-    )
-    lhs = series_mul(p1, s2, window)
+    if not _no_drops(p1):
+        raise CompletenessError(
+            f"quotient may lack terms: num_bound {p1.num_bound}, den_bound {p1.den_bound}"
+        )
+    # times L(s, F x chi*) = sum_m A(1, m) chi*(m) m^-s
+    lterms: dict[tuple[int, int, int], complex] = {}
+    for (x, _, big_d), ca in p1.terms.items():
+        for den, num, m in _keys(big_d, 1, window.q_max, window.p_max):
+            chi = chi_star(m)
+            if not chi:
+                continue
+            key = (x, num, den)
+            lterms[key] = lterms.get(key, 0j) + ca * (model.coefficient(1, m) * chi)
+    lhs = FormalSeries(lterms, window)
 
     cells = _dirichlet_cells(window.x_max, level)
     terms = _shell({}, build_H, model, chi_star, q, cells, window, 1 / gauss_sum(chibar))

@@ -71,17 +71,18 @@ def _quad(terms) -> complex:
 
 
 def bessel_k(nu: complex, x: float) -> complex:
-    """K_nu(x) = int_0^inf exp(-x cosh t) cosh(nu t) dt for x > 0, |Re nu| <= 10, by the
-    trapezoid rule e^-x h (1/2 + sum_{j=1..n} g(jh)), g = exp(-x (cosh t - 1)) cosh(nu t),
+    """K_nu(x) = int_0^inf exp(-x cosh t) cosh(nu t) dt for x > 0, |Re nu| <= 10, |Im nu| <= 8,
+    by the trapezoid rule e^-x h (1/2 + sum_{j=1..n} g(jh)), g = exp(-x (cosh t - 1)) cosh(nu t),
     cut at nh ~ T, the first half-integer T >= 1 past which |g| < e^-42.  At h = min(0.05, 0.5 /
     sqrt x), Thm 5.1 of Trefethen and Weideman (SIAM Rev. 56, 2014) on |Im t| <= min(pi/3,
     2 pi / hx) bounds the discretization error by about e^-79 2^|Re nu| e^(5 pi |Im nu| / 6)
-    relative; roundoff, eps e^(pi |Im nu| / 2), leaves 1e-10 for |Im nu| <= 8."""
+    relative; roundoff, eps e^(pi |Im nu| / 2), leaves 1e-10 for |Im nu| <= 8 and grows past
+    it (3e-5 at Im nu = 20), so a larger |Im nu| is a ValueError."""
     if x <= 0:
         raise ValueError(f"argument must be positive, got {x}")
     nu = complex(nu)
-    if abs(nu.real) > 10:
-        raise ValueError(f"|Re nu| <= 10 required, got {nu}")
+    if abs(nu.real) > 10 or abs(nu.imag) > 8:
+        raise ValueError(f"|Re nu| <= 10 and |Im nu| <= 8 required, got {nu}")
     t = 1.0
     while x * (math.cosh(t) - 1) - abs(nu.real) * t - math.log(2.0) < 42.0:
         t += 0.5

@@ -148,7 +148,8 @@ def test_non_finite_terms_are_never_pruned():
 
 
 def _pair_loop(a, b, window):
-    """series_mul as the loop over every pair of terms that it replaced."""
+    """The product as a loop over every pair of terms, written out apart
+    from series_mul as an independent reference for it."""
     acc = {}
     x_max, p_max, q_max = window.x_max, window.p_max, window.q_max
     dropped_y = False

@@ -11,7 +11,15 @@ from gl3voronoi.characters import (
     gauss_sum,
     gauss_sum_table,
 )
-from gl3voronoi.formal import FormalSeries, Window, compare
+from gl3voronoi import identities
+from gl3voronoi.formal import (
+    CompletenessError,
+    FormalSeries,
+    Window,
+    build_lseries,
+    compare,
+    series_mul,
+)
 from gl3voronoi.heckemodel import HeckeCoefficientModel, new_model
 from gl3voronoi.identities import (
     _fe_lhs_series,
@@ -301,6 +309,70 @@ def test_z_expansion_nonempty_on_window():
     finally:
         idn.compare = orig
     assert min(captured["sizes"]) > 50
+
+
+def _z_product_and_lhs(monkeypatch, model, q, chi, window):
+    """The product p1 = L_q(2w-s, F) / L(2w-2s+1, chibar*) and the left
+    side that verify_Z_expansion builds from it, caught in flight."""
+    seen = {}
+
+    def mul(a, b, w):
+        seen["p1"] = series_mul(a, b, w)
+        return seen["p1"]
+
+    def spy(a, b, w):
+        seen["lhs"] = a
+        return compare(a, b, w)
+
+    monkeypatch.setattr(identities, "series_mul", mul)
+    monkeypatch.setattr(identities, "compare", spy)
+    verify_Z_expansion(model, q, chi, window)
+    return seen["p1"], seen["lhs"]
+
+
+@pytest.mark.parametrize(
+    "level, q, cstar, window, corrupt",
+    [
+        (1, 1, 3, Window(48, 24, 24), False),
+        (1, 6, 5, Window(48, 24, 24), False),
+        (2, 1, 3, Window(48, 24, 24), False),
+        (1, 6, 4, WINDOW, False),
+        (2, 1, 5, WINDOW, False),
+        (1, 6, 5, Window(144, 60, 20), False),  # p_max != q_max
+        (1, 1, 4, Window(144, 20, 60), False),
+        (1, 1, 5, Window(288, 64, 64), False),
+        (1, 6, 3, Window(288, 64, 64), False),
+        (2, 1, 3, Window(288, 64, 64), False),
+        (1, 1, 3, Window(288, 64, 64), True),  # the fault probe's model
+    ],
+)
+def test_z_lhs_key_grid_matches_series_mul(monkeypatch, level, q, cstar, window, corrupt):
+    # oracle: L(s, F x chi*) as an s-only series, its numerators up to p_max
+    # times p1's denominator bound, multiplied in by the pair loop
+    chi = primitive_mod(cstar)
+    model = new_model(level, seed=4)
+    if corrupt:
+        model = model.corrupted((1, 2), 1e-3)
+    p1, lhs = _z_product_and_lhs(monkeypatch, model, q, chi, window)
+    s2 = build_lseries(
+        lambda n: model.coefficient(1, n) * chi(n), 0, 1, 0, None,
+        Window(window.x_max, window.p_max * p1.den_bound, 1),
+    )
+    oracle = series_mul(p1, s2, window)
+    assert lhs.terms
+    assert {(k, repr(v)) for k, v in lhs.terms.items()} == {
+        (k, repr(v)) for k, v in oracle.terms.items()
+    }
+
+
+def test_z_lhs_refuses_a_product_without_a_den_bound(monkeypatch):
+    def unbounded(a, b, w):
+        p1 = series_mul(a, b, w)
+        return FormalSeries(p1.terms, p1.window, p1.num_bound, None)
+
+    monkeypatch.setattr(identities, "series_mul", unbounded)
+    with pytest.raises(CompletenessError):
+        verify_Z_expansion(new_model(1, seed=0), 1, primitive_mod(3), SMALL)
 
 
 # -- rearranged dual expansion -------------------------------------------------

@@ -100,6 +100,10 @@ def test_bessel_domain():
         bessel_k(0.5, 0.0)
     with pytest.raises(ValueError):
         bessel_k(11.0, 1.0)
+    # past |Im nu| = 8 roundoff, eps e^(pi |Im nu| / 2), would exceed 1e-10
+    for nu in (1 + 12j, -16j):
+        with pytest.raises(ValueError, match="Im nu"):
+            bessel_k(nu, 1.0)
 
 
 def test_fourier_bessel_spot_value():
