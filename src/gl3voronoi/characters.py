@@ -217,7 +217,8 @@ def primitive_characters(q: int) -> tuple[DirichletCharacter, ...]:
 def _order_exponent(chi: DirichletCharacter, n: int, r: int) -> int:
     """k with chi(n) = e(k / r); chi(n) must be an r-th root of unity."""
     k, rem = divmod(chi._numerator(n) * r, _structure(chi.modulus)[2])
-    assert rem == 0, "character does not factor through the target group"
+    if rem:
+        raise ValueError(f"chi({n}) is not e(k/{r}) for any integer k")
     return k
 
 

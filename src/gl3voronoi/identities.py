@@ -41,7 +41,10 @@ Conventions shared by every builder here:
       sum_{d2|Q} sum_{(X, d1, l)} psi(d2) chi*(d1 d2) d2^-s inner(Q d1/d2, l, s)
 
   with inner = H or G placed at X, d2 | Q the outer loop, and each
-  inner series built with shift d2 and scale psi(d2) chi*(d1 d2).
+  inner series built with shift d2 and scale psi(d2) chi*(d1 d2).  The
+  cells of one X and one k = d1 l go to the inner builder as one group,
+  in ascending d1: H builds them one by one, G folds them (``_add_G``)
+  and walks each key grid once per (d2, k, d), not once per cell.
 """
 
 from __future__ import annotations
@@ -59,7 +62,8 @@ from .characters import (
     primitive_part,
 )
 from .formal import (
-    CompletenessError, FormalSeries, Window, _no_drops, build_lseries, compare, series_mul
+    PRUNE_EPS, CompletenessError, FormalSeries, Window, _no_drops, build_lseries, compare,
+    series_mul,
 )
 from .heckemodel import HeckeCoefficientModel
 from .expsums import _units_and_inverses
@@ -200,37 +204,62 @@ def build_G(
             * A~(d, n) g(chi*, c, d) g(chi*, q c / d, n) / (d n)
 
     at Y = shift q l cstar^3 / (d^2 n), X = 1, with A~ read from
-    contragredient, the model's dual.  For fixed d the terms sit at K/n
-    with K = shift q l cstar^3 / d^2, enumerated through ``_keys``; the
-    support is unbounded past the window (num_bound, den_bound None).
+    contragredient, the model's dual.  This is the one-cell case of the
+    shell's grouped builder ``_add_G``, which enumerates the terms of
+    each d through ``_keys``; the support is unbounded past the window
+    (num_bound, den_bound None).
     """
-    level = model.level
-    psi = model.psi
-    cstar = chi_star.modulus
-    c = ell * cstar
-    pref = scale * chi_star(-level) * psi(q * c) * cstar
     terms: dict[tuple[int, int, int], complex] = {}
+    _add_G(terms, 1, q, [(1, ell, scale)], chi_star, model, window, shift, contragredient)
+    return FormalSeries(terms, window, num_bound=None, den_bound=None)
+
+
+def _add_G(terms, x, q0, splits, chi_star, model, window, shift, contragredient) -> None:
+    """Add at X = x the sum over the splits (d1, l, scale) of one k = d1 l
+    of scale * G(q0 d1, l, chi*, s) at the given shift.
+
+    With q = q0 d1 and c = l cstar, every split has q l = q0 k, so all
+    share the divisors d of q0 k, the key grid of K = shift q0 k cstar^3
+    / d^2, the Gauss table of modulus q0 k cstar / d and psi(q0 k cstar).
+    They differ only in scale g(chi*, l cstar, d), so by distributivity
+    those are summed into one weight w(d) and each key grid is walked
+    once, adding
+
+        chi*(-N) psi(q0 k cstar) cstar w(d) A~(d, n) g(chi*, q0 k cstar / d, n) / (d n).
+
+    Only an exactly zero weight is skipped: over all the splits of k, as
+    in the shell, the Ramanujan lemma makes w(d) vanish unless k | d, and
+    the check must not assume it.  The group's sum at each key is pruned
+    as a built series is.
+    """
+    cstar = chi_star.modulus
+    d1, ell, _ = splits[0]
+    qk = q0 * d1 * ell
+    pref = chi_star(-model.level) * model.psi(qk * cstar) * cstar
     if not pref:
-        return FormalSeries(terms, window, num_bound=None, den_bound=None)
-    gtab_c = gauss_sum_table(chi_star, c)
-    for d in divisors(q * ell):
-        gd = gtab_c[d % c]
-        if not gd:
+        return
+    tabs = [(scale, gauss_sum_table(chi_star, l * cstar), l * cstar) for _, l, scale in splits]
+    knum = shift * qk * cstar**3
+    coefficient = contragredient.coefficient
+    part: dict[tuple[int, int], complex] = {}
+    for d in divisors(qk):
+        w = sum(scale * gtab[d % c] for scale, gtab, c in tabs)
+        if not w:
             continue
-        mod2 = q * c // d
+        wd = pref * w / d
+        mod2 = qk * cstar // d
         gtab2 = gauss_sum_table(chi_star, mod2)
-        knum = shift * q * ell * cstar**3
-        kden = d * d
-        g = math.gcd(knum, kden)
-        for num, den, n in _keys(knum // g, kden // g, window.p_max, window.q_max):
+        g = math.gcd(knum, d * d)
+        for num, den, n in _keys(knum // g, d * d // g, window.p_max, window.q_max):
             g2 = gtab2[n % mod2]
             if not g2:
                 continue
-            coeff = pref * contragredient.coefficient(d, n) * gd * g2 / (d * n)
+            coeff = wd * coefficient(d, n) * g2 / n
             if coeff:
-                key = (1, num, den)
-                terms[key] = terms.get(key, 0j) + coeff
-    return FormalSeries(terms, window, num_bound=None, den_bound=None)
+                part[num, den] = part.get((num, den), 0j) + coeff
+    for (num, den), coeff in part.items():
+        if not abs(coeff) < PRUNE_EPS:
+            terms[x, num, den] = terms.get((x, num, den), 0j) + coeff
 
 
 def _restrict(level: int):
@@ -239,22 +268,34 @@ def _restrict(level: int):
 
 def _shell(terms, inner, model, chi_star, big_q, cells, window, scale, shift=1, **kw):
     """Add scale * shift^-s * the shell (see the module docstring) over
-    the cells (X, d1, l) into terms; kw goes to inner (build_H or build_G)."""
+    the cells (X, d1, l) into terms.  For each d2 and each group of cells
+    with one X and one k = d1 l, inner (``_add_H`` or ``_add_G``, kw
+    passed on) gets the splits (d1, l, psi(d2) chi*(d1 d2) scale) in the
+    cells' order (ascending d1), so each key is summed in d2, d1 order."""
     psi = model.psi
-    s_window = Window(1, window.p_max, window.q_max)
+    groups: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for x, d1, ell in cells:
+        groups.setdefault((x, d1 * ell), []).append((d1, ell))
     for d2 in divisors(big_q):
-        for x, d1, ell in cells:
-            pref = scale * psi(d2) * chi_star(d1 * d2)
-            if not pref:
-                continue
-            series = inner(
-                big_q * d1 // d2, ell, chi_star, model, s_window,
-                shift=shift * d2, scale=pref, **kw,
-            )
-            for (_, num, den), coeff in series.terms.items():
-                key = (x, num, den)
-                terms[key] = terms.get(key, 0j) + coeff
+        for (x, _), splits in groups.items():
+            group = []
+            for d1, ell in splits:
+                pref = scale * psi(d2) * chi_star(d1 * d2)
+                if pref:
+                    group.append((d1, ell, pref))
+            if group:
+                inner(terms, x, big_q // d2, group, chi_star, model, window, shift * d2, **kw)
     return terms
+
+
+def _add_H(terms, x, q0, splits, chi_star, model, window, shift) -> None:
+    """Add at X = x the sum over the splits (d1, l, scale) of
+    scale * H(q0 d1, l, chi*, s) at the given shift, one build_H each."""
+    for d1, ell, scale in splits:
+        series = build_H(q0 * d1, ell, chi_star, model, window, shift=shift, scale=scale)
+        for (_, num, den), coeff in series.terms.items():
+            key = (x, num, den)
+            terms[key] = terms.get(key, 0j) + coeff
 
 
 def _dirichlet_cells(x_max: int, level: int) -> list[tuple[int, int, int]]:
@@ -337,7 +378,7 @@ def verify_Z_expansion(
     lhs = FormalSeries(lterms, window)
 
     cells = _dirichlet_cells(window.x_max, level)
-    terms = _shell({}, build_H, model, chi_star, q, cells, window, 1 / gauss_sum(chibar))
+    terms = _shell({}, _add_H, model, chi_star, q, cells, window, 1 / gauss_sum(chibar))
     rhs = FormalSeries(terms, window)
     return compare(lhs, rhs, window)
 
@@ -406,11 +447,12 @@ def _fe_residual(model, q, chi_star, window, dual, rhs_dual) -> float:
     tau = gauss_sum(chi_star)
     tau_bar = gauss_sum(chi_star.conjugate())
     cstar = chi_star.modulus
-    assert abs(tau * tau_bar - chi_star(-1) * cstar) < 1e-9 * cstar
+    if not abs(tau * tau_bar - chi_star(-1) * cstar) < 1e-9 * cstar:
+        raise ValueError(f"tau(chi*) tau(chibar*) = {tau * tau_bar} is not chi*(-1) cstar")
     lhs = _fe_lhs_series(model, q, chi_star, window, dual, tau)
     cells = _dirichlet_cells(window.x_max, model.level)
     rterms = _shell(
-        {}, build_G, model, chi_star, q, cells, window, 1 / tau_bar, contragredient=rhs_dual
+        {}, _add_G, model, chi_star, q, cells, window, 1 / tau_bar, contragredient=rhs_dual
     )
     return compare(lhs, FormalSeries(rterms, window), window)
 
@@ -486,7 +528,7 @@ def verify_moebius_assembly(
                 continue
             big_m = m // e0
             cells = [(1, d1, big_m // d1) for d1 in divisors(big_m)]
-            _shell(terms, build_H, model, chi_star, q * e0 // e1, cells, window, outer, e1)
+            _shell(terms, _add_H, model, chi_star, q * e0 // e1, cells, window, outer, e1)
     rhs = FormalSeries(terms, s_window)
     return compare(lhs, rhs, s_window)
 

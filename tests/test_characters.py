@@ -1,6 +1,10 @@
 import cmath
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -288,3 +292,27 @@ def test_batched_gauss_sums_rows_equal_one_character_calls():
                     assert _same_bits(row, _gauss_sums((chi,), c, cols)[0]), (chi, c)
     chi = enumerate_characters(7)[3]
     assert list(_gauss_sums((chi,), 14, np.arange(14))[0]) == list(gauss_sum_table(chi, 14))
+
+
+def test_order_exponent_raises_under_python_O():
+    # chi mod 5 with chi(2) = i: chi(2) is not e(k/2) for any k, and the
+    # guard must hold when assertions are compiled out
+    script = (
+        "from gl3voronoi.characters import _order_exponent, enumerate_characters\n"
+        "chi = enumerate_characters(5)[1]\n"
+        "assert _order_exponent(chi, 2, 4) == 1\n"
+        "try:\n"
+        "    _order_exponent(chi, 2, 2)\n"
+        "except ValueError as exc:\n"
+        "    print(exc)\n"
+        "else:\n"
+        "    raise SystemExit('no ValueError')\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "chi(2) is not e(k/2) for any integer k" in proc.stdout

@@ -205,16 +205,19 @@ def test_keys_match_an_index_scan(k_num, k_den, p_max, q_max):
 
 def _build_G_by_index_scan(q, ell, chi, model, window, contragredient, shift, scale):
     """build_G as a scan, for each d | q l, of every index n up to
-    K q_max + 1, each kept when its key K / n lands in the window."""
+    K q_max + 1, each kept when its key K / n lands in the window; each
+    term is multiplied out in build_G's order, its one-cell weight
+    scale g(chi*, c, d) first."""
     cstar = chi.modulus
     c = ell * cstar
-    pref = scale * chi(-model.level) * model.psi(q * c) * cstar
+    pref = chi(-model.level) * model.psi(q * c) * cstar
     gtab_c = gauss_sum_table(chi, c)
     terms = {}
     for d in divisors(q * ell):
-        gd = gtab_c[d % c]
-        if not gd:
+        w = scale * gtab_c[d % c]
+        if not w:
             continue
+        wd = pref * w / d
         mod2 = q * c // d
         gtab2 = gauss_sum_table(chi, mod2)
         knum, kden = shift * q * ell * cstar**3, d * d
@@ -228,7 +231,7 @@ def _build_G_by_index_scan(q, ell, chi, model, window, contragredient, shift, sc
             g2 = gtab2[n % mod2]
             if not g2:
                 continue
-            coeff = pref * contragredient.coefficient(d, n) * gd * g2 / (d * n)
+            coeff = wd * contragredient.coefficient(d, n) * g2 / n
             if coeff:
                 terms[(1, num, den)] = terms.get((1, num, den), 0j) + coeff
     return FormalSeries(terms, window)
@@ -431,6 +434,15 @@ def test_fe_rearrangement_sensitivity_probe():
     assert 1.9 < r2 / r1 < 2.1  # linear in the injected fault
 
 
+def test_fe_rearrangement_refuses_a_wrong_gauss_sum_normalization(monkeypatch):
+    # tau(chi*) tau(chibar*) = chi*(-1) cstar links the two sides; a Gauss
+    # sum off by a factor must raise, not compare
+    good = identities.gauss_sum
+    monkeypatch.setattr(identities, "gauss_sum", lambda chi: 1.01 * good(chi))
+    with pytest.raises(ValueError, match="is not chi"):
+        verify_fe_rearrangement(new_model(1, seed=0), 1, primitive_mod(3), SMALL)
+
+
 def _fe_lhs_by_d0_scan(model, q, chi_star, window, dual, tau):
     """The rearrangement's left side as a scan of d0 up to
     q_max cstar^3 / (n d1), each kept when its reduced key lands in the
@@ -477,6 +489,65 @@ def test_fe_lhs_key_grid_matches_d0_scan(level, q, cstar, window):
     scan = _fe_lhs_by_d0_scan(model, q, chi, window, dual, tau)
     assert got
     assert {k: repr(v) for k, v in got.items()} == {k: repr(v) for k, v in scan.items()}
+
+
+def _g_shell_cell_by_cell(model, q, chi_star, window, dual, scale):
+    """The rearrangement's right side built cell by cell, the construction
+    that the fold regroups: one build_G per (d2, cell), pruned on its own,
+    its keys placed at X = (d1 l)^2 in (d2, cell) order."""
+    s_window = Window(1, window.p_max, window.q_max)
+    terms = {}
+    for d2 in divisors(q):
+        for x, d1, ell in identities._dirichlet_cells(window.x_max, model.level):
+            pref = scale * model.psi(d2) * chi_star(d1 * d2)
+            if not pref:
+                continue
+            series = build_G(
+                q * d1 // d2, ell, chi_star, model, s_window, dual, shift=d2, scale=pref
+            )
+            for (_, num, den), coeff in series.terms.items():
+                terms[(x, num, den)] = terms.get((x, num, den), 0j) + coeff
+    return FormalSeries(terms, window)
+
+
+@pytest.mark.parametrize(
+    "level, q, cstar, window, corrupt",
+    [
+        (1, 1, 3, Window(48, 24, 24), False),
+        (1, 6, 3, Window(48, 24, 24), False),
+        (2, 3, 3, Window(48, 24, 24), False),
+        (1, 6, 4, WINDOW, False),
+        (2, 1, 5, WINDOW, False),
+        (2, 3, 5, WINDOW, False),
+        (1, 6, 5, Window(144, 60, 20), False),  # p_max != q_max
+        (1, 1, 4, Window(288, 64, 64), False),
+        (1, 6, 3, Window(288, 64, 64), False),
+        (2, 1, 3, Window(288, 64, 64), False),
+        (1, 1, 3, Window(288, 64, 64), True),  # the sensitivity probe's dual
+    ],
+)
+def test_g_shell_fold_matches_cell_by_cell(level, q, cstar, window, corrupt):
+    chi = primitive_mod(cstar)
+    model = new_model(level, seed=6)
+    dual = model.contragredient()
+    if corrupt:
+        dual = dual.corrupted((1, 2), 1e-3)
+    scale = 1 / gauss_sum(chi.conjugate())
+    cells = identities._dirichlet_cells(window.x_max, level)
+    folded = FormalSeries(
+        identities._shell(
+            {}, identities._add_G, model, chi, q, cells, window, scale, contragredient=dual
+        ),
+        window,
+    ).terms
+    oracle = _g_shell_cell_by_cell(model, q, chi, window, dual, scale).terms
+    top = max(map(abs, oracle.values()))
+    assert top > 1  # not a shell of roundoff alone
+    # a key on one side only must sit at the 1e-15 prune
+    for key in folded.keys() ^ oracle.keys():
+        assert abs(folded.get(key, oracle.get(key))) < 1e-14
+    diff = max(abs(folded.get(k, 0j) - oracle.get(k, 0j)) for k in folded.keys() | oracle.keys())
+    assert diff <= 1e-13 * top
 
 
 # -- fault injection and invariances ------------------------------------------

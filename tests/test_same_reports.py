@@ -14,11 +14,41 @@ def _load():
 def test_error_on_both_sides_counts_as_a_difference(capsys):
     tool = _load()
     report = {"z-expansion": ("1e-14", True, {"q_max": 6})}
-    assert tool.report_differences(report, dict(report), "w") == 0
+    assert tool.report_differences(report, dict(report), "w", {}) == 0
     for marker in ("<child error>", "<verify all error>"):
         same = {marker: "Traceback: boom"}
-        assert tool.report_differences(same, dict(same), "w") == 1
+        assert tool.report_differences(same, dict(same), "w", {}) == 1
     assert "<verify all error>" in capsys.readouterr().out
+
+
+def test_differences_carry_their_log10_drift(capsys):
+    tool = _load()
+    params = {"q_max": 6}
+    parent = {
+        "fe-rearrangement": ("1e-13", True, params),
+        "fe-rearrangement-sensitivity": ("0.001", False, params),
+        "z-expansion": ("2e-14", True, params),
+    }
+    change = dict(parent)
+    change["fe-rearrangement"] = ("2e-13", True, params)
+    change["fe-rearrangement-sensitivity"] = ("0.0005", False, params)
+    differing = {}
+    assert tool.report_differences(parent, change, "w seed 1", differing) == 2
+    out = capsys.readouterr().out
+    assert "w seed 1 fe-rearrangement\n" in out
+    assert "log10 drift: +0.301" in out
+    assert "log10 drift: -0.301" in out
+    assert "z-expansion" not in out
+    # a second seed's larger drift wins; a residual of 0 or an error has none
+    change["fe-rearrangement"] = ("1e-12", True, params)
+    tool.report_differences(parent, change, "w seed 2", differing)
+    tool.report_differences({"z-expansion": ("0.0", True, params)}, {}, "w", differing)
+    assert "log10 drift: n/a" in capsys.readouterr().out
+    assert tool.closing_line(differing) == (
+        "largest |log10 drift|: 1.000; checks that differ: "
+        "fe-rearrangement, fe-rearrangement-sensitivity, z-expansion"
+    )
+    assert tool.closing_line({}) == "largest |log10 drift|: n/a; checks that differ: none"
 
 
 def test_missing_result_file_is_a_child_error(tmp_path):

@@ -49,6 +49,20 @@ def test_log_gamma_recurrence_on_strip():
             assert abs(ratio - 1) < 1e-12, z
 
 
+def test_log_gamma_reflection_matches_the_shift_path():
+    # Re z < 0 is reflected; the upward shift log Gamma(z + n) - sum_{k<n}
+    # log(z + k), principal logs, is the oracle, next to the poles and just
+    # above the negative real axis too
+    for re in (-50.0, -49.7, -49.0000001, -48.9999999, -31.25, -7.3, -1.5, -0.5, -1e-9):
+        for im in (0.0, 1e-12, 1e-9, 1e-4, 0.1, 3.7, 50.0, -1e-9, -2.5, -50.0):
+            z = complex(re, im)
+            if z == round(re):
+                continue
+            n = math.ceil(-re) + 1
+            shifted = log_gamma(z + n) - sum(cmath.log(z + k) for k in range(n))
+            assert abs(log_gamma(z) - shifted) < 1e-12, z
+
+
 def test_log_gamma_poles():
     for z in (0, -1, -7, -20):
         with pytest.raises(PoleError):

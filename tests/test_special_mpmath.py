@@ -35,6 +35,18 @@ def test_log_gamma_against_mpmath_on_strip():
         assert abs(log_gamma(z) - complex(mpmath.loggamma(mpmath.mpc(z)))) < 1e-12, z
 
 
+def test_log_gamma_far_left_against_mpmath():
+    # the reflection takes the same few operations at any Re z, where an
+    # upward shift would take one log per unit of -Re z
+    for re in (-1e6, -1e6 + 0.3, -1e12 - 0.5, -1e12 + 0.25):
+        for im in (0.0, 1e-9, 2.0, -40.0):
+            z = complex(re, im)
+            if z == round(re):
+                continue
+            exact = complex(mpmath.loggamma(mpmath.mpc(z)))
+            assert abs(log_gamma(z) - exact) < 1e-14 * abs(exact), z
+
+
 def test_bessel_k_against_mpmath():
     for nu in ORDERS:
         for x in BESSEL_X:

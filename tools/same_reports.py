@@ -5,13 +5,17 @@ sizes (full and tiny), runs each checkout's bench/child.py with that
 checkout's src/ and bench/ on PYTHONPATH and PYTHONHASHSEED=0; then, once
 per checkout, `verify all --format json` at the default SuiteConfig.
 Prints each report whose max_residual repr, verdict or parameters differ
-(runtime_ms is not compared), one count line for the workloads and one
-for the default run, and exits 1 on any difference.  A run that raised
-or left no result counts as a difference on its own, even when both
-checkouts fail alike.
+(runtime_ms is not compared), with its log10 residual drift, log10(change
+/ parent); then one count line for the workloads, one for the default
+run and a closing line with the largest |drift| and the names of the
+checks that differ, and exits 1 on any difference.  A change whose only
+differences are roundoff shows as equal verdicts and parameters with
+small drifts.  A run that raised or left no result counts as a
+difference on its own, even when both checkouts fail alike.
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -58,16 +62,43 @@ def run_default(root: Path) -> dict:
 ERRORS = ("<child error>", "<verify all error>")
 
 
-def report_differences(old: dict, new: dict, where: str) -> int:
-    """Print each check whose entry differs, and each error entry of
-    either side; return how many there were."""
-    differ = 0
+def drift(old, new) -> float | None:
+    """log10(change residual / parent residual) of two report entries, or
+    None unless both are reports with finite residuals > 0."""
+    try:
+        a, b = float(old[0]), float(new[0])
+    except (TypeError, ValueError):
+        return None
+    if not (0 < a < math.inf and 0 < b < math.inf):
+        return None
+    return math.log10(b / a)
+
+
+def report_differences(old: dict, new: dict, where: str, differing: dict) -> int:
+    """Print each check whose entry differs, with its residual drift, and
+    each error entry of either side; record in differing the largest
+    |drift| per check name (None if no drift could be taken); return how
+    many there were."""
+    count = 0
     for name in sorted(old.keys() | new.keys()):
         if name in ERRORS or old.get(name) != new.get(name):
-            differ += 1
+            count += 1
+            d = None if name in ERRORS else drift(old.get(name), new.get(name))
             print(f"{where} {name}")
             print(f"  parent: {old.get(name)}\n  change: {new.get(name)}")
-    return differ
+            print(f"  log10 drift: {'n/a' if d is None else f'{d:+.3f}'}")
+            prev = differing.get(name)
+            differing[name] = prev if d is None else max(abs(d), prev or 0.0)
+    return count
+
+
+def closing_line(differing: dict) -> str:
+    """The largest |log10 drift| over all differing reports and the names
+    of the checks that differ."""
+    drifts = [d for d in differing.values() if d is not None]
+    largest = f"{max(drifts):.3f}" if drifts else "n/a"
+    names = ", ".join(sorted(differing)) or "none"
+    return f"largest |log10 drift|: {largest}; checks that differ: {names}"
 
 
 def main() -> int:
@@ -77,6 +108,7 @@ def main() -> int:
     expected = json.loads((roots[0] / "bench" / "expected.json").read_text())
     workloads = sorted({name.split("/")[0] for name in expected["workloads"]})
     compared = differ = 0
+    differing: dict = {}
     with tempfile.TemporaryDirectory() as tmp:
         for workload in workloads:
             for tiny in (False, True):
@@ -84,12 +116,14 @@ def main() -> int:
                     old, new = (run(r, t, workload, seed, tiny, tmp) for r, t in zip(roots, "ab"))
                     compared += len(old.keys() | new.keys())
                     size = "tiny" if tiny else "full"
-                    differ += report_differences(old, new, f"{workload} {size} seed {seed}")
+                    where = f"{workload} {size} seed {seed}"
+                    differ += report_differences(old, new, where, differing)
     old, new = (run_default(r) for r in roots)
-    default_differ = report_differences(old, new, "default verify all")
+    default_differ = report_differences(old, new, "default verify all", differing)
     print(f"default verify all: {len(old.keys() | new.keys())} reports compared, "
           f"{default_differ} differ")
     print(f"{compared} reports compared, {differ} differ")
+    print(closing_line(differing))
     return 1 if differ or default_differ else 0
 
 
