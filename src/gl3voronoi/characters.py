@@ -3,8 +3,8 @@
 A character mod q is stored as one integer exponent per generator of
 (Z/qZ)^x: if g has order r and the stored exponent is e, the character
 sends g^k to e(e*k/r), with e(x) = exp(2*pi*i*x).  Moduli up to ~10**4
-stay cheap because only the exponent vector is kept; discrete-log and
-value tables are materialized lazily per modulus and cached.
+stay cheap: the discrete-log table is built once per modulus, and the
+value table once per distinct character.
 
 Integer angles.  With L = lcm of the generator orders (the exponent of
 the group) and weights L/r_i, chi(n) = e(a(n)/L) for the integer
@@ -15,8 +15,8 @@ exact public form of the same data.
 
 Rounding contract.  Each value chi(n) is one complex exponential of an
 exact angle: a(n)/L is reduced to lowest terms and exponentiated once,
-so its floating error is O(1) ulp.  chi(n) reads the cached value table,
-which holds exactly these values.  Every Gauss sum sum_u chi(u) e(u m/c)
+so its floating error is O(1) ulp.  chi(n) reads the value table, which
+holds exactly these values.  Every Gauss sum sum_u chi(u) e(u m/c)
 comes from one numpy kernel, batched over characters: each term is the
 product of two table values (chi(u) and e(j/c)), rounded as Python's
 complex product, and each character's terms are added in ascending
@@ -26,7 +26,9 @@ changes no partial sum: every row equals the one-character call bit for
 bit, signs of zeros included.
 Modulus 1 is supported (the trivial character is 1 everywhere).
 
-Characters are immutable and hashable; the lazy caches are idempotent.
+Characters are frozen, hashable values (modulus, exponents): equal
+characters share one value table, and conductor and parity are computed
+once per distinct character.
 """
 
 from __future__ import annotations
@@ -35,7 +37,8 @@ import cmath
 import itertools
 import math
 from fractions import Fraction
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -76,7 +79,8 @@ def _structure(q: int):
         for table, k in zip(pow_tables, combo):
             n = n * table[k] % q
         dlog[n] = combo
-    assert len(dlog) == euler_phi(q)
+    if len(dlog) != euler_phi(q):
+        raise ValueError(f"generators of (Z/{q}Z)^x reach {len(dlog)} of {euler_phi(q)} units")
     exponent = math.lcm(*orders)
     return gens, dlog, exponent, tuple(exponent // r for r in orders)
 
@@ -87,40 +91,46 @@ def _exp_table(c: int) -> tuple[complex, ...]:
     return tuple(_root_of_unity(j, c) for j in range(c))
 
 
+@lru_cache(maxsize=None)
+def _value_table(q: int, exponents: tuple[int, ...]) -> tuple[complex, ...]:
+    """chi(0), ..., chi(q-1) for the character (q, exponents): one table
+    per distinct character, each value one exponential of a(n)/L in
+    lowest terms."""
+    vals = [0j] * q
+    _, dlog, exponent, weights = _structure(q)
+    for n, combo in dlog.items():
+        a = sum(e * k * w for e, k, w in zip(exponents, combo, weights)) % exponent
+        g = math.gcd(a, exponent)
+        vals[n] = _root_of_unity(a // g, exponent // g)
+    return tuple(vals)
+
+
+@dataclass(frozen=True, slots=True)
 class DirichletCharacter:
-    """A Dirichlet character mod q, identified by its exponent vector."""
+    """A Dirichlet character mod q, the value (modulus, exponents).
 
-    __slots__ = ("modulus", "exponents", "_conductor", "_values", "_parity")
+    Exponents are reduced mod their generator orders at construction,
+    which also stores the character's value table (shared by every equal
+    character) in the one derived slot; conductor and parity are cached
+    per distinct character.
+    """
 
-    def __init__(self, modulus: int, exponents: tuple[int, ...] = ()):
-        if modulus < 1:
-            raise ValueError(f"modulus must be positive, got {modulus}")
-        gens = _structure(modulus)[0]
-        if len(exponents) != len(gens):
+    modulus: int
+    exponents: tuple[int, ...] = ()
+    _values: tuple[complex, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.modulus < 1:
+            raise ValueError(f"modulus must be positive, got {self.modulus}")
+        gens = _structure(self.modulus)[0]
+        if len(self.exponents) != len(gens):
             raise ValueError(
-                f"expected {len(gens)} exponents for modulus {modulus}, "
-                f"got {len(exponents)}"
+                f"expected {len(gens)} exponents for modulus {self.modulus}, "
+                f"got {len(self.exponents)}"
             )
-        self.modulus = modulus
-        self.exponents = tuple(e % r for e, (_, r) in zip(exponents, gens))
-        self._conductor: int | None = None
-        self._values: tuple[complex, ...] | None = None
-        self._parity: int | None = None
-
-    # -- identity ----------------------------------------------------------
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, DirichletCharacter)
-            and self.modulus == other.modulus
-            and self.exponents == other.exponents
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.modulus, self.exponents))
-
-    def __repr__(self) -> str:
-        return f"DirichletCharacter(modulus={self.modulus}, exponents={self.exponents})"
+        exponents = tuple(e % r for e, (_, r) in zip(self.exponents, gens))
+        object.__setattr__(self, "exponents", exponents)
+        object.__setattr__(self, "_values", _value_table(self.modulus, exponents))
 
     # -- evaluation --------------------------------------------------------
 
@@ -139,31 +149,22 @@ class DirichletCharacter:
         return None if a is None else Fraction(a, _structure(self.modulus)[2])
 
     def __call__(self, n: int) -> complex:
-        return self.values()[n % self.modulus]
+        return self._values[n % self.modulus]
 
     def values(self) -> tuple[complex, ...]:
-        """Value table chi(0), ..., chi(q-1) (lazy, cached)."""
-        if self._values is None:
-            q = self.modulus
-            vals = [0j] * q
-            _, dlog, exponent, _ = _structure(q)
-            for n in dlog:
-                a = self._numerator(n)
-                g = math.gcd(a, exponent)
-                vals[n] = _root_of_unity(a // g, exponent // g)
-            self._values = tuple(vals)
+        """Value table chi(0), ..., chi(q-1)."""
         return self._values
 
     # -- structure ---------------------------------------------------------
 
     @property
+    @cache
     def parity(self) -> int:
         """chi(-1), which is +1 or -1."""
-        if self._parity is None:
-            a = self._numerator(-1)
-            assert 2 * a % _structure(self.modulus)[2] == 0
-            self._parity = 1 if a == 0 else -1
-        return self._parity
+        a, exponent = self._numerator(-1), _structure(self.modulus)[2]
+        if 2 * a % exponent:
+            raise ValueError(f"chi(-1) = e({a}/{exponent}) is not +1 or -1")
+        return 1 if a == 0 else -1
 
     @property
     def is_principal(self) -> bool:
@@ -174,22 +175,13 @@ class DirichletCharacter:
         return self.conductor == self.modulus
 
     @property
+    @cache
     def conductor(self) -> int:
         """Smallest d | q with chi(a) = 1 for all units a = 1 (mod d)."""
-        if self._conductor is None:
-            q = self.modulus
-            for d in divisors(q):
-                ok = True
-                for a in range(1, q + 1, d):
-                    if math.gcd(a, q) != 1:
-                        continue
-                    if self._numerator(a) != 0:
-                        ok = False
-                        break
-                if ok:
-                    self._conductor = d
-                    break
-        return self._conductor
+        q = self.modulus
+        for d in divisors(q):
+            if all(self._numerator(a) == 0 for a in range(1, q + 1, d) if math.gcd(a, q) == 1):
+                return d
 
     def conjugate(self) -> "DirichletCharacter":
         return DirichletCharacter(self.modulus, tuple(-e for e in self.exponents))
@@ -273,6 +265,8 @@ def _gauss_sums(chis, c: int, ms) -> np.ndarray:
 @lru_cache(maxsize=None)
 def gauss_sum_table(chi_star: DirichletCharacter, c: int) -> tuple[complex, ...]:
     """g(chi*, c, m) for m = 0..c-1, as one cached table per (chi*, c)."""
+    if c < 1:
+        raise ValueError(f"modulus must be positive, got {c}")
     return tuple(_gauss_sums((chi_star,), c, np.arange(c))[0].tolist())
 
 
@@ -290,6 +284,4 @@ def _gauss_sum_any_modulus(chi_star: DirichletCharacter, c: int, m: int) -> comp
     contribute 0.  This is the exact unit-sum behind the collapse
     identities, where the modulus need not be a conductor multiple.
     """
-    if c < 1:
-        raise ValueError(f"modulus must be positive, got {c}")
     return gauss_sum_table(chi_star, c)[m % c]

@@ -77,6 +77,8 @@ def kloosterman(a: int, b: int, c: int) -> complex:
 
 def kloosterman_matrix(c: int) -> np.ndarray:
     """All S(a, b; c) for a, b mod c at once, as a c x c complex matrix."""
+    if c < 1:
+        raise ValueError(f"modulus must be positive, got {c}")
     if c == 1:
         return np.ones((1, 1), dtype=complex)
     units, invs = _units_and_inverses(c)

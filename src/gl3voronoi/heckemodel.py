@@ -123,7 +123,8 @@ class HeckeCoefficientModel:
             alpha, beta = _unit(rng), _unit(rng)
             triple = (alpha, beta, self.psi(p) / (alpha * beta))
         alpha, beta, gamma = triple
-        assert abs(alpha * beta * gamma - self.psi(p)) < 1e-12
+        if not abs(alpha * beta * gamma - self.psi(p)) < 1e-12:
+            raise ValueError(f"Satake triple at {p} has product {alpha * beta * gamma} != psi(p)")
         self._satake[p] = triple
         return triple
 

@@ -201,9 +201,11 @@ class GammaData:
         object.__setattr__(self, "alpha", complex(alpha))
         object.__setattr__(self, "beta", complex(beta))
         object.__setattr__(self, "gamma", complex(gamma))
-        assert (self.alpha + self.beta) + self.gamma == 0
         direct = 2 * self.nu1 + self.nu2 - 1
-        assert abs(self.gamma - direct) <= 1e-12 * (1 + abs(direct))
+        if (self.alpha + self.beta) + self.gamma != 0 or not (
+            abs(self.gamma - direct) <= 1e-12 * (1 + abs(direct))
+        ):
+            raise ValueError(f"triple of nu = ({self.nu1}, {self.nu2}) does not sum to 0")
 
     @property
     def triple(self) -> tuple[complex, complex, complex]:

@@ -9,8 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gl3voronoi import characters
 from gl3voronoi.arith import divisors, euler_phi, mobius
 from gl3voronoi.characters import (
+    DirichletCharacter,
     _gauss_sum_any_modulus,
     _gauss_sums,
     enumerate_characters,
@@ -316,3 +318,41 @@ def test_order_exponent_raises_under_python_O():
     )
     assert proc.returncode == 0, proc.stderr
     assert "chi(2) is not e(k/2) for any integer k" in proc.stdout
+
+
+def test_one_value_table_per_distinct_character():
+    for q in range(1, 31):
+        first, second = enumerate_characters(q), enumerate_characters(q)
+        for chi, again in zip(first, second):
+            assert chi.values() is chi.conjugate().conjugate().values(), chi
+            assert again is not chi and again.values() is chi.values(), chi
+            star = primitive_part(chi)
+            (match,) = [p for p in primitive_characters(star.modulus) if p == star]
+            assert star.values() is match.values(), chi
+
+
+def test_character_value_surface():
+    chi = DirichletCharacter(15, (0, 3))
+    assert repr(chi) == "DirichletCharacter(modulus=15, exponents=(0, 3))"
+    assert DirichletCharacter(5, (5,)) == DirichletCharacter(5, (1,))
+    assert hash(DirichletCharacter(5, (5,))) == hash(DirichletCharacter(5, (1,)))
+    assert DirichletCharacter(5, (1,)) != DirichletCharacter(5, (2,))
+    assert DirichletCharacter(5, (1,)) != (5, (1,))
+    with pytest.raises(ValueError, match="^modulus must be positive, got 0$"):
+        DirichletCharacter(0)
+    with pytest.raises(ValueError, match="^expected 2 exponents for modulus 15, got 1$"):
+        DirichletCharacter(15, (1,))
+
+
+def test_structure_guard_raises_on_generators_that_miss_units(monkeypatch):
+    # 4 has order 3 mod 7, so it reaches only 3 of the 6 units
+    monkeypatch.setattr(characters, "unit_group_generators", lambda q: [(4, 3)])
+    with pytest.raises(ValueError, match="reach 3 of 6 units"):
+        characters._structure.__wrapped__(7)
+
+
+def test_parity_guard_raises_when_chi_of_minus_one_is_not_a_sign(monkeypatch):
+    chi = enumerate_characters(7)[1]
+    monkeypatch.setattr(DirichletCharacter, "_numerator", lambda self, n: 1)
+    with pytest.raises(ValueError, match="is not \\+1 or -1"):
+        DirichletCharacter.parity.fget.__wrapped__(chi)

@@ -6,6 +6,7 @@ import pytest
 
 from gl3voronoi.arith import divisors, mobius, mod_inverse, worse
 from gl3voronoi.characters import (
+    _gauss_sum_any_modulus,
     _gauss_sums,
     enumerate_characters,
     gauss_sum,
@@ -246,3 +247,19 @@ def test_intro_sign_variant_is_relabeling():
             for a in (1, 2)
         )
         assert abs(plus - minus) < 1e-14
+
+
+@pytest.mark.parametrize("c", [0, -3])
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda c: gauss_sum_table(principal_character(1), c),
+        kloosterman_matrix,
+        lambda c: kloosterman(1, 1, c),
+        lambda c: _gauss_sum_any_modulus(principal_character(1), c, 1),
+    ],
+    ids=["gauss_sum_table", "kloosterman_matrix", "kloosterman", "_gauss_sum_any_modulus"],
+)
+def test_nonpositive_modulus_is_a_value_error(entry, c):
+    with pytest.raises(ValueError, match=f"^modulus must be positive, got {c}$"):
+        entry(c)

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from gl3voronoi import heckemodel
 from gl3voronoi.characters import enumerate_characters, principal_character
 from gl3voronoi.heckemodel import (
     CoefficientDomainError,
@@ -297,3 +298,9 @@ def test_corruptions_stack():
     # the dual drops every corruption
     dual, plain = stacked.contragredient(), m.contragredient()
     assert {k: dual.coefficient(*k) for k in grid} == {k: plain.coefficient(*k) for k in grid}
+
+
+def test_satake_guard_raises_on_a_triple_off_psi(monkeypatch):
+    monkeypatch.setattr(heckemodel, "_unit", lambda rng: complex("nan"))
+    with pytest.raises(ValueError, match="Satake triple at 2"):
+        new_model(1, seed=7).satake(2)

@@ -1,5 +1,9 @@
 import cmath
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -173,6 +177,27 @@ def test_gamma_data_exact_triple():
             complex(rng.uniform(-2, 2), rng.uniform(-2, 2)),
         )
         assert (g.alpha + g.beta) + g.gamma == 0  # exact, no tolerance
+
+
+def test_gamma_data_refuses_an_infinite_nu_under_python_O():
+    # the triple (-inf, -inf, inf) sums to NaN; the guard must hold when
+    # assertions are compiled out
+    script = (
+        "from gl3voronoi.special import GammaData\n"
+        "try:\n"
+        "    GammaData(complex('inf'), 0)\n"
+        "except ValueError as exc:\n"
+        "    print(exc)\n"
+        "else:\n"
+        "    raise SystemExit('no ValueError')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "does not sum to 0" in proc.stdout
 
 
 def test_gamma_factor_symmetric_collapse():
