@@ -23,7 +23,9 @@ complex product, and each character's terms are added in ascending
 order of u.  A unit kept for another character of the batch adds a
 signed zero to the row of a character that vanishes there, which
 changes no partial sum: every row equals the one-character call bit for
-bit, signs of zeros included.
+bit, signs of zeros included, and each column m, summed on its own,
+equals entry m mod c of gauss_sum_table.  The gauss-modulus check,
+char_kloosterman_reduction_sweep and ramanujan_lemma_sweep rely on this.
 Modulus 1 is supported (the trivial character is 1 everywhere).
 
 Characters are frozen, hashable values (modulus, exponents): equal

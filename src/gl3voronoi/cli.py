@@ -40,8 +40,7 @@ from .characters import _gauss_sums, enumerate_characters, gauss_sum, primitive_
 from .expsums import (
     additive_collapse_sweep,
     char_kloosterman_reduction_sweep,
-    reality_symmetry_sweep,
-    weil_bound_sweep,
+    kloosterman_basic_sweep,
 )
 from .formal import Window
 from .heckemodel import (
@@ -52,7 +51,7 @@ from .heckemodel import (
 )
 from .identities import (
     fe_rearrangement_sensitivity,
-    ramanujan_lemma_residual,
+    ramanujan_lemma_sweep,
     verify_Z_expansion,
     verify_fe_rearrangement,
     verify_moebius_assembly,
@@ -308,8 +307,7 @@ def check_gauss_modulus(config: SuiteConfig, fold: _Fold) -> dict:
 
 @_check("kloosterman-basic")
 def check_kloosterman_basic(config: SuiteConfig, fold: _Fold) -> dict:
-    max_im, max_asym = reality_symmetry_sweep(config.kloosterman_c_max)
-    weil = weil_bound_sweep(config.kloosterman_c_max)
+    max_im, max_asym, weil = kloosterman_basic_sweep(config.kloosterman_c_max)
     # one reality and symmetry residual per modulus
     fold.add(max_im, max_asym, weil - 1.0, cases=config.kloosterman_c_max)
     return {
@@ -402,15 +400,9 @@ def check_euler_product(config: SuiteConfig, fold: _Fold) -> dict:
 
 @_check("ramanujan-lemma")
 def check_ramanujan_lemma(config: SuiteConfig, fold: _Fold) -> dict:
+    bounds = config.ramanujan_levels, config.ramanujan_m_max, config.ramanujan_ell_max
     for cstar in config.ramanujan_cstar:
-        for level in config.ramanujan_levels:
-            if math.gcd(cstar, level) > 1:
-                continue
-            for chi in primitive_characters(cstar):
-                for m in range(1, config.ramanujan_m_max + 1):
-                    fold.add(
-                        ramanujan_lemma_residual(chi, cstar, m, level, config.ramanujan_ell_max)
-                    )
+        fold.add(*ramanujan_lemma_sweep(cstar, *bounds))
     return {
         "cstar_list": ",".join(map(str, config.ramanujan_cstar)),
         "levels": ",".join(map(str, config.ramanujan_levels)),

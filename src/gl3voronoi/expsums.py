@@ -52,6 +52,7 @@ __all__ = [
     "char_kloosterman_reduction_sweep",
     "additive_collapse_residual",
     "additive_collapse_sweep",
+    "kloosterman_basic_sweep",
     "reality_symmetry_sweep",
     "weil_bound_sweep",
 ]
@@ -155,8 +156,8 @@ def char_kloosterman_reduction_sweep(
                 units_big, invs_big = _units_and_inverses(big_c)
                 if big_c not in blocks:
                     phase2 = np.exp(2j * np.pi * np.outer(m2s, invs_big) / big_c)
-                    # uncached beyond c: whole tables at the large moduli
-                    # big_c would cost memory
+                    # only the columns m2s, not whole gauss_sum_tables at
+                    # the large moduli big_c, and dropped with this c
                     blocks[big_c] = phase2, _gauss_sums(prim, big_c, m2s)
                 phase2, g2 = blocks[big_c]
                 if m < 0:
@@ -236,15 +237,23 @@ def additive_collapse_sweep(c_max: int) -> tuple[float, int]:
 # -- bulk sanity sweeps ------------------------------------------------------
 
 
-def reality_symmetry_sweep(c_max: int) -> tuple[float, float]:
-    """(max |Im S|, max |S(a,b;c) - S(b,a;c)|) over all a, b mod c, c <= c_max."""
-    max_im = 0.0
-    max_asym = 0.0
+def kloosterman_basic_sweep(c_max: int) -> tuple[float, float, float]:
+    """(*reality_symmetry_sweep(c_max), weil_bound_sweep(c_max)) bit for bit,
+    from one kloosterman_matrix(c) per c <= c_max, dropped after its step."""
+    primes = set(primes_up_to(c_max))
+    max_im = max_asym = weil = 0.0
     for c in range(1, c_max + 1):
         s = kloosterman_matrix(c)
         max_im = worse(max_im, float(np.abs(s.imag).max()))
         max_asym = worse(max_asym, float(np.abs(s - s.T).max()))
-    return max_im, max_asym
+        if c in primes:  # unit rows/columns only
+            weil = worse(weil, float(np.abs(s[1:, 1:]).max()) / (2 * math.sqrt(c)))
+    return max_im, max_asym, weil
+
+
+def reality_symmetry_sweep(c_max: int) -> tuple[float, float]:
+    """(max |Im S|, max |S(a,b;c) - S(b,a;c)|) over all a, b mod c, c <= c_max."""
+    return kloosterman_basic_sweep(c_max)[:2]
 
 
 def weil_bound_sweep(p_max: int) -> float:

@@ -56,9 +56,11 @@ from .arith import divisors, mobius, worse
 from .characters import (
     DirichletCharacter,
     _exp_table,
+    _gauss_sums,
     enumerate_characters,
     gauss_sum,
     gauss_sum_table,
+    primitive_characters,
     primitive_part,
 )
 from .formal import (
@@ -70,6 +72,7 @@ from .expsums import _units_and_inverses
 
 __all__ = [
     "ramanujan_lemma_residual",
+    "ramanujan_lemma_sweep",
     "build_H",
     "build_G",
     "verify_Z_expansion",
@@ -126,6 +129,35 @@ def ramanujan_lemma_residual(
         rhs = tau * chibar(m // ell) * ell if m % ell == 0 else 0j
         worst = worse(worst, abs(lhs - rhs))
     return worst
+
+
+def ramanujan_lemma_sweep(cstar: int, levels: tuple, m_max: int, ell_max: int) -> list[float]:
+    """ramanujan_lemma_residual(chi*, cstar, m, level, ell_max) bit for bit, for
+    each level coprime to cstar, primitive chi* mod cstar and m <= m_max in
+    turn, from one batched kernel call per modulus l1 cstar (l1 <= ell_max)
+    that builds the columns m = 1..m_max for every chi* and is dropped on return."""
+    levels = [n for n in levels if math.gcd(cstar, n) == 1]
+    chis = primitive_characters(cstar)
+    if not (levels and chis and m_max >= 1):
+        return []
+    ms = range(1, m_max + 1)
+    g = [None] + [_gauss_sums(chis, l1 * cstar, ms).tolist() for l1 in range(1, ell_max + 1)]
+    out = []
+    for level in levels:
+        ells = [(ell, divisors(ell)) for ell in range(1, ell_max + 1) if math.gcd(ell, level) == 1]
+        for i, chi in enumerate(chis):
+            vals, bar = chi.values(), chi.conjugate().values()
+            for m in ms:
+                worst = 0.0
+                for ell, l1s in ells:
+                    lhs = 0j
+                    for l1 in l1s:
+                        lhs += g[l1][i][m - 1] * vals[ell // l1 % cstar]
+                    # tau(chi*) is the l1 = 1, m = 1 entry
+                    rhs = g[1][i][0] * bar[m // ell % cstar] * ell if m % ell == 0 else 0j
+                    worst = worse(worst, abs(lhs - rhs))
+                out.append(worst)
+    return out
 
 
 def build_H(

@@ -1,3 +1,4 @@
+import collections
 import importlib
 import json
 import math
@@ -15,7 +16,12 @@ from hypothesis import strategies as st
 
 import gl3voronoi.cli as cli
 from gl3voronoi.arith import worse
-from gl3voronoi.characters import enumerate_characters, gauss_sum, primitive_characters
+from gl3voronoi.characters import (
+    enumerate_characters,
+    gauss_sum,
+    gauss_sum_table,
+    primitive_characters,
+)
 from gl3voronoi.cli import (
     CONFIG_PARSERS,
     DEFAULT_TOLERANCES,
@@ -150,7 +156,10 @@ LAYER_FAULTS = {
     ),
     "hecke-relations": ("cli.new_model", lambda model, *args: model.corrupted((2, 1), 1e-6)),
     "euler-product": ("cli.new_model", lambda model, *args: model.corrupted((1, 4), 1e-6)),
-    "ramanujan-lemma": _TABLE_AT_3,
+    "ramanujan-lemma": (
+        "identities._gauss_sums",
+        lambda g, chis, c, ms: _bumped(g, (0, 0)) if c == 3 else g,
+    ),
     "orthogonality": _TABLE_AT_3,
     "moebius-assembly": ("identities.mobius", lambda mu, n: mu * (1 + 1e-6) if n == 2 else mu),
     "bessel-identity": ("special.bessel_k", lambda k, nu, x: k * (1 + 1e-5)),
@@ -173,6 +182,47 @@ def test_check_fails_on_one_perturbed_value_of_its_layer(name, monkeypatch):
     # a finite residual over the tolerance: the check saw the fault itself
     assert report.check_name == name and not report.passed
     assert report.tolerance < report.max_residual < math.inf
+
+
+def _count_calls(monkeypatch, targets, key) -> collections.Counter:
+    """Patch each gl3voronoi.<module>.<attribute> in targets to count
+    key(*args) per call, all into the one returned Counter."""
+    calls = collections.Counter()
+    for target in targets:
+        module, attr = target.rsplit(".", 1)
+        original = getattr(importlib.import_module(f"gl3voronoi.{module}"), attr)
+
+        def counted(*args, original=original):
+            calls[key(*args)] += 1
+            return original(*args)
+
+        monkeypatch.setattr(f"gl3voronoi.{target}", counted)
+    return calls
+
+
+def test_kloosterman_basic_builds_one_matrix_per_modulus(monkeypatch):
+    built = _count_calls(monkeypatch, ["expsums.kloosterman_matrix"], lambda c: c)
+    assert CHECKS["kloosterman-basic"](FAST)[0].passed
+    assert built == collections.Counter(range(1, FAST.kloosterman_c_max + 1))
+
+
+def test_ramanujan_lemma_calls_the_gauss_kernel_once_per_modulus(monkeypatch):
+    # several characters, levels and m share each call at modulus l1 cstar;
+    # with the table cache cleared, a per-character table build would count
+    config = replace(
+        FAST, ramanujan_cstar=(3, 5, 7), ramanujan_levels=(1, 2, 3), ramanujan_m_max=6
+    )
+    gauss_sum_table.cache_clear()
+    built = _count_calls(
+        monkeypatch,
+        ["characters._gauss_sums", "identities._gauss_sums"],
+        lambda chis, c, ms: c,
+    )
+    assert CHECKS["ramanujan-lemma"](config)[0].passed
+    ell_max = config.ramanujan_ell_max
+    assert built == collections.Counter(
+        l1 * cstar for cstar in config.ramanujan_cstar for l1 in range(1, ell_max + 1)
+    )
 
 
 def test_run_suite_fast_config_passes():

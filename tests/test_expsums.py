@@ -22,6 +22,7 @@ from gl3voronoi.expsums import (
     char_kloosterman_reduction_residual,
     char_kloosterman_reduction_sweep,
     kloosterman,
+    kloosterman_basic_sweep,
     kloosterman_matrix,
     reality_symmetry_sweep,
     weil_bound_sweep,
@@ -66,6 +67,20 @@ def test_reality_symmetry_weil():
     max_im, max_asym = reality_symmetry_sweep(60)
     assert max_im < 1e-9 and max_asym < 1e-9
     assert weil_bound_sweep(60) <= 1.0
+
+
+@pytest.mark.parametrize("c_max", [2, 3, 30, 61])
+def test_kloosterman_basic_single_pass_bit_for_bit(c_max):
+    # one matrix per modulus, folded into both results, gives what a
+    # reality/symmetry pass over every c and a Weil pass over the primes give
+    max_im = max_asym = 0.0
+    for c in range(1, c_max + 1):
+        s = kloosterman_matrix(c)
+        max_im = worse(max_im, float(np.abs(s.imag).max()))
+        max_asym = worse(max_asym, float(np.abs(s - s.T).max()))
+    two_pass = (max_im, max_asym, weil_bound_sweep(c_max))
+    assert repr(kloosterman_basic_sweep(c_max)) == repr(two_pass)
+    assert repr((*reality_symmetry_sweep(c_max), weil_bound_sweep(c_max))) == repr(two_pass)
 
 
 def twisted_multiplicativity_residual(a, b, c1, c2):

@@ -10,6 +10,7 @@ from gl3voronoi.characters import (
     enumerate_characters,
     gauss_sum,
     gauss_sum_table,
+    primitive_characters,
 )
 from gl3voronoi import identities
 from gl3voronoi.formal import (
@@ -28,6 +29,7 @@ from gl3voronoi.identities import (
     build_H,
     fe_rearrangement_sensitivity,
     ramanujan_lemma_residual,
+    ramanujan_lemma_sweep,
     verify_Z_expansion,
     verify_fe_rearrangement,
     verify_moebius_assembly,
@@ -95,6 +97,21 @@ def test_ramanujan_sweep():
                     continue
                 for m in range(1, 16):
                     assert ramanujan_lemma_residual(chi, cstar, m, level, 24) < 1e-10
+
+
+def test_ramanujan_sweep_equals_scalar_path_bit_for_bit():
+    # one batched kernel call per modulus l1 cstar gives every
+    # (level, chi*, m) residual of the one-character table path exactly
+    for cstar in (3, 4, 5, 7, 8):
+        scalar = [
+            ramanujan_lemma_residual(chi, cstar, m, level, 24)
+            for level in (1, 2, 3)
+            if math.gcd(cstar, level) == 1
+            for chi in primitive_characters(cstar)
+            for m in range(1, 25)
+        ]
+        batched = ramanujan_lemma_sweep(cstar, (1, 2, 3), 24, 24)
+        assert list(map(repr, batched)) == list(map(repr, scalar)), cstar
 
 
 def test_ramanujan_domain():
