@@ -153,7 +153,6 @@ def _crt_lift(g: int, pe: int, q: int) -> int:
     return (g + pe * t) % q
 
 
-@lru_cache(maxsize=None)
 def unit_group_generators(q: int) -> tuple[tuple[int, int], ...]:
     """Generators of (Z/qZ)^x as (generator, order) pairs.
 

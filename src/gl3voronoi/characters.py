@@ -58,7 +58,6 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=None)
 def _root_of_unity(num: int, den: int) -> complex:
     return cmath.exp(2j * math.pi * num / den)
 

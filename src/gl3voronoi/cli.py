@@ -35,7 +35,7 @@ import typing
 from dataclasses import dataclass, field, replace
 
 from . import __version__
-from .arith import euler_phi, factorize, is_prime, primes_up_to, worse
+from .arith import _MAX_N, euler_phi, factorize, is_prime, primes_up_to, worse
 from .characters import _gauss_sums, enumerate_characters, gauss_sum, primitive_characters
 from .expsums import (
     additive_collapse_sweep,
@@ -377,24 +377,14 @@ def check_hecke_relations(config: SuiteConfig, fold: _Fold) -> dict:
 
 @_check("euler-product")
 def check_euler_product(config: SuiteConfig, fold: _Fold) -> dict:
-    worst_alt = 0.0
     for level in config.euler_levels:
         for _, model in _models(config, level, euler_phi(level)):
             for chi in enumerate_characters(config.euler_chi_modulus):
                 fold.add(euler_product_residual(model, chi, 2.5, config.euler_n_max))
-                worst_alt = worse(
-                    worst_alt,
-                    euler_product_residual(
-                        model, chi, 2.5, config.euler_n_max, variant="quadratic-psi"
-                    ),
-                )
     return {
         "n_max": config.euler_n_max,
         "levels": ",".join(map(str, config.euler_levels)),
         "chi_modulus": config.euler_chi_modulus,
-        # the local factor with psi(p) moved to the quadratic term fails
-        # for nontrivial nebentypus; kept visible for contrast
-        "alt_quadratic_psi_residual": f"{worst_alt:.3e}",
     }
 
 
@@ -746,8 +736,8 @@ def _config_from_args(args) -> SuiteConfig:
 
 
 def _cmd_chars_list(args) -> int:
-    if args.modulus < 1:
-        print(f"error: --modulus must be >= 1, got {args.modulus}", file=sys.stderr)
+    if not 1 <= args.modulus <= _MAX_N:  # the moduli factorize accepts
+        print(f"error: --modulus must be >= 1 and < 2**63, got {args.modulus}", file=sys.stderr)
         return 2
     chars = primitive_characters if args.primitive_only else enumerate_characters
     for chi in chars(args.modulus):

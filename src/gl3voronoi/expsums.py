@@ -42,6 +42,7 @@ from .characters import (
     gauss_sum,
     gauss_sum_table,
     multiply,
+    primitive_characters,
     primitive_part,
 )
 
@@ -190,47 +191,41 @@ def additive_collapse_residual(
     theta = multiply(psi, chi)
     if theta.modulus != c or not theta.is_primitive:
         raise ValueError("psi*chi must be primitive modulo c")
-    return _collapse_residual_at(theta, n)
+    return _collapse_residuals(theta)[n % c]
 
 
-def _collapse_residual_at(theta: DirichletCharacter, n: int) -> float:
+def _collapse_residuals(theta: DirichletCharacter) -> list[float]:
+    """The additive-collapse residual at each shift n mod c, c the modulus
+    of theta; it depends on n only mod c."""
     c = theta.modulus
     roots = _exp_table(c)
     tbar = theta.conjugate().values()
     units, invs = _units_and_inverses(c)
-    lhs = sum(tbar[a % c] * roots[(-n * abar) % c] for a, abar in zip(units, invs))
-    kappa = 0 if theta.parity == 1 else 1
-    rhs = (-1) ** kappa * gauss_sum(theta) * tbar[n % c]
-    return abs(lhs - rhs)
+    sign_tau = theta.parity * gauss_sum(theta)  # (-1)^kappa tau(theta)
+    residuals = []
+    for n in range(c):
+        lhs = sum(tbar[a % c] * roots[(-n * abar) % c] for a, abar in zip(units, invs))
+        residuals.append(abs(lhs - sign_tau * tbar[n]))
+    return residuals
 
 
 def additive_collapse_sweep(c_max: int) -> tuple[float, int]:
     """Max additive-collapse residual over c <= c_max, every level N | c,
     every psi mod N and chi mod c with psi*chi primitive, and all n mod c.
 
-    The residual depends on (psi, chi) only through the product
-    character, so distinct products are evaluated once.
+    The residual depends on (psi, chi) only through theta = psi*chi, so
+    each primitive theta mod c is evaluated once.  The count is that of
+    the (N, psi, chi, n) cases: theta comes from exactly one chi = theta
+    psibar for each psi mod N, and sum_{N | c} phi(N) = c, so each
+    primitive theta stands for c * c cases.
     """
     worst = 0.0
     cases = 0
     for c in range(1, c_max + 1):
-        seen: dict[tuple[int, ...], float | None] = {}
-        for level in divisors(c):
-            for psi in enumerate_characters(level):
-                for chi in enumerate_characters(c):
-                    theta = multiply(psi, chi)
-                    key = theta.exponents
-                    if key not in seen:
-                        if theta.is_primitive:
-                            seen[key] = worse(
-                                0.0, *(_collapse_residual_at(theta, n) for n in range(c))
-                            )
-                        else:
-                            seen[key] = None
-                    r = seen[key]
-                    if r is not None:
-                        worst = worse(worst, r)
-                        cases += c
+        prim = primitive_characters(c)
+        for theta in prim:
+            worst = worse(worst, *_collapse_residuals(theta))
+        cases += c * c * len(prim)
     return worst, cases
 
 

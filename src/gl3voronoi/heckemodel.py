@@ -293,27 +293,19 @@ def euler_product_residual(
     chi: DirichletCharacter,
     s: complex,
     n_max: int,
-    variant: str = "cubic-psi",
 ) -> float:
     """Coefficientwise residual of the degree-3 Euler product.
 
     Compares A(1,n) chi(n) against the expansion of
         prod_{p not dividing N}
             (1 - A(1,p) chi(p) p^-s + B_p p^-2s - psi(p) chi(p)^3 p^-3s)^(-1)
-    over n <= n_max with (n, N) = 1, as finite Dirichlet polynomials.
-    The comparison is exact in the coefficients; s only fixes the stated
-    convergence domain (Re s >= 2 enforced).
-
-    variant selects the quadratic numerator B_p:
-      "cubic-psi"     B_p = A(p,1) chi(p)^2            (relation-consistent)
-      "quadratic-psi" B_p = A(p,1) chi(p)^2 psi(p)     (rejected alternative)
-    The first is the form forced by the divisor-sum relations; the
-    alternative is kept so the harness can display its failure.
+    over n <= n_max with (n, N) = 1, as finite Dirichlet polynomials,
+    where B_p = A(p,1) chi(p)^2: the divisor-sum relations put psi(p) on
+    the cubic term only.  The comparison is exact in the coefficients;
+    s only fixes the stated convergence domain (Re s >= 2 enforced).
     """
     if complex(s).real < 2:
         raise ValueError("stated convergence domain requires Re s >= 2")
-    if variant not in ("cubic-psi", "quadratic-psi"):
-        raise ValueError(f"unknown variant {variant!r}")
     level = model.level
     psi = model.psi
     ucache: dict[int, list[complex]] = {}
@@ -326,8 +318,6 @@ def euler_product_residual(
         cp = chi(p)
         a = model.coefficient(1, p) * cp
         b = model.coefficient(p, 1) * cp * cp
-        if variant == "quadratic-psi":
-            b *= psi(p)
         c = psi(p) * cp**3
         while len(u) <= upto:
             k = len(u)

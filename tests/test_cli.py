@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gl3voronoi.cli as cli
-from gl3voronoi.arith import worse
+from gl3voronoi.arith import euler_phi, worse
 from gl3voronoi.characters import (
     enumerate_characters,
     gauss_sum,
@@ -223,6 +223,32 @@ def test_ramanujan_lemma_calls_the_gauss_kernel_once_per_modulus(monkeypatch):
     assert built == collections.Counter(
         l1 * cstar for cstar in config.ramanujan_cstar for l1 in range(1, ell_max + 1)
     )
+
+
+def test_additive_collapse_evaluates_each_primitive_product_once(monkeypatch):
+    # one gauss_sum per primitive theta mod c, and no psi*chi products formed
+    calls = _count_calls(
+        monkeypatch, ["expsums.multiply", "expsums.gauss_sum"], lambda *chars: chars
+    )
+    assert CHECKS["additive-collapse"](FAST)[0].passed
+    assert calls == collections.Counter(
+        (theta,)
+        for c in range(1, FAST.collapse_c_max + 1)
+        for theta in primitive_characters(c)
+    )
+
+
+def test_euler_product_takes_one_residual_per_model_and_character(monkeypatch):
+    # the models are kept alive as Counter keys, so each is its own key
+    calls = _count_calls(
+        monkeypatch, ["cli.euler_product_residual"], lambda model, chi, s, n_max: (model, chi)
+    )
+    assert CHECKS["euler-product"](FAST)[0].passed
+    chars = enumerate_characters(FAST.euler_chi_modulus)
+    models = {model for model, _ in calls}
+    assert set(calls.values()) == {1}
+    assert len(models) == sum(euler_phi(level) for level in FAST.euler_levels)
+    assert set(calls) == {(model, chi) for model in models for chi in chars}
 
 
 def test_run_suite_fast_config_passes():
@@ -455,6 +481,16 @@ def test_cli_chars_list_rejects_nonpositive_modulus(modulus, capsys):
     assert main(["chars", "list", f"--modulus={modulus}"]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: --modulus must be >= 1") and captured.out == ""
+
+
+@pytest.mark.parametrize("flags", [[], ["--primitive-only"]])
+@pytest.mark.parametrize("modulus", [2**63, 2**70])
+def test_cli_chars_list_rejects_a_modulus_beyond_factorize(modulus, flags, capsys):
+    # factorize accepts at most 2**63 - 1
+    assert main(["chars", "list", f"--modulus={modulus}", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --modulus must be >= 1 and < 2**63, got {modulus}\n"
+    assert captured.out == ""
 
 
 def test_identity_checks_run_without_scipy():

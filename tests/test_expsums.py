@@ -12,6 +12,7 @@ from gl3voronoi.characters import (
     gauss_sum,
     gauss_sum_table,
     multiply,
+    primitive_characters,
     primitive_part,
     principal_character,
 )
@@ -244,6 +245,56 @@ def test_additive_collapse_requires_primitive_product():
 def test_additive_collapse_sweep_small():
     worst, cases = additive_collapse_sweep(12)
     assert worst < 1e-9 and cases > 0
+
+
+def _collapse_residual_at(theta, n):
+    """The additive-collapse residual of primitive theta mod c at shift n,
+    one n at a time."""
+    c = theta.modulus
+    tbar = theta.conjugate().values()
+    units, invs = _units_and_inverses(c)
+    roots = [cmath.exp(2j * math.pi * j / c) for j in range(c)]
+    lhs = sum(tbar[a % c] * roots[(-n * abar) % c] for a, abar in zip(units, invs))
+    kappa = 0 if theta.parity == 1 else 1
+    return abs(lhs - (-1) ** kappa * gauss_sum(theta) * tbar[n % c])
+
+
+def additive_collapse_per_triple(c_max):
+    """The sweep as a loop over every level N | c, psi mod N and chi mod c,
+    with each distinct product psi*chi evaluated once at every n mod c."""
+    worst = 0.0
+    cases = 0
+    for c in range(1, c_max + 1):
+        seen = {}
+        for level in divisors(c):
+            for psi in enumerate_characters(level):
+                for chi in enumerate_characters(c):
+                    theta = multiply(psi, chi)
+                    if theta not in seen:
+                        seen[theta] = (
+                            worse(0.0, *(_collapse_residual_at(theta, n) for n in range(c)))
+                            if theta.is_primitive
+                            else None
+                        )
+                    if seen[theta] is not None:
+                        worst = worse(worst, seen[theta])
+                        cases += c
+    return worst, cases
+
+
+@pytest.mark.parametrize("c_max", [1, 2, 4, 10, 12, 20, 24])
+def test_additive_collapse_sweep_matches_the_per_triple_loop(c_max):
+    assert repr(additive_collapse_sweep(c_max)) == repr(additive_collapse_per_triple(c_max))
+
+
+def test_additive_collapse_residual_depends_on_n_mod_c_only():
+    for c in (5, 8, 12):
+        for theta in primitive_characters(c):
+            psi, chi = principal_character(1), theta
+            for n in (-c - 1, -1, 0, 1, c - 1, c, 3 * c + 2):
+                assert repr(additive_collapse_residual(psi, chi, n)) == repr(
+                    _collapse_residual_at(theta, n)
+                )
 
 
 def test_intro_sign_variant_is_relabeling():

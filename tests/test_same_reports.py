@@ -58,3 +58,28 @@ def test_missing_result_file_is_a_child_error(tmp_path):
     out = tool.run(tmp_path, "a", "identity-window", 0, True, str(tmp_path))
     assert list(out) == ["<child error>"]
     assert "no result file, exit 3" in out["<child error>"]
+
+
+def test_a_differing_report_names_its_parameter_changes(capsys):
+    tool = _load()
+    parent = {"euler-product": ("3e-13", True, {"n_max": 300, "alt": "1e-1", "levels": "1"})}
+    change = {"euler-product": ("3e-13", True, {"n_max": 200, "levels": "1", "new": 7})}
+    assert tool.report_differences(parent, change, "w", {}) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "w euler-product",
+        "  residual: equal (3e-13)",
+        "  verdict: equal (True)",
+        "  parameter removed: alt = '1e-1'",
+        "  parameter changed: n_max: 300 -> 200",
+        "  parameter added: new = 7",
+        "  log10 drift: +0.000",
+    ]
+    assert tool.describe(("1e-13", True, {}), ("2e-13", False, {})) == [
+        "residual: parent 1e-13, change 2e-13",
+        "verdict: parent True, change False",
+    ]
+    # a report on one side only, or an error, is shown whole
+    assert tool.describe(None, ("1e-13", True, {})) == [
+        "parent: None",
+        "change: ('1e-13', True, {})",
+    ]

@@ -5,13 +5,15 @@ sizes (full and tiny), runs each checkout's bench/child.py with that
 checkout's src/ and bench/ on PYTHONPATH and PYTHONHASHSEED=0; then, once
 per checkout, `verify all --format json` at the default SuiteConfig.
 Prints each report whose max_residual repr, verdict or parameters differ
-(runtime_ms is not compared), with its log10 residual drift, log10(change
-/ parent); then one count line for the workloads, one for the default
-run and a closing line with the largest |drift| and the names of the
-checks that differ, and exits 1 on any difference.  A change whose only
-differences are roundoff shows as equal verdicts and parameters with
-small drifts.  A run that raised or left no result counts as a
-difference on its own, even when both checkouts fail alike.
+(runtime_ms is not compared): whether its residual repr and its verdict
+are equal, each parameter removed, added or changed, and its log10
+residual drift, log10(change / parent); then one count line for the
+workloads, one for the default run and a closing line with the largest
+|drift| and the names of the checks that differ, and exits 1 on any
+difference.  A change whose only differences are roundoff shows as equal
+verdicts and parameters with small drifts.  A run that raised or left no
+result counts as a difference on its own, even when both checkouts fail
+alike; it, and a report on one side only, is printed whole.
 """
 
 import json
@@ -74,6 +76,27 @@ def drift(old, new) -> float | None:
     return math.log10(b / a)
 
 
+def describe(old, new) -> list[str]:
+    """How two entries of one check differ: residual repr and verdict,
+    equal or not, then each parameter removed, added or changed; an error
+    or a missing report is shown whole."""
+    if not (isinstance(old, tuple) and isinstance(new, tuple)):
+        return [f"parent: {old}", f"change: {new}"]
+    lines = [
+        f"{what}: " + (f"equal ({a})" if a == b else f"parent {a}, change {b}")
+        for what, a, b in (("residual", old[0], new[0]), ("verdict", old[1], new[1]))
+    ]
+    params_old, params_new = old[2], new[2]
+    for key in sorted(params_old.keys() | params_new.keys()):
+        if key not in params_new:
+            lines.append(f"parameter removed: {key} = {params_old[key]!r}")
+        elif key not in params_old:
+            lines.append(f"parameter added: {key} = {params_new[key]!r}")
+        elif params_old[key] != params_new[key]:
+            lines.append(f"parameter changed: {key}: {params_old[key]!r} -> {params_new[key]!r}")
+    return lines
+
+
 def report_differences(old: dict, new: dict, where: str, differing: dict) -> int:
     """Print each check whose entry differs, with its residual drift, and
     each error entry of either side; record in differing the largest
@@ -85,7 +108,8 @@ def report_differences(old: dict, new: dict, where: str, differing: dict) -> int
             count += 1
             d = None if name in ERRORS else drift(old.get(name), new.get(name))
             print(f"{where} {name}")
-            print(f"  parent: {old.get(name)}\n  change: {new.get(name)}")
+            for line in describe(old.get(name), new.get(name)):
+                print(f"  {line}")
             print(f"  log10 drift: {'n/a' if d is None else f'{d:+.3f}'}")
             prev = differing.get(name)
             differing[name] = prev if d is None else max(abs(d), prev or 0.0)
