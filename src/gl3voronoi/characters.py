@@ -2,9 +2,11 @@
 
 A character mod q is stored as one integer exponent per generator of
 (Z/qZ)^x: if g has order r and the stored exponent is e, the character
-sends g^k to e(e*k/r), with e(x) = exp(2*pi*i*x).  Moduli up to ~10**4
-stay cheap: the discrete-log table is built once per modulus, and the
-value table once per distinct character.
+sends g^k to e(e*k/r), with e(x) = exp(2*pi*i*x).  The discrete-log
+table is built once per modulus and the value table, q entries, once per
+distinct character, so all phi(q) characters of q hold about q phi(q)
+values: a prime near 4000 takes about 650 MiB, and `chars list` refuses
+moduli above 4096.
 
 Integer angles.  With L = lcm of the generator orders (the exponent of
 the group) and weights L/r_i, chi(n) = e(a(n)/L) for the integer

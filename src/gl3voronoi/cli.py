@@ -188,11 +188,13 @@ class SuiteConfig:
         Int fields but the seed are bounds >= 1 (m2_max >= 0, as |m2|
         <= m2_max; kloosterman_c_max >= 2, as Weil's bound needs a prime);
         int tuples but m_set hold positive levels, moduli or q's; m_set
-        has no zero; every cstar has a primitive character; every
-        Hecke-relation index fits factorize; the triple of (nu1, nu2) is
-        purely imaginary, as unitarity on the critical line needs; every
-        tolerance override names a check and is finite and > 0; under
-        fault injection the window holds both probes' corrupted terms.
+        has no zero; all of these, and the window, are <= 2**63-1 in
+        absolute value, as factorize needs; every cstar has a primitive
+        character; every Hecke-relation index fits factorize; the triple
+        of (nu1, nu2) is purely imaginary, as unitarity on the critical
+        line needs; every tolerance override names a check and is finite
+        and > 0; under fault injection the window holds both probes'
+        corrupted terms.
         """
         if min(self.window) < 1:
             raise ValueError("window fields must be positive")
@@ -205,10 +207,12 @@ class SuiteConfig:
         for name, kind in _FIELD_TYPES.items():
             value = getattr(self, name)
             low = {"m2_max": 0, "kloosterman_c_max": 2}.get(name, 1)
-            if kind is int and name != "seed" and value < low:
-                raise ValueError(f"{name} must be >= {low}")
+            if kind is int and name != "seed" and not low <= value <= _MAX_N:
+                raise ValueError(f"{name} must be >= {low} and <= 2**63-1")
             if kind == tuple[int, ...] and name != "m_set" and min(value, default=1) < 1:
                 raise ValueError(f"{name} entries must be >= 1")
+            if typing.get_origin(kind) is tuple and max(map(abs, value), default=0) > _MAX_N:
+                raise ValueError(f"{name} entries must be <= 2**63-1 in absolute value")
         if 0 in self.m_set:
             raise ValueError("m_set must not contain 0")
         for name in ("cstar_list", "moebius_cstar", "ramanujan_cstar"):
@@ -735,9 +739,13 @@ def _config_from_args(args) -> SuiteConfig:
     return replace(SuiteConfig(), **overrides)
 
 
+CHARS_LIST_MAX_MODULUS = 4096  # phi(q) value tables of q entries: ~650 MiB at a prime
+
+
 def _cmd_chars_list(args) -> int:
-    if not 1 <= args.modulus <= _MAX_N:  # the moduli factorize accepts
-        print(f"error: --modulus must be >= 1 and < 2**63, got {args.modulus}", file=sys.stderr)
+    if not 1 <= args.modulus <= CHARS_LIST_MAX_MODULUS:
+        msg = f"--modulus must be >= 1 and <= {CHARS_LIST_MAX_MODULUS}, got {args.modulus}"
+        print(f"error: {msg}", file=sys.stderr)
         return 2
     chars = primitive_characters if args.primitive_only else enumerate_characters
     for chi in chars(args.modulus):

@@ -69,13 +69,6 @@ class Window:
     def contains(self, x: int, num: int, den: int) -> bool:
         return x <= self.x_max and num <= self.p_max and den <= self.q_max
 
-    def covers(self, other: "Window") -> bool:
-        return (
-            self.x_max >= other.x_max
-            and self.p_max >= other.p_max
-            and self.q_max >= other.q_max
-        )
-
 
 class FormalSeries:
     """Sparse windowed sum of monomials, keyed by (X, num, den)."""
@@ -281,18 +274,12 @@ def build_lseries(
     return FormalSeries(terms, window, num_bound, den_bound)
 
 
-def compare(a: FormalSeries, b: FormalSeries, window: Window) -> float:
-    """Max absolute coefficient discrepancy over keys inside the window.
-
-    Both series must be complete on the window.
-    """
-    for s, side in ((a, "left"), (b, "right")):
-        if not s.window.covers(window):
-            raise CompletenessError(
-                f"{side} series window {s.window} does not cover {window}"
-            )
+def compare(a: FormalSeries, b: FormalSeries) -> float:
+    """Max absolute coefficient discrepancy of two series complete on one
+    window; CompletenessError if their windows differ."""
+    if a.window != b.window:
+        raise CompletenessError(f"left window {a.window} is not right window {b.window}")
     worst = 0.0
     for key in a.terms.keys() | b.terms.keys():
-        if window.contains(*key):
-            worst = worse(worst, abs(a.terms.get(key, 0j) - b.terms.get(key, 0j)))
+        worst = worse(worst, abs(a.terms.get(key, 0j) - b.terms.get(key, 0j)))
     return worst

@@ -24,13 +24,16 @@ Conventions shared by every builder here:
   Tolerances: end-to-end identity runs are exact up to floating
   roundoff, budgeted at 1e-8 for the windowed sweeps.
 
-- build_H and build_G take a ``shift``, which moves every term from Y
-  to shift * Y before the window is applied, and a ``scale``, the first
-  factor of every coefficient.
+- The shell's builders ``_add_H`` and ``_add_G`` add their terms
+  straight into the shell's terms.  They take a ``shift``, which moves
+  every term from Y to shift * Y before the window is applied, and
+  splits (d1, l, scale), whose ``scale`` is the first factor of every
+  coefficient of its cell.  build_H and build_G are their one-cell,
+  unshifted and unscaled cases.
 
-- build_H, build_G and the left sides of the Z expansion and the
+- _add_H, _add_G and the left sides of the Z expansion and the
   rearrangement enumerate through one key grid, ``_keys``: for a fixed
-  K their terms sit at Y = K/n (build_H and the Z left side: 1/Y =
+  K their terms sit at Y = K/n (_add_H and the Z left side: 1/Y =
   K/n), and ``_keys`` lists exactly the in-window keys with the one
   index n that lands on each, so no index whose term falls outside the
   window is touched.
@@ -41,10 +44,11 @@ Conventions shared by every builder here:
       sum_{d2|Q} sum_{(X, d1, l)} psi(d2) chi*(d1 d2) d2^-s inner(Q d1/d2, l, s)
 
   with inner = H or G placed at X, d2 | Q the outer loop, and each
-  inner series built with shift d2 and scale psi(d2) chi*(d1 d2).  The
+  inner term added with shift d2 and scale psi(d2) chi*(d1 d2).  The
   cells of one X and one k = d1 l go to the inner builder as one group,
-  in ascending d1: H builds them one by one, G folds them (``_add_G``)
-  and walks each key grid once per (d2, k, d), not once per cell.
+  in ascending d1: ``_add_H`` walks each cell's key grid in turn,
+  ``_add_G`` folds them and walks each key grid once per (d2, k, d), not
+  once per cell.
 """
 
 from __future__ import annotations
@@ -161,36 +165,17 @@ def ramanujan_lemma_sweep(cstar: int, levels: tuple, m_max: int, ell_max: int) -
 
 
 def build_H(
-    q: int,
-    ell: int,
-    chi_star: DirichletCharacter,
-    model: HeckeCoefficientModel,
-    window: Window,
-    shift: int = 1,
-    scale: complex = 1,
+    q: int, ell: int, chi_star: DirichletCharacter, model: HeckeCoefficientModel, window: Window
 ) -> FormalSeries:
     """Twisted coefficient series H(q, l, chi*, s) at modulus c = l cstar.
 
-    s-only (X = 1).  The n-th term lands at Y = shift n / l^2, so
-    1/Y = (l^2 / shift) / n and the in-window keys with their indices
-    come from ``_keys`` with the roles of num and den swapped.  Every
-    key's reduced denominator divides l^2, which is recorded as the den
-    bound.
+    s-only (X = 1).  This is the one-cell case of the shell's builder
+    ``_add_H``; every key's reduced denominator divides l^2, which is
+    recorded as the den bound.
     """
-    cstar = chi_star.modulus
-    c = ell * cstar
-    gtab = gauss_sum_table(chi_star.conjugate(), c)
-    ell2 = ell * ell
-    g = math.gcd(ell2, shift)
     terms: dict[tuple[int, int, int], complex] = {}
-    for den, num, n in _keys(ell2 // g, shift // g, window.q_max, window.p_max):
-        gv = gtab[n % c]
-        if not gv:
-            continue
-        coeff = scale * model.coefficient(q, n) * gv / ell
-        if coeff:
-            terms[(1, num, den)] = coeff
-    return FormalSeries(terms, window, num_bound=None, den_bound=ell2)
+    _add_H(terms, 1, q, [(1, ell, 1)], chi_star, model, window, 1)
+    return FormalSeries(terms, window, num_bound=None, den_bound=ell * ell)
 
 
 @lru_cache(maxsize=None)
@@ -223,8 +208,6 @@ def build_G(
     model: HeckeCoefficientModel,
     window: Window,
     contragredient: HeckeCoefficientModel,
-    shift: int = 1,
-    scale: complex = 1,
 ) -> FormalSeries:
     """Dual twisted series G(q, l, chi*, s) at c = l cstar, stripped of
     the archimedean unit factor.
@@ -235,14 +218,14 @@ def build_G(
         chi*(-N) psi(q c) cstar
             * A~(d, n) g(chi*, c, d) g(chi*, q c / d, n) / (d n)
 
-    at Y = shift q l cstar^3 / (d^2 n), X = 1, with A~ read from
+    at Y = q l cstar^3 / (d^2 n), X = 1, with A~ read from
     contragredient, the model's dual.  This is the one-cell case of the
     shell's grouped builder ``_add_G``, which enumerates the terms of
     each d through ``_keys``; the support is unbounded past the window
     (num_bound, den_bound None).
     """
     terms: dict[tuple[int, int, int], complex] = {}
-    _add_G(terms, 1, q, [(1, ell, scale)], chi_star, model, window, shift, contragredient)
+    _add_G(terms, 1, q, [(1, ell, 1)], chi_star, model, window, 1, contragredient)
     return FormalSeries(terms, window, num_bound=None, den_bound=None)
 
 
@@ -322,12 +305,29 @@ def _shell(terms, inner, model, chi_star, big_q, cells, window, scale, shift=1, 
 
 def _add_H(terms, x, q0, splits, chi_star, model, window, shift) -> None:
     """Add at X = x the sum over the splits (d1, l, scale) of
-    scale * H(q0 d1, l, chi*, s) at the given shift, one build_H each."""
+    scale * H(q0 d1, l, chi*, s) at the given shift, split by split.
+
+    The n-th term of H(q0 d1, l) lands at Y = shift n / l^2, so
+    1/Y = (l^2 / shift) / n and the in-window keys with their indices
+    come from ``_keys`` with the roles of num and den swapped.  Each term
+    is pruned on its own, as a built series prunes it.
+    """
+    chibar = chi_star.conjugate()
+    cstar = chi_star.modulus
+    coefficient = model.coefficient
     for d1, ell, scale in splits:
-        series = build_H(q0 * d1, ell, chi_star, model, window, shift=shift, scale=scale)
-        for (_, num, den), coeff in series.terms.items():
-            key = (x, num, den)
-            terms[key] = terms.get(key, 0j) + coeff
+        q = q0 * d1
+        c = ell * cstar
+        gtab = gauss_sum_table(chibar, c)
+        ell2 = ell * ell
+        g = math.gcd(ell2, shift)
+        for den, num, n in _keys(ell2 // g, shift // g, window.q_max, window.p_max):
+            gv = gtab[n % c]
+            if not gv:
+                continue
+            coeff = scale * coefficient(q, n) * gv / ell
+            if not abs(coeff) < PRUNE_EPS:
+                terms[x, num, den] = terms.get((x, num, den), 0j) + coeff
 
 
 def _dirichlet_cells(x_max: int, level: int) -> list[tuple[int, int, int]]:
@@ -367,7 +367,7 @@ def verify_Z_expansion(
     X <= x_max (CompletenessError otherwise), and its term (X, 1, D) meets
     m at 1/Y = D/m, so ``_keys`` lists the m that land.  On the right, d1,
     l are bounded through X = (d1 l)^2 <= x_max; the inner index n by
-    build_H's key grid, whose keys d2 n / l^2 have num <= p_max and
+    _add_H's key grid, whose keys d2 n / l^2 have num <= p_max and
     den | l^2, den <= q_max.  Returns the windowed compare residual.
     """
     _check_case(model, chi_star, q)
@@ -412,7 +412,7 @@ def verify_Z_expansion(
     cells = _dirichlet_cells(window.x_max, level)
     terms = _shell({}, _add_H, model, chi_star, q, cells, window, 1 / gauss_sum(chibar))
     rhs = FormalSeries(terms, window)
-    return compare(lhs, rhs, window)
+    return compare(lhs, rhs)
 
 
 def verify_fe_rearrangement(
@@ -486,7 +486,7 @@ def _fe_residual(model, q, chi_star, window, dual, rhs_dual) -> float:
     rterms = _shell(
         {}, _add_G, model, chi_star, q, cells, window, 1 / tau_bar, contragredient=rhs_dual
     )
-    return compare(lhs, FormalSeries(rterms, window), window)
+    return compare(lhs, FormalSeries(rterms, window))
 
 
 def _fe_lhs_series(model, q, chi_star, window, dual, tau) -> FormalSeries:
@@ -535,7 +535,7 @@ def verify_moebius_assembly(
     reduces to one-dimensional Moebius inversion over e1 | q.
 
     Enumeration bound: each inner term lands at Y = e1 d2 n / l^2, so
-    build_H's key grid (num <= p_max, den | l^2, den <= q_max) holds
+    _add_H's key grid (num <= p_max, den | l^2, den <= q_max) holds
     every index that reaches the window.
     """
     _check_case(model, chi_star, q)
@@ -562,7 +562,7 @@ def verify_moebius_assembly(
             cells = [(1, d1, big_m // d1) for d1 in divisors(big_m)]
             _shell(terms, _add_H, model, chi_star, q * e0 // e1, cells, window, outer, e1)
     rhs = FormalSeries(terms, s_window)
-    return compare(lhs, rhs, s_window)
+    return compare(lhs, rhs)
 
 
 def verify_orthogonality_equivalence(

@@ -225,6 +225,27 @@ def test_ramanujan_lemma_calls_the_gauss_kernel_once_per_modulus(monkeypatch):
     )
 
 
+def test_shells_build_no_H_series_per_cell(monkeypatch):
+    # the shell adds H terms straight in; only moebius-assembly's left side,
+    # H(q, m, chi*), is a built series, one per case
+    built = _count_calls(
+        monkeypatch,
+        ["identities.build_H"],
+        lambda q, ell, chi, model, window: (q, ell, chi.modulus),
+    )
+    assert CHECKS["z-expansion"](FAST)[0].passed
+    assert not built
+    (report,) = CHECKS["moebius-assembly"](FAST)
+    assert report.passed
+    assert built == collections.Counter(
+        (q, m, cstar)
+        for cstar in FAST.moebius_cstar
+        for q in range(1, FAST.moebius_q_max + 1)
+        for m in range(1, FAST.moebius_m_max + 1)
+    )
+    assert str(sum(built.values())) == report.parameters["runs"]
+
+
 def test_additive_collapse_evaluates_each_primitive_product_once(monkeypatch):
     # one gauss_sum per primitive theta mod c, and no psi*chi products formed
     calls = _count_calls(
@@ -484,12 +505,17 @@ def test_cli_chars_list_rejects_nonpositive_modulus(modulus, capsys):
 
 
 @pytest.mark.parametrize("flags", [[], ["--primitive-only"]])
-@pytest.mark.parametrize("modulus", [2**63, 2**70])
-def test_cli_chars_list_rejects_a_modulus_beyond_factorize(modulus, flags, capsys):
-    # factorize accepts at most 2**63 - 1
+@pytest.mark.parametrize("modulus", [cli.CHARS_LIST_MAX_MODULUS + 1, 2**63, 2**70])
+def test_cli_chars_list_rejects_a_modulus_beyond_factorize(modulus, flags, capsys, monkeypatch):
+    # the phi(q) value tables of q entries hold q phi(q) values in all; the
+    # limit is checked before factorize, which accepts up to 2**63 - 1
+    def never(n):
+        raise AssertionError("factorize ran")
+
+    monkeypatch.setattr("gl3voronoi.arith.factorize", never)
     assert main(["chars", "list", f"--modulus={modulus}", *flags]) == 2
     captured = capsys.readouterr()
-    assert captured.err == f"error: --modulus must be >= 1 and < 2**63, got {modulus}\n"
+    assert captured.err == f"error: --modulus must be >= 1 and <= 4096, got {modulus}\n"
     assert captured.out == ""
 
 
@@ -669,6 +695,13 @@ def test_config_rejects_duplicate_key(tmp_path, capsys, key, first, second):
         ("--cstar-list", "2"),
         ("--power-bound", "9"),
         ("--kloosterman-c-max", "1"),
+        # beyond factorize's 2**63 - 1
+        ("--levels", str(2**70)),
+        ("--hecke-levels", str(2**70)),
+        ("--q-list", str(2**70)),
+        ("--cstar-list", str(2**70)),
+        ("--euler-chi-modulus", str(2**70)),
+        ("--ramanujan-cstar", str(2**70)),
         ("--nu1", "0.5"),
         ("--nu1", "nan"),
         pytest.param("--fault-injection", "--window=36:24:24", id="fault-injection-36:24:24"),

@@ -80,13 +80,13 @@ def test_guard_refuses_short_x_window():
 def test_compare():
     w = Window(4, 4, 4)
     a = build_lseries(lambda n: 1.0, 1, 0, 0, None, w)
-    assert compare(a, a, w) == 0.0
+    assert compare(a, a) == 0.0
     bumped = dict(a.terms)
     bumped[(3, 1, 1)] += 2.5e-7
     b = FormalSeries(bumped, w, a.num_bound, a.den_bound)
-    assert abs(compare(a, b, w) - 2.5e-7) < 1e-15
+    assert abs(compare(a, b) - 2.5e-7) < 1e-15
     with pytest.raises(CompletenessError):
-        compare(a, b, Window(8, 4, 4))
+        compare(a, FormalSeries(b.terms, Window(8, 4, 4)))
 
 
 def test_restriction():
@@ -119,10 +119,10 @@ def test_mul_associative_commutative(a, b, c):
     w = Window(16, 6, 6)
     ab = series_mul(a, b, w)
     ba = series_mul(b, a, w)
-    assert compare(ab, ba, w) < 1e-13
+    assert compare(ab, ba) < 1e-13
     left = series_mul(series_mul(a, b, Window(16, 27, 27)), c, w)
     right = series_mul(a, series_mul(b, c, Window(16, 27, 27)), w)
-    assert compare(left, right, w) < 1e-13
+    assert compare(left, right) < 1e-13
 
 
 def test_pruning_does_not_change_compares():
@@ -136,15 +136,15 @@ def test_pruning_does_not_change_compares():
     reference = {(2, 1, 1): 1.0, (8, 1, 2): 1.0, (3, 2, 1): tiny, (12, 1, 1): tiny}
     assert product.terms == {(2, 1, 1): 1.0, (8, 1, 2): 1.0}
     assert max(abs(product.terms.get(k, 0j) - v) for k, v in reference.items()) == tiny
-    assert compare(product, FormalSeries(reference, w), w) == 0.0
+    assert compare(product, FormalSeries(reference, w)) == 0.0
 
 
 def test_non_finite_terms_are_never_pruned():
     w = Window(4, 4, 4)
     s = FormalSeries({(1, 1, 1): math.nan, (2, 1, 1): math.inf, (3, 1, 1): 1e-16}, w)
     assert set(s.terms) == {(1, 1, 1), (2, 1, 1)}
-    assert math.isnan(compare(s, FormalSeries({}, w), w))
-    assert math.isnan(compare(FormalSeries({(1, 1, 1): 1.0}, w), s, w))
+    assert math.isnan(compare(s, FormalSeries({}, w)))
+    assert math.isnan(compare(FormalSeries({(1, 1, 1): 1.0}, w), s))
 
 
 def _pair_loop(a, b, window):

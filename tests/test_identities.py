@@ -154,7 +154,7 @@ def test_build_H_independent_loop_order():
             if abs(coeff) > 0:
                 terms[(1, a, b)] = coeff
     other = FormalSeries(terms, w)
-    assert compare(h, other, w) < 1e-13
+    assert compare(h, other) < 1e-13
 
 
 def _build_H_by_index_scan(q, ell, chi, model, window, shift, scale):
@@ -190,11 +190,20 @@ def _build_H_by_index_scan(q, ell, chi, model, window, shift, scale):
     ],
 )
 def test_build_H_key_grid_matches_index_scan(level, q, ell, shift, window):
+    # one shifted, scaled cell through the shell's builder, and build_H as
+    # its unshifted, unscaled case
     chi = primitive_mod(5, 1)
     model = new_model(level, seed=3)
     scale = 0.5 - 0.25j
-    h = build_H(q, ell, chi, model, window, shift=shift, scale=scale)
+    terms = {}
+    identities._add_H(terms, 1, q, [(1, ell, scale)], chi, model, window, shift)
     scan = _build_H_by_index_scan(q, ell, chi, model, window, shift, scale)
+    assert terms
+    assert {k: repr(v) for k, v in terms.items()} == {
+        k: repr(v) for k, v in scan.terms.items()
+    }
+    h = build_H(q, ell, chi, model, window)
+    scan = _build_H_by_index_scan(q, ell, chi, model, window, 1, 1)
     assert h.terms
     assert {k: repr(v) for k, v in h.terms.items()} == {
         k: repr(v) for k, v in scan.terms.items()
@@ -270,8 +279,15 @@ def test_build_G_key_grid_matches_index_scan(level, q, ell, shift, window):
     model = new_model(level, seed=3)
     dual = model.contragredient()
     scale = 0.5 - 0.25j
-    got = build_G(q, ell, chi, model, window, dual, shift=shift, scale=scale)
+    terms = {}
+    identities._add_G(terms, 1, q, [(1, ell, scale)], chi, model, window, shift, dual)
     scan = _build_G_by_index_scan(q, ell, chi, model, window, dual, shift, scale)
+    assert terms
+    assert {k: repr(v) for k, v in terms.items()} == {
+        k: repr(v) for k, v in scan.terms.items()
+    }
+    got = build_G(q, ell, chi, model, window, dual)
+    scan = _build_G_by_index_scan(q, ell, chi, model, window, dual, 1, 1)
     assert got.terms
     assert {k: repr(v) for k, v in got.terms.items()} == {
         k: repr(v) for k, v in scan.terms.items()
@@ -319,9 +335,9 @@ def test_z_expansion_nonempty_on_window():
     captured = {}
     orig = idn.compare
 
-    def spy(a, b, w):
+    def spy(a, b):
         captured["sizes"] = (len(a), len(b))
-        return orig(a, b, w)
+        return orig(a, b)
 
     idn.compare = spy
     try:
@@ -340,9 +356,9 @@ def _z_product_and_lhs(monkeypatch, model, q, chi, window):
         seen["p1"] = series_mul(a, b, w)
         return seen["p1"]
 
-    def spy(a, b, w):
+    def spy(a, b):
         seen["lhs"] = a
-        return compare(a, b, w)
+        return compare(a, b)
 
     monkeypatch.setattr(identities, "series_mul", mul)
     monkeypatch.setattr(identities, "compare", spy)
@@ -419,9 +435,9 @@ def test_fe_rearrangement_nonempty():
     captured = {}
     orig = idn.compare
 
-    def spy(a, b, w):
+    def spy(a, b):
         captured["sizes"] = (len(a), len(b))
-        return orig(a, b, w)
+        return orig(a, b)
 
     idn.compare = spy
     try:
@@ -510,8 +526,8 @@ def test_fe_lhs_key_grid_matches_d0_scan(level, q, cstar, window):
 
 def _g_shell_cell_by_cell(model, q, chi_star, window, dual, scale):
     """The rearrangement's right side built cell by cell, the construction
-    that the fold regroups: one build_G per (d2, cell), pruned on its own,
-    its keys placed at X = (d1 l)^2 in (d2, cell) order."""
+    that the fold regroups: one one-split _add_G per (d2, cell), pruned on
+    its own, its keys placed at X = (d1 l)^2 in (d2, cell) order."""
     s_window = Window(1, window.p_max, window.q_max)
     terms = {}
     for d2 in divisors(q):
@@ -519,10 +535,11 @@ def _g_shell_cell_by_cell(model, q, chi_star, window, dual, scale):
             pref = scale * model.psi(d2) * chi_star(d1 * d2)
             if not pref:
                 continue
-            series = build_G(
-                q * d1 // d2, ell, chi_star, model, s_window, dual, shift=d2, scale=pref
+            cell = {}
+            identities._add_G(
+                cell, 1, q * d1 // d2, [(1, ell, pref)], chi_star, model, s_window, d2, dual
             )
-            for (_, num, den), coeff in series.terms.items():
+            for (_, num, den), coeff in cell.items():
                 terms[(x, num, den)] = terms.get((x, num, den), 0j) + coeff
     return FormalSeries(terms, window)
 
@@ -565,6 +582,56 @@ def test_g_shell_fold_matches_cell_by_cell(level, q, cstar, window, corrupt):
         assert abs(folded.get(key, oracle.get(key))) < 1e-14
     diff = max(abs(folded.get(k, 0j) - oracle.get(k, 0j)) for k in folded.keys() | oracle.keys())
     assert diff <= 1e-13 * top
+
+
+def _h_shell_cell_by_cell(model, q, chi_star, window, scale):
+    """The Z expansion's right side built cell by cell from the index scan:
+    one scanned H per (d2, cell), pruned on its own, its keys placed at
+    X = (d1 l)^2 in (d2, cell) order."""
+    s_window = Window(1, window.p_max, window.q_max)
+    terms = {}
+    for d2 in divisors(q):
+        for x, d1, ell in identities._dirichlet_cells(window.x_max, model.level):
+            pref = scale * model.psi(d2) * chi_star(d1 * d2)
+            if not pref:
+                continue
+            cell = _build_H_by_index_scan(q * d1 // d2, ell, chi_star, model, s_window, d2, pref)
+            for (_, num, den), coeff in cell.terms.items():
+                terms[(x, num, den)] = terms.get((x, num, den), 0j) + coeff
+    return FormalSeries(terms, window)
+
+
+@pytest.mark.parametrize(
+    "level, q, cstar, window, corrupt",
+    [
+        (1, 1, 3, Window(48, 24, 24), False),
+        (1, 6, 3, Window(48, 24, 24), False),
+        (2, 3, 3, Window(48, 24, 24), False),
+        (1, 6, 4, WINDOW, False),
+        (2, 1, 5, WINDOW, False),
+        (2, 3, 5, WINDOW, False),
+        (1, 6, 5, Window(144, 60, 20), False),  # p_max != q_max
+        (1, 1, 4, Window(288, 64, 64), False),
+        (1, 6, 3, Window(288, 64, 64), False),
+        (2, 1, 3, Window(288, 64, 64), False),
+        (1, 1, 3, Window(288, 64, 64), True),  # the Z probe's model
+    ],
+)
+def test_h_shell_matches_cell_by_cell(level, q, cstar, window, corrupt):
+    # H is not folded: each key is summed in the same (d2, d1) order, so
+    # the shell equals the cell-by-cell build exactly
+    chi = primitive_mod(cstar)
+    model = new_model(level, seed=6)
+    if corrupt:
+        model = model.corrupted((1, 2), 1e-3)
+    scale = 1 / gauss_sum(chi.conjugate())
+    cells = identities._dirichlet_cells(window.x_max, level)
+    shell = FormalSeries(
+        identities._shell({}, identities._add_H, model, chi, q, cells, window, scale), window
+    ).terms
+    oracle = _h_shell_cell_by_cell(model, q, chi, window, scale).terms
+    assert max(map(abs, oracle.values())) > 1  # not a shell of roundoff alone
+    assert {k: repr(v) for k, v in shell.items()} == {k: repr(v) for k, v in oracle.items()}
 
 
 # -- fault injection and invariances ------------------------------------------

@@ -3,7 +3,8 @@
 For every pinned seed in bench/expected.json, every workload and both
 sizes (full and tiny), runs each checkout's bench/child.py with that
 checkout's src/ and bench/ on PYTHONPATH and PYTHONHASHSEED=0; then, once
-per checkout, `verify all --format json` at the default SuiteConfig.
+per checkout, `verify all --fault-injection --format json` at the default
+SuiteConfig, so both fault probes are compared at the default window too.
 Prints each report whose max_residual repr, verdict or parameters differ
 (runtime_ms is not compared): whether its residual repr and its verdict
 are equal, each parameter removed, added or changed, and its log10
@@ -49,9 +50,10 @@ def run(root: Path, tag: str, workload: str, seed: int, tiny: bool, tmp: str) ->
 
 def run_default(root: Path) -> dict:
     """check name -> (max_residual repr, verdict, parameters) of the
-    default `verify all`."""
+    default `verify all --fault-injection`."""
     env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONHASHSEED="0")
-    cmd = [sys.executable, "-m", "gl3voronoi.cli", "verify", "all", "--format", "json"]
+    cmd = [sys.executable, "-m", "gl3voronoi.cli", "verify", "all", "--fault-injection"]
+    cmd += ["--format", "json"]
     proc = subprocess.run(cmd, cwd=root, env=env, capture_output=True, text=True, timeout=900)
     if proc.returncode not in (0, 1):
         return {"<verify all error>": proc.stderr}
