@@ -135,6 +135,9 @@ class VerificationReport:
         )
 
 
+CHARS_LIST_MAX_MODULUS = 4096  # phi(q) value tables of q entries: ~650 MiB at a prime
+
+
 @dataclass(frozen=True)
 class SuiteConfig:
     """Sweep bounds, seed, tolerance overrides, and output destination.
@@ -189,12 +192,14 @@ class SuiteConfig:
         <= m2_max; kloosterman_c_max >= 2, as Weil's bound needs a prime);
         int tuples but m_set hold positive levels, moduli or q's; m_set
         has no zero; all of these, and the window, are <= 2**63-1 in
-        absolute value, as factorize needs; every cstar has a primitive
-        character; every Hecke-relation index fits factorize; the triple
-        of (nu1, nu2) is purely imaginary, as unitarity on the critical
-        line needs; every tolerance override names a check and is finite
-        and > 0; under fault injection the window holds both probes'
-        corrupted terms.
+        absolute value, as factorize needs; each entry of levels,
+        hecke_levels, euler_levels and euler_chi_modulus enumerates the
+        characters of one modulus, so is <= CHARS_LIST_MAX_MODULUS, as in
+        chars list; every cstar has a primitive character; every
+        Hecke-relation index fits factorize; the triple of (nu1, nu2) is
+        purely imaginary, as unitarity on the critical line needs; every
+        tolerance override names a check and is finite and > 0; under
+        fault injection the window holds both probes' corrupted terms.
         """
         if min(self.window) < 1:
             raise ValueError("window fields must be positive")
@@ -213,6 +218,11 @@ class SuiteConfig:
                 raise ValueError(f"{name} entries must be >= 1")
             if typing.get_origin(kind) is tuple and max(map(abs, value), default=0) > _MAX_N:
                 raise ValueError(f"{name} entries must be <= 2**63-1 in absolute value")
+        for name in ("levels", "hecke_levels", "euler_levels", "euler_chi_modulus"):
+            value = getattr(self, name)
+            entries = value if isinstance(value, tuple) else (value,)
+            if max(entries, default=1) > CHARS_LIST_MAX_MODULUS:
+                raise ValueError(f"{name} must be <= {CHARS_LIST_MAX_MODULUS}, got {value}")
         if 0 in self.m_set:
             raise ValueError("m_set must not contain 0")
         for name in ("cstar_list", "moebius_cstar", "ramanujan_cstar"):
@@ -737,9 +747,6 @@ def _config_from_args(args) -> SuiteConfig:
             tols.setdefault("bessel-identity-spot", args.tol)
         overrides["tolerances"] = tols
     return replace(SuiteConfig(), **overrides)
-
-
-CHARS_LIST_MAX_MODULUS = 4096  # phi(q) value tables of q entries: ~650 MiB at a prime
 
 
 def _cmd_chars_list(args) -> int:

@@ -67,10 +67,7 @@ from .characters import (
     primitive_characters,
     primitive_part,
 )
-from .formal import (
-    PRUNE_EPS, CompletenessError, FormalSeries, Window, _no_drops, build_lseries, compare,
-    series_mul,
-)
+from .formal import PRUNE_EPS, FormalSeries, Window, build_lseries, compare, series_mul
 from .heckemodel import HeckeCoefficientModel
 from .expsums import _units_and_inverses
 
@@ -170,12 +167,13 @@ def build_H(
     """Twisted coefficient series H(q, l, chi*, s) at modulus c = l cstar.
 
     s-only (X = 1).  This is the one-cell case of the shell's builder
-    ``_add_H``; every key's reduced denominator divides l^2, which is
-    recorded as the den bound.
+    ``_add_H``; every key's reduced denominator divides l^2, and the
+    numerators are unbounded, so the series holds its in-window keys,
+    not a whole X-slice.
     """
     terms: dict[tuple[int, int, int], complex] = {}
     _add_H(terms, 1, q, [(1, ell, 1)], chi_star, model, window, 1)
-    return FormalSeries(terms, window, num_bound=None, den_bound=ell * ell)
+    return FormalSeries(terms, window)
 
 
 @lru_cache(maxsize=None)
@@ -221,12 +219,12 @@ def build_G(
     at Y = q l cstar^3 / (d^2 n), X = 1, with A~ read from
     contragredient, the model's dual.  This is the one-cell case of the
     shell's grouped builder ``_add_G``, which enumerates the terms of
-    each d through ``_keys``; the support is unbounded past the window
-    (num_bound, den_bound None).
+    each d through ``_keys``; the support is unbounded past the window,
+    so the series holds its in-window keys, not a whole X-slice.
     """
     terms: dict[tuple[int, int, int], complex] = {}
     _add_G(terms, 1, q, [(1, ell, 1)], chi_star, model, window, 1, contragredient)
-    return FormalSeries(terms, window, num_bound=None, den_bound=None)
+    return FormalSeries(terms, window)
 
 
 def _add_G(terms, x, q0, splits, chi_star, model, window, shift, contragredient) -> None:
@@ -363,9 +361,13 @@ def verify_Z_expansion(
         sum_{(d1,N)=1} d1^-2w tau(chibar*)^-1 sum_{d2|q} sum_{(l,N)=1}
             psi(d2) chi*(d1 d2) l^-2w d2^-s H(q d1/d2, l, chi*, s)
 
-    Enumeration bounds: the quotient must provably hold its whole slice
-    X <= x_max (CompletenessError otherwise), and its term (X, 1, D) meets
-    m at 1/Y = D/m, so ``_keys`` lists the m that land.  On the right, d1,
+    Enumeration bounds: X bounds the index of both factors of the
+    quotient, and their windows hold their whole slices X <= x_max:
+    n^2 <= x_max puts 1/Y = n within isqrt(x_max), l^2 <= x_max puts
+    1/Y = l^2 within x_max.  So does the product's window, as its term
+    at 1/Y = n l^2 <= (n l)^2 <= x_max shows (series_mul would refuse
+    one outside it).  Its term (X, 1, D) meets m at 1/Y = D/m, so
+    ``_keys`` lists the m that land.  On the right, d1,
     l are bounded through X = (d1 l)^2 <= x_max; the inner index n by
     _add_H's key grid, whose keys d2 n / l^2 have num <= p_max and
     den | l^2, den <= q_max.  Returns the windowed compare residual.
@@ -394,10 +396,6 @@ def verify_Z_expansion(
         window=Window(window.x_max, 1, window.x_max),
     )
     p1 = series_mul(s1, s3, Window(window.x_max, 1, window.x_max))
-    if not _no_drops(p1):
-        raise CompletenessError(
-            f"quotient may lack terms: num_bound {p1.num_bound}, den_bound {p1.den_bound}"
-        )
     # times L(s, F x chi*) = sum_m A(1, m) chi*(m) m^-s
     lterms: dict[tuple[int, int, int], complex] = {}
     for (x, _, big_d), ca in p1.terms.items():

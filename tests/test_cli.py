@@ -702,6 +702,11 @@ def test_config_rejects_duplicate_key(tmp_path, capsys, key, first, second):
         ("--cstar-list", str(2**70)),
         ("--euler-chi-modulus", str(2**70)),
         ("--ramanujan-cstar", str(2**70)),
+        # each enumerates the characters of one modulus, past chars list's 4096
+        ("--levels", "4097"),
+        ("--hecke-levels", "1,4097"),
+        ("--euler-levels", "4097"),
+        ("--euler-chi-modulus", "4097"),
         ("--nu1", "0.5"),
         ("--nu1", "nan"),
         pytest.param("--fault-injection", "--window=36:24:24", id="fault-injection-36:24:24"),

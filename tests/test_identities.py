@@ -17,7 +17,6 @@ from gl3voronoi.formal import (
     CompletenessError,
     FormalSeries,
     Window,
-    build_lseries,
     compare,
     series_mul,
 )
@@ -208,7 +207,7 @@ def test_build_H_key_grid_matches_index_scan(level, q, ell, shift, window):
     assert {k: repr(v) for k, v in h.terms.items()} == {
         k: repr(v) for k, v in scan.terms.items()
     }
-    assert h.den_bound == ell * ell and h.num_bound is None
+    assert all(ell * ell % den == 0 for _, _, den in h.terms)
 
 
 @given(
@@ -383,31 +382,36 @@ def _z_product_and_lhs(monkeypatch, model, q, chi, window):
     ],
 )
 def test_z_lhs_key_grid_matches_series_mul(monkeypatch, level, q, cstar, window, corrupt):
-    # oracle: L(s, F x chi*) as an s-only series, its numerators up to p_max
-    # times p1's denominator bound, multiplied in by the pair loop
+    # oracle: for each term (X, 1, D) of p1 in turn, every m up to p_max D
+    # (a reduced numerator m / (m, D) <= p_max needs no more), each kept
+    # when its key m / D lands in the window
     chi = primitive_mod(cstar)
     model = new_model(level, seed=4)
     if corrupt:
         model = model.corrupted((1, 2), 1e-3)
     p1, lhs = _z_product_and_lhs(monkeypatch, model, q, chi, window)
-    s2 = build_lseries(
-        lambda n: model.coefficient(1, n) * chi(n), 0, 1, 0, None,
-        Window(window.x_max, window.p_max * p1.den_bound, 1),
-    )
-    oracle = series_mul(p1, s2, window)
+    oracle = {}
+    for (x, _, big_d), ca in p1.terms.items():
+        for m in range(1, window.p_max * big_d + 1):
+            g = math.gcd(m, big_d)
+            key = (x, m // g, big_d // g)
+            if not window.contains(*key) or not chi(m):
+                continue
+            oracle[key] = oracle.get(key, 0j) + ca * (model.coefficient(1, m) * chi(m))
+    oracle = FormalSeries(oracle, window)
     assert lhs.terms
     assert {(k, repr(v)) for k, v in lhs.terms.items()} == {
         (k, repr(v)) for k, v in oracle.terms.items()
     }
 
 
-def test_z_lhs_refuses_a_product_without_a_den_bound(monkeypatch):
-    def unbounded(a, b, w):
-        p1 = series_mul(a, b, w)
-        return FormalSeries(p1.terms, p1.window, p1.num_bound, None)
+def test_z_refuses_a_quotient_window_too_narrow(monkeypatch):
+    # the quotient's terms reach 1/Y = x_max, past a window of half that
+    def narrow(a, b, w):
+        return series_mul(a, b, Window(w.x_max, 1, w.q_max // 2))
 
-    monkeypatch.setattr(identities, "series_mul", unbounded)
-    with pytest.raises(CompletenessError):
+    monkeypatch.setattr(identities, "series_mul", narrow)
+    with pytest.raises(CompletenessError, match="outside Window"):
         verify_Z_expansion(new_model(1, seed=0), 1, primitive_mod(3), SMALL)
 
 
