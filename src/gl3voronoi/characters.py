@@ -18,7 +18,11 @@ exact public form of the same data.
 Rounding contract.  Each value chi(n) is one complex exponential of an
 exact angle: a(n)/L is reduced to lowest terms and exponentiated once,
 so its floating error is O(1) ulp.  chi(n) reads the value table, which
-holds exactly these values.  Every Gauss sum sum_u chi(u) e(u m/c)
+holds exactly these values.  Every root of unity e(k/c) of the Gauss
+and Kloosterman kernels (here and in expsums) is the entry
+_exp_table(c)[k mod c], one exponential of the angle reduced mod c, and
+their sums run over the units of _units_and_inverses(c), the one unit
+list.  Every Gauss sum sum_u chi(u) e(u m/c)
 comes from one numpy kernel, batched over characters: each term is the
 product of two table values (chi(u) and e(j/c)), rounded as Python's
 complex product, and each character's terms are added in ascending
@@ -46,7 +50,7 @@ from functools import cache, lru_cache
 
 import numpy as np
 
-from .arith import divisors, euler_phi, unit_group_generators
+from .arith import divisors, euler_phi, mod_inverse, unit_group_generators
 
 __all__ = [
     "DirichletCharacter",
@@ -92,6 +96,14 @@ def _structure(q: int):
 def _exp_table(c: int) -> tuple[complex, ...]:
     """e(j/c) for j = 0..c-1."""
     return tuple(_root_of_unity(j, c) for j in range(c))
+
+
+@lru_cache(maxsize=None)
+def _units_and_inverses(c: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The units u of 1..c prime to c in ascending order, and their
+    inverses mod c."""
+    units = tuple(a for a in range(1, c + 1) if math.gcd(a, c) == 1)
+    return units, tuple(mod_inverse(a, c) for a in units)
 
 
 @lru_cache(maxsize=None)
@@ -252,8 +264,7 @@ def _gauss_sums(chis, c: int, ms) -> np.ndarray:
     complex multiply may fuse them), and the terms are accumulated in
     ascending order of u (a plain sum over one column would be pairwise).
     """
-    u = np.arange(1, c + 1)
-    u = u[np.gcd(u, c) == 1]
+    u = np.array(_units_and_inverses(c)[0])
     w = np.array([np.array(chi.values())[u % chi.modulus] for chi in chis])
     keep = (w != 0).any(axis=0)
     u, w = u[keep], w[:, keep]

@@ -136,6 +136,10 @@ class VerificationReport:
 
 
 CHARS_LIST_MAX_MODULUS = 4096  # phi(q) value tables of q entries: ~650 MiB at a prime
+# a Gauss or Kloosterman kernel at modulus c holds ~c phi(c) roots: at
+# c = 2039 one gauss_sum_table peaks at ~160 MiB, one kloosterman_matrix
+# at ~225 MiB
+KERNEL_MAX_MODULUS = 2048
 
 
 @dataclass(frozen=True)
@@ -195,7 +199,9 @@ class SuiteConfig:
         absolute value, as factorize needs; each entry of levels,
         hecke_levels, euler_levels and euler_chi_modulus enumerates the
         characters of one modulus, so is <= CHARS_LIST_MAX_MODULUS, as in
-        chars list; every cstar has a primitive character; every
+        chars list, and so is every cstar, which also has a primitive
+        character; no kernel is built at a modulus above
+        KERNEL_MAX_MODULUS (see kernel_moduli below); every
         Hecke-relation index fits factorize; the triple of (nu1, nu2) is
         purely imaginary, as unitarity on the critical line needs; every
         tolerance override names a check and is finite and > 0; under
@@ -218,16 +224,41 @@ class SuiteConfig:
                 raise ValueError(f"{name} entries must be >= 1")
             if typing.get_origin(kind) is tuple and max(map(abs, value), default=0) > _MAX_N:
                 raise ValueError(f"{name} entries must be <= 2**63-1 in absolute value")
-        for name in ("levels", "hecke_levels", "euler_levels", "euler_chi_modulus"):
+        cstars = ("cstar_list", "moebius_cstar", "ramanujan_cstar")
+        for name in ("levels", "hecke_levels", "euler_levels", "euler_chi_modulus", *cstars):
             value = getattr(self, name)
             entries = value if isinstance(value, tuple) else (value,)
             if max(entries, default=1) > CHARS_LIST_MAX_MODULUS:
                 raise ValueError(f"{name} must be <= {CHARS_LIST_MAX_MODULUS}, got {value}")
         if 0 in self.m_set:
             raise ValueError("m_set must not contain 0")
-        for name in ("cstar_list", "moebius_cstar", "ramanujan_cstar"):
+        for name in cstars:
             if any(cstar % 4 == 2 for cstar in getattr(self, name)):
                 raise ValueError(f"{name}: a cstar = 2 mod 4 has no primitive character")
+        # the largest modulus of a Gauss or Kloosterman kernel, by the
+        # fields that set it: fe-rearrangement's G side reaches q k cstar
+        # with k <= isqrt(X), above the Z expansion's l cstar, and both
+        # fault probes run at q = 1, cstar = 3
+        root = math.isqrt(x_max)
+        kernel_moduli = {
+            "window, q_list, cstar_list": root
+            * max(self.q_list, default=1)
+            * max(self.cstar_list, default=1),
+            "window, fault_injection": 3 * root if self.fault_injection else 1,
+            "moebius_m_max, moebius_cstar": self.moebius_m_max * max(self.moebius_cstar, default=1),
+            "ramanujan_ell_max, ramanujan_cstar": self.ramanujan_ell_max
+            * max(self.ramanujan_cstar, default=1),
+            "c_max, m_set": self.c_max * max(map(abs, self.m_set), default=1),
+            "kloosterman_c_max": self.kloosterman_c_max,
+            "gauss_c_max": self.gauss_c_max,
+            "collapse_c_max": self.collapse_c_max,
+            "orthogonality_c_max": self.orthogonality_c_max,
+        }
+        for names, modulus in kernel_moduli.items():
+            if modulus > KERNEL_MAX_MODULUS:
+                raise ValueError(
+                    f"{names}: a kernel at modulus {modulus}, above {KERNEL_MAX_MODULUS}"
+                )
         # hecke-relations factorizes indices up to p^(2 power_bound), with p
         # the largest prime <= prime_bound; the bit count avoids a huge power
         p = next((n for n in range(self.prime_bound, 1, -1) if is_prime(n)), 1)

@@ -2,7 +2,9 @@
 
 S(a, b; c) = sum over units x mod c of e((a x + b x~)/c), with x~ the
 inverse of x mod c.  S(a, b; 1) = 1 (empty modulus).  Sums are computed
-by direct enumeration over units with a precomputed inverse table.
+by direct enumeration over the units and inverses of
+characters._units_and_inverses, each phase read from the root table
+characters._exp_table(c) at its angle reduced mod c.
 
 The two residual functions verify, by full enumeration on both sides:
 
@@ -28,16 +30,16 @@ harness so tolerances stay centrally configured.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
-from .arith import divisors, mod_inverse, primes_up_to, worse
+from .arith import divisors, primes_up_to, worse
 from .characters import (
     DirichletCharacter,
     _exp_table,
     _gauss_sum_any_modulus,
     _gauss_sums,
+    _units_and_inverses,
     enumerate_characters,
     gauss_sum,
     gauss_sum_table,
@@ -59,36 +61,29 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=None)
-def _units_and_inverses(c: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    units = tuple(a for a in range(1, c + 1) if math.gcd(a, c) == 1)
-    invs = tuple(mod_inverse(a, c) for a in units)
-    return units, invs
-
-
 def kloosterman(a: int, b: int, c: int) -> complex:
     """S(a, b; c) by direct enumeration over units mod c."""
     if c < 1:
         raise ValueError(f"modulus must be positive, got {c}")
-    if c == 1:
-        return 1 + 0j
     units, invs = _units_and_inverses(c)
     roots = _exp_table(c)
     return sum(roots[(a * x + b * xbar) % c] for x, xbar in zip(units, invs))
+
+
+def _kloosterman_block(c: int, a, b) -> np.ndarray:
+    """S(a_i, b_j; c) for the integers a_i (rows) and b_j (columns), as
+    one product of two root-table gathers over the units mod c."""
+    units, invs = _units_and_inverses(c)
+    roots = np.array(_exp_table(c))
+    return roots[np.outer(a, units) % c] @ roots[np.outer(b, invs) % c].T
 
 
 def kloosterman_matrix(c: int) -> np.ndarray:
     """All S(a, b; c) for a, b mod c at once, as a c x c complex matrix."""
     if c < 1:
         raise ValueError(f"modulus must be positive, got {c}")
-    if c == 1:
-        return np.ones((1, 1), dtype=complex)
-    units, invs = _units_and_inverses(c)
     j = np.arange(c)
-    # one exponential per reduced angle k/c, the same values an exp of
-    # each reduced (j u mod c)/c gives
-    roots = np.exp(2j * np.pi * np.arange(c) / c)
-    return roots[np.outer(j, units) % c] @ roots[np.outer(j, invs) % c].T
+    return _kloosterman_block(c, j, j)
 
 
 # -- character-averaged collapse --------------------------------------------
@@ -114,9 +109,7 @@ def char_kloosterman_reduction_residual(
     chibar = chi.conjugate()
     chibar_vals = chibar.values()
     lhs = 0j
-    for a in range(1, c + 1):
-        if math.gcd(a, c) != 1:
-            continue
+    for a in _units_and_inverses(c)[0]:
         lhs += chibar_vals[a % c] * kloosterman(a * m, m2, big_c)
     ps = primitive_part(chibar)
     rhs = _gauss_sum_any_modulus(ps, c, m1) * _gauss_sum_any_modulus(
@@ -132,41 +125,33 @@ def char_kloosterman_reduction_sweep(
     all m1 | c m, |m2| <= m2_max.  Returns (max residual, case count).
 
     Vectorized over characters and m2; spot tuples are cross-checked
-    against the scalar path in the test suite.  Within one c, the
-    inverse-side phases and the Gauss sums g(chibar*, C, m2) depend on
-    (m, m1) only through C = |c m| / m1, so each is built once per C,
-    with sign +1: since m2s is symmetric and each column of the kernel
-    is computed on its own, the sign -1 block is the +1 block reversed.
+    against the scalar path in the test suite.  Within one c, the Gauss
+    sums g(chibar*, C, m2) depend on (m, m1) only through
+    C = |c m| / m1, so they are built once per C, with sign +1: since
+    m2s is symmetric and each column of the kernel is computed on its
+    own, the sign -1 block is the +1 block reversed.
     """
     m2s = np.arange(-m2_max, m2_max + 1)
     worst = 0.0
     cases = 0
     for c in range(1, c_max + 1):
-        units_c = np.array([a for a in range(1, c + 1) if math.gcd(a, c) == 1])
+        units_c = np.array(_units_and_inverses(c)[0])
         chars = enumerate_characters(c)
         xbar = np.array(
             [[ch.values()[a % c] for a in units_c] for ch in chars]
         ).conjugate()
         prim = [primitive_part(ch.conjugate()) for ch in chars]
         g1_rows = [gauss_sum_table(ps, c) for ps in prim]
-        # C -> (inverse-side phases, Gauss-sum block at sign +1), for this c only
-        blocks: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        # C -> Gauss-sum block at sign +1, for this c only: the columns
+        # m2s, not whole gauss_sum_tables at the large moduli C
+        g2_blocks: dict[int, np.ndarray] = {}
         for m in m_set:
             for m1 in divisors(c * m):
                 big_c = abs(c * m) // m1
-                units_big, invs_big = _units_and_inverses(big_c)
-                if big_c not in blocks:
-                    phase2 = np.exp(2j * np.pi * np.outer(m2s, invs_big) / big_c)
-                    # only the columns m2s, not whole gauss_sum_tables at
-                    # the large moduli big_c, and dropped with this c
-                    blocks[big_c] = phase2, _gauss_sums(prim, big_c, m2s)
-                phase2, g2 = blocks[big_c]
-                if m < 0:
-                    g2 = g2[:, ::-1]
-                x = (units_c * m) % big_c
-                # angles not reduced mod big_c: a root table would change the roundoff
-                phase1 = np.exp(2j * np.pi * np.outer(x, units_big) / big_c)
-                lhs = xbar @ (phase1 @ phase2.T)  # (n_chi, n_m2)
+                if big_c not in g2_blocks:
+                    g2_blocks[big_c] = _gauss_sums(prim, big_c, m2s)
+                g2 = g2_blocks[big_c] if m > 0 else g2_blocks[big_c][:, ::-1]
+                lhs = xbar @ _kloosterman_block(big_c, units_c * m, m2s)  # (n_chi, n_m2)
                 g1 = np.array([row[m1 % c] for row in g1_rows])
                 resid = float(np.abs(lhs - g1[:, None] * g2).max())
                 worst = worse(worst, resid)
@@ -256,8 +241,4 @@ def weil_bound_sweep(p_max: int) -> float:
 
     Classical sanity oracle, external to the verified identities.
     """
-    worst = 0.0
-    for p in primes_up_to(p_max):
-        s = kloosterman_matrix(p)[1:, 1:]  # unit rows/columns only
-        worst = worse(worst, float(np.abs(s).max()) / (2 * math.sqrt(p)))
-    return worst
+    return kloosterman_basic_sweep(p_max)[2]

@@ -61,6 +61,7 @@ from .characters import (
     DirichletCharacter,
     _exp_table,
     _gauss_sums,
+    _units_and_inverses,
     enumerate_characters,
     gauss_sum,
     gauss_sum_table,
@@ -69,7 +70,6 @@ from .characters import (
 )
 from .formal import PRUNE_EPS, FormalSeries, Window, build_lseries, compare, series_mul
 from .heckemodel import HeckeCoefficientModel
-from .expsums import _units_and_inverses
 
 __all__ = [
     "ramanujan_lemma_residual",

@@ -707,6 +707,22 @@ def test_config_rejects_duplicate_key(tmp_path, capsys, key, first, second):
         ("--hecke-levels", "1,4097"),
         ("--euler-levels", "4097"),
         ("--euler-chi-modulus", "4097"),
+        ("--cstar-list", "4097"),
+        ("--moebius-cstar", "4097"),
+        ("--ramanujan-cstar", "4097"),
+        ("--cstar-list", "9223372036854775783"),
+        # kernels past the modulus cap of 2048
+        ("--cstar-list", "1021"),
+        ("--q-list", "1,35"),
+        ("--window", "1000000:48:48"),
+        ("--moebius-m-max", "410"),
+        ("--ramanujan-ell-max", "257"),
+        ("--c-max", "342"),
+        ("--m-set", "1,-52"),
+        ("--kloosterman-c-max", "2049"),
+        ("--gauss-c-max", "2049"),
+        ("--collapse-c-max", "2049"),
+        ("--orthogonality-c-max", str(2**62)),
         ("--nu1", "0.5"),
         ("--nu1", "nan"),
         pytest.param("--fault-injection", "--window=36:24:24", id="fault-injection-36:24:24"),
@@ -722,6 +738,37 @@ def test_invalid_config_exits_2_before_any_check(flag, value, capsys, monkeypatc
     assert main(["verify", "all", flag, value]) == 2
     assert "error:" in capsys.readouterr().err
     SuiteConfig().validate()
+
+
+@pytest.mark.parametrize(
+    "argv, names",
+    [
+        (["--cstar-list", "9223372036854775783"], "cstar_list must be <= 4096"),
+        (["--cstar-list", "1021"], "window, q_list, cstar_list: a kernel at modulus 73512"),
+        (["--window", "1000000:48:48"], "window, q_list, cstar_list: a kernel at modulus 30000"),
+        (
+            ["--fault-injection", "--cstar-list", "1", "--q-list", "1", "--window", "491401:48:48"],
+            "window, fault_injection: a kernel at modulus 2103",
+        ),
+        (["--moebius-m-max", "410"], "moebius_m_max, moebius_cstar: a kernel at modulus 2050"),
+        (["--ramanujan-ell-max", "257"], "ramanujan_ell_max, ramanujan_cstar: a kernel at"),
+        (["--m-set", "1,-52"], "c_max, m_set: a kernel at modulus 2080"),
+        (["--orthogonality-c-max", "2049"], "orthogonality_c_max: a kernel at modulus 2049"),
+    ],
+)
+def test_kernel_modulus_cap_names_the_fields(argv, names, capsys, monkeypatch):
+    def never(config):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr("gl3voronoi.cli.CHECKS", {name: never for name in CHECKS})
+    assert main(["verify", "all", *argv]) == 2
+    assert f"error: {names}" in capsys.readouterr().err
+
+
+def test_kernel_modulus_cap_is_inclusive():
+    for name in ("kloosterman_c_max", "gauss_c_max", "collapse_c_max", "orthogonality_c_max"):
+        replace(SuiteConfig(), **{name: cli.KERNEL_MAX_MODULUS}).validate()
+    replace(SuiteConfig(), c_max=cli.KERNEL_MAX_MODULUS // 6).validate()
 
 
 @pytest.mark.parametrize("value", ["nan", "-1", "0", "inf"])
