@@ -35,8 +35,8 @@ char_kloosterman_reduction_sweep and ramanujan_lemma_sweep rely on this.
 Modulus 1 is supported (the trivial character is 1 everywhere).
 
 Characters are frozen, hashable values (modulus, exponents): equal
-characters share one value table, and conductor and parity are computed
-once per distinct character.
+characters share one value table, and the conductor is computed once per
+distinct character.
 """
 
 from __future__ import annotations
@@ -126,8 +126,8 @@ class DirichletCharacter:
 
     Exponents are reduced mod their generator orders at construction,
     which also stores the character's value table (shared by every equal
-    character) in the one derived slot; conductor and parity are cached
-    per distinct character.
+    character) in the one derived slot; the conductor is cached per
+    distinct character.
     """
 
     modulus: int
@@ -173,7 +173,6 @@ class DirichletCharacter:
     # -- structure ---------------------------------------------------------
 
     @property
-    @cache
     def parity(self) -> int:
         """chi(-1), which is +1 or -1."""
         a, exponent = self._numerator(-1), _structure(self.modulus)[2]

@@ -3,11 +3,13 @@
 One subcommand per verified identity, named after the identity, plus two
 module-sanity checks (gauss-modulus, kloosterman-basic) and the suite
 runner ``verify all``.  A new check is one ``@_check(name)`` body, which
-folds its residuals and returns its parameters, plus a
-DEFAULT_TOLERANCES entry; the decorator registers it in CHECKS.
-Reports are deterministic given (seed, config): randomness enters only
-through the seeded coefficient draws, checks are collected in name
-order, and runtime_ms is excluded from the determinism contract.
+folds its residuals and returns its parameters, plus a DEFAULT_TOLERANCES
+entry; the decorator registers it in CHECKS.  Every report is formed by
+``_Fold.report``, which alone times a report, looks up its tolerance and
+applies the no-case rule below.  Reports are deterministic given (seed,
+config): randomness enters only through the seeded coefficient draws,
+checks are collected in name order, and runtime_ms is excluded from the
+determinism contract.
 
 Exit codes: 0 when every check passes and every fault probe (a report
 whose parameters say ``expected: fail``) fails, 1 otherwise, 2 on usage
@@ -201,7 +203,8 @@ class SuiteConfig:
         characters of one modulus, so is <= CHARS_LIST_MAX_MODULUS, as in
         chars list, and so is every cstar, which also has a primitive
         character; no kernel is built at a modulus above
-        KERNEL_MAX_MODULUS (see kernel_moduli below); every
+        KERNEL_MAX_MODULUS (see kernel_moduli below) nor a batched Gauss
+        block of more than KERNEL_MAX_MODULUS**2 entries (see blocks); every
         Hecke-relation index fits factorize; the triple of (nu1, nu2) is
         purely imaginary, as unitarity on the critical line needs; every
         tolerance override names a check and is finite and > 0; under
@@ -239,16 +242,14 @@ class SuiteConfig:
         # fields that set it: fe-rearrangement's G side reaches q k cstar
         # with k <= isqrt(X), above the Z expansion's l cstar, and both
         # fault probes run at q = 1, cstar = 3
-        root = math.isqrt(x_max)
+        root, top = math.isqrt(x_max), functools.partial(max, default=1)
         kernel_moduli = {
-            "window, q_list, cstar_list": root
-            * max(self.q_list, default=1)
-            * max(self.cstar_list, default=1),
+            "window, q_list, cstar_list": root * top(self.q_list) * top(self.cstar_list),
             "window, fault_injection": 3 * root if self.fault_injection else 1,
-            "moebius_m_max, moebius_cstar": self.moebius_m_max * max(self.moebius_cstar, default=1),
+            "moebius_m_max, moebius_cstar": self.moebius_m_max * top(self.moebius_cstar),
             "ramanujan_ell_max, ramanujan_cstar": self.ramanujan_ell_max
-            * max(self.ramanujan_cstar, default=1),
-            "c_max, m_set": self.c_max * max(map(abs, self.m_set), default=1),
+            * top(self.ramanujan_cstar),
+            "c_max, m_set": self.c_max * top(map(abs, self.m_set)),
             "kloosterman_c_max": self.kloosterman_c_max,
             "gauss_c_max": self.gauss_c_max,
             "collapse_c_max": self.collapse_c_max,
@@ -259,6 +260,21 @@ class SuiteConfig:
                 raise ValueError(
                     f"{names}: a kernel at modulus {modulus}, above {KERNEL_MAX_MODULUS}"
                 )
+        # no batched Gauss block (characters x units x columns) outgrows a
+        # table at the modulus cap; by phi(a b) <= a phi(b), kloosterman-
+        # reduction has phi(c) characters and phi(C) <= c phi(|m|) units at
+        # C | c m, ramanujan-lemma phi(c*) and phi(l1 c*) <= l1 phi(c*)
+        phi_m = top(euler_phi(abs(m)) for m in self.m_set)
+        phi_cstar = top(map(euler_phi, self.ramanujan_cstar))
+        blocks = {
+            "c_max, m_set, m2_max": self.c_max**2 * phi_m * (2 * self.m2_max + 1),
+            "ramanujan_cstar, ramanujan_ell_max, ramanujan_m_max": phi_cstar**2
+            * (self.ramanujan_ell_max * self.ramanujan_m_max),
+        }
+        limit = KERNEL_MAX_MODULUS**2
+        for names, size in blocks.items():
+            if size > limit:
+                raise ValueError(f"{names}: a Gauss block of {size} entries, above {limit}")
         # hecke-relations factorizes indices up to p^(2 power_bound), with p
         # the largest prime <= prime_bound; the bit count avoids a huge power
         p = next((n for n in range(self.prime_bound, 1, -1) if is_prime(n)), 1)
@@ -283,37 +299,29 @@ _FIELD_TYPES = typing.get_type_hints(SuiteConfig)
 # -- individual checks -------------------------------------------------------
 
 
-def _report(
-    config, name, parameters, residual, cases, t0, tolerance_of=None
-) -> VerificationReport:
-    """Report of a check that folded `cases` residuals into `residual`.
-
-    With no case the check proved nothing, so it FAILs with residual NaN
-    and an ``error`` parameter, unless the parameters already carry one.
-    """
-    if not cases:
-        parameters = {"error": "no cases evaluated", **parameters}
-        residual = math.nan
-    return VerificationReport.make(
-        name,
-        parameters,
-        residual,
-        config.tolerance(tolerance_of or name),
-        round((time.perf_counter() - t0) * 1000),
-    )
-
-
 class _Fold:
-    """The worst residual of a check and the number of cases behind it."""
+    """The worst residual of a report, its case count, and its clock."""
 
     def __init__(self):
         self.worst = 0.0
         self.cases = 0
+        self.t0 = time.perf_counter()
 
     def add(self, *residuals, cases=None) -> None:
         """Fold residuals in as `cases` cases (default: one per residual)."""
         self.worst = worse(self.worst, *residuals)
         self.cases += len(residuals) if cases is None else cases
+
+    def report(self, config, name, parameters, tolerance_of=None) -> VerificationReport:
+        """The report of what was folded, timed since the fold was made; with
+        no case the check proved nothing, so it FAILs with residual NaN and
+        an ``error`` parameter, unless the parameters carry one."""
+        worst = self.worst if self.cases else math.nan
+        if not self.cases:
+            parameters = {"error": "no cases evaluated", **parameters}
+        tolerance = config.tolerance(tolerance_of or name)
+        ms = round((time.perf_counter() - self.t0) * 1000)
+        return VerificationReport.make(name, parameters, worst, tolerance, ms)
 
 
 CHECKS: dict[str, typing.Callable[[SuiteConfig], list[VerificationReport]]] = {}
@@ -321,16 +329,14 @@ CHECKS: dict[str, typing.Callable[[SuiteConfig], list[VerificationReport]]] = {}
 
 def _check(name: str):
     """Register body(config, fold) -> parameters as CHECKS[name]: the
-    registered check_x(config) -> [report] times the body and reports
-    what it folded, under the body's own name."""
+    registered check_x(config) -> [report] hands the body a fresh fold,
+    whose report it returns, under the body's own name."""
 
     def register(body):
         @functools.wraps(body)
         def check(config: SuiteConfig) -> list[VerificationReport]:
-            t0 = time.perf_counter()
             fold = _Fold()
-            parameters = body(config, fold)
-            return [_report(config, name, parameters, fold.worst, fold.cases, t0)]
+            return [fold.report(config, name, body(config, fold))]
 
         CHECKS[name] = check
         return check
@@ -532,17 +538,14 @@ BESSEL_GRID = tuple(
 
 def check_bessel_identity(config: SuiteConfig) -> list[VerificationReport]:
     """The one check with two reports, each under its own tolerance."""
-    t0 = time.perf_counter()
-    worst = 0.0
+    grid = _Fold()
     for s, k, y in BESSEL_GRID:
-        worst = worse(worst, fourier_bessel_identity_residual(s, k, y))
-    params = {"grid_points": len(BESSEL_GRID)}
-    grid_report = _report(config, "bessel-identity", params, worst, len(BESSEL_GRID), t0)
-    t1 = time.perf_counter()
-    spot = abs(fourier_bessel_lhs(1.0, 0, 1.0) - math.pi * math.exp(-2 * math.pi))
+        grid.add(fourier_bessel_identity_residual(s, k, y))
+    grid_report = grid.report(config, "bessel-identity", {"grid_points": len(BESSEL_GRID)})
+    spot = _Fold()
+    spot.add(abs(fourier_bessel_lhs(1.0, 0, 1.0) - math.pi * math.exp(-2 * math.pi)))
     params = {"s": 1.0, "k": 0, "y": 1.0, "closed_form": "pi*exp(-2*pi)"}
-    spot_report = _report(config, "bessel-identity-spot", params, spot, 1, t1)
-    return [grid_report, spot_report]
+    return [grid_report, spot.report(config, "bessel-identity-spot", params)]
 
 
 CHECKS["bessel-identity"] = check_bessel_identity
@@ -577,17 +580,14 @@ def check_fault_injection(config: SuiteConfig) -> list[VerificationReport]:
     window = config.window_obj()
     chi = primitive_characters(3)[0]
     model = new_model(1, seed=config.seed)
-    t0 = time.perf_counter()
-    residual = verify_Z_expansion(model.corrupted((1, 2), 1e-3), 1, chi, window)
+    z = _Fold()
+    z.add(verify_Z_expansion(model.corrupted((1, 2), 1e-3), 1, chi, window))
     params = {"corruption": "A(1,2) += 1e-3", "expected": "fail"}
-    z_probe = _report(config, "z-expansion-fault-injected", params, residual, 1, t0, "z-expansion")
-    t0 = time.perf_counter()
-    residual = fe_rearrangement_sensitivity(model, 1, chi, window, 1e-3)
+    z_probe = z.report(config, "z-expansion-fault-injected", params, "z-expansion")
+    fe = _Fold()
+    fe.add(fe_rearrangement_sensitivity(model, 1, chi, window, 1e-3))
     params = {"corruption": "one-sided dual A(1,2) += 1e-3", "expected": "fail"}
-    fe_probe = _report(
-        config, "fe-rearrangement-sensitivity", params, residual, 1, t0, "fe-rearrangement"
-    )
-    return [z_probe, fe_probe]
+    return [z_probe, fe.report(config, "fe-rearrangement-sensitivity", params, "fe-rearrangement")]
 
 
 def run_suite(config: SuiteConfig, names: list[str] | None = None) -> list[VerificationReport]:
@@ -596,9 +596,10 @@ def run_suite(config: SuiteConfig, names: list[str] | None = None) -> list[Verif
     Individual check failures are recorded in their reports and never
     abort the suite: a check that raises gives one FAIL report under its
     name, with a NaN residual and the exception as its ``error``
-    parameter, as does a check that evaluates no case.  The fault probes
-    are not isolated, since they are meant to FAIL and a crash there
-    must stay loud.  Reports come back sorted by check name.
+    parameter, as does a check that evaluates no case; ``_Fold.report``
+    forms it, as every report, from a fold made before the call.  The
+    fault probes are not isolated, since they are meant to FAIL and a
+    crash there must stay loud.  Reports come back sorted by check name.
     """
     config.validate()
     selected = sorted(names) if names else sorted(CHECKS)
@@ -607,12 +608,11 @@ def run_suite(config: SuiteConfig, names: list[str] | None = None) -> list[Verif
             raise ValueError(f"unknown check {name!r}")
     reports: list[VerificationReport] = []
     for name in selected:
-        t0 = time.perf_counter()
+        fold = _Fold()  # folds nothing: it times and forms the report of a raise
         try:
             reports.extend(CHECKS[name](config))
         except Exception as exc:
-            params = {"error": f"{type(exc).__name__}: {exc}"}
-            reports.append(_report(config, name, params, math.nan, 0, t0))
+            reports.append(fold.report(config, name, {"error": f"{type(exc).__name__}: {exc}"}))
     if config.fault_injection:
         reports.extend(check_fault_injection(config))
     return sorted(reports, key=lambda r: r.check_name)

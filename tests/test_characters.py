@@ -355,4 +355,4 @@ def test_parity_guard_raises_when_chi_of_minus_one_is_not_a_sign(monkeypatch):
     chi = enumerate_characters(7)[1]
     monkeypatch.setattr(DirichletCharacter, "_numerator", lambda self, n: 1)
     with pytest.raises(ValueError, match="is not \\+1 or -1"):
-        DirichletCharacter.parity.fget.__wrapped__(chi)
+        DirichletCharacter.parity.fget(chi)

@@ -380,11 +380,17 @@ def test_exit_code_needs_failing_probes_and_passing_checks(capsys, monkeypatch):
     assert main(argv + ["--window", "48:48:48"]) == 1
 
 
-def test_unwritable_output_exits_2_before_any_check(tmp_path, capsys, monkeypatch):
+@pytest.fixture
+def no_check_runs(monkeypatch):
+    """Every check fails if it is called: the run must stop before one."""
+
     def never(config):
         raise AssertionError("a check ran")
 
-    monkeypatch.setitem(CHECKS, "gauss-modulus", never)
+    monkeypatch.setattr("gl3voronoi.cli.CHECKS", {name: never for name in CHECKS})
+
+
+def test_unwritable_output_exits_2_before_any_check(tmp_path, capsys, no_check_runs):
     path = tmp_path / "missing" / "r.json"
     assert main(["verify", "gauss-modulus", "--output", str(path)]) == 2
     captured = capsys.readouterr()
@@ -461,6 +467,30 @@ def test_raising_check_becomes_one_failing_report(capsys, monkeypatch):
     (report,) = json.loads(captured.out)["reports"]
     assert report["check_name"] == "euler-product" and report["pass"] is False
     assert report["parameters"]["error"] == "ZeroDivisionError: boom"
+
+
+def test_bessel_identity_with_no_grid_point_fails(monkeypatch):
+    # its two reports are made outside the decorator, by _Fold.report too:
+    # an empty grid proves nothing and FAILs, the spot report stands alone
+    monkeypatch.setattr(cli, "BESSEL_GRID", ())
+    grid, spot = cli.check_bessel_identity(FAST)
+    assert grid.check_name == "bessel-identity" and not grid.passed
+    assert math.isnan(grid.max_residual)
+    assert grid.parameters == {"error": "no cases evaluated", "grid_points": "0"}
+    assert spot.check_name == "bessel-identity-spot" and spot.passed
+
+
+def test_fault_probe_with_a_nan_residual_reports_nan(monkeypatch):
+    # a probe's report keeps a NaN from its verifier and FAILs under the
+    # tolerance of the check it probes; the other probe is untouched
+    monkeypatch.setattr(cli, "verify_Z_expansion", lambda *args: math.nan)
+    z_probe, fe_probe = cli.check_fault_injection(replace(FAST, window=(48, 48, 48)))
+    assert z_probe.check_name == "z-expansion-fault-injected" and not z_probe.passed
+    assert math.isnan(z_probe.max_residual) and "error" not in z_probe.parameters
+    assert z_probe.tolerance == DEFAULT_TOLERANCES["z-expansion"]
+    assert fe_probe.check_name == "fe-rearrangement-sensitivity" and not fe_probe.passed
+    assert fe_probe.tolerance < fe_probe.max_residual < math.inf
+    assert fe_probe.tolerance == DEFAULT_TOLERANCES["fe-rearrangement"]
 
 
 def test_raising_fault_probe_is_not_isolated(monkeypatch):
@@ -686,99 +716,103 @@ def test_config_rejects_duplicate_key(tmp_path, capsys, key, first, second):
     assert f"{cfg}:2: duplicate key" in capsys.readouterr().err
 
 
+def _invalid(flag, value, error="", id=None):
+    """A config case that must exit 2: its argv, the start of its error
+    text after "error: " (any, if empty) and its id, "flag-value"."""
+    return pytest.param([flag, value], error, id=id or f"{flag}-{value}")
+
+
 @pytest.mark.parametrize(
-    "flag, value",
+    "argv, error",
     [
-        ("--q-list", "0"),
-        ("--levels", "0"),
-        ("--m-set", "0"),
-        ("--cstar-list", "2"),
-        ("--power-bound", "9"),
-        ("--kloosterman-c-max", "1"),
+        _invalid("--q-list", "0"),
+        _invalid("--levels", "0"),
+        _invalid("--m-set", "0"),
+        _invalid("--cstar-list", "2"),
+        _invalid("--power-bound", "9"),
+        _invalid("--kloosterman-c-max", "1"),
         # beyond factorize's 2**63 - 1
-        ("--levels", str(2**70)),
-        ("--hecke-levels", str(2**70)),
-        ("--q-list", str(2**70)),
-        ("--cstar-list", str(2**70)),
-        ("--euler-chi-modulus", str(2**70)),
-        ("--ramanujan-cstar", str(2**70)),
+        _invalid("--levels", str(2**70)),
+        _invalid("--hecke-levels", str(2**70)),
+        _invalid("--q-list", str(2**70)),
+        _invalid("--cstar-list", str(2**70)),
+        _invalid("--euler-chi-modulus", str(2**70)),
+        _invalid("--ramanujan-cstar", str(2**70)),
         # each enumerates the characters of one modulus, past chars list's 4096
-        ("--levels", "4097"),
-        ("--hecke-levels", "1,4097"),
-        ("--euler-levels", "4097"),
-        ("--euler-chi-modulus", "4097"),
-        ("--cstar-list", "4097"),
-        ("--moebius-cstar", "4097"),
-        ("--ramanujan-cstar", "4097"),
-        ("--cstar-list", "9223372036854775783"),
-        # kernels past the modulus cap of 2048
-        ("--cstar-list", "1021"),
-        ("--q-list", "1,35"),
-        ("--window", "1000000:48:48"),
-        ("--moebius-m-max", "410"),
-        ("--ramanujan-ell-max", "257"),
-        ("--c-max", "342"),
-        ("--m-set", "1,-52"),
-        ("--kloosterman-c-max", "2049"),
-        ("--gauss-c-max", "2049"),
-        ("--collapse-c-max", "2049"),
-        ("--orthogonality-c-max", str(2**62)),
-        ("--nu1", "0.5"),
-        ("--nu1", "nan"),
-        pytest.param("--fault-injection", "--window=36:24:24", id="fault-injection-36:24:24"),
-        pytest.param("--fault-injection", "--window=3:27:2", id="fault-injection-3:27:2"),
-        pytest.param("--fault-injection", "--window=36:27:1", id="fault-injection-36:27:1"),
-    ],
-)
-def test_invalid_config_exits_2_before_any_check(flag, value, capsys, monkeypatch):
-    def never(config):
-        raise AssertionError("a check ran")
-
-    monkeypatch.setattr("gl3voronoi.cli.CHECKS", {name: never for name in CHECKS})
-    assert main(["verify", "all", flag, value]) == 2
-    assert "error:" in capsys.readouterr().err
-    SuiteConfig().validate()
-
-
-@pytest.mark.parametrize(
-    "argv, names",
-    [
-        (["--cstar-list", "9223372036854775783"], "cstar_list must be <= 4096"),
-        (["--cstar-list", "1021"], "window, q_list, cstar_list: a kernel at modulus 73512"),
-        (["--window", "1000000:48:48"], "window, q_list, cstar_list: a kernel at modulus 30000"),
-        (
+        _invalid("--levels", "4097"),
+        _invalid("--hecke-levels", "1,4097"),
+        _invalid("--euler-levels", "4097"),
+        _invalid("--euler-chi-modulus", "4097"),
+        _invalid("--cstar-list", "4097"),
+        _invalid("--moebius-cstar", "4097"),
+        _invalid("--ramanujan-cstar", "4097"),
+        _invalid("--cstar-list", "9223372036854775783", "cstar_list must be <= 4096"),
+        # kernels past the modulus cap of 2048; the error names the fields
+        _invalid("--cstar-list", "1021", "window, q_list, cstar_list: a kernel at modulus 73512"),
+        _invalid("--q-list", "1,35"),
+        _invalid(
+            "--window", "1000000:48:48", "window, q_list, cstar_list: a kernel at modulus 30000"
+        ),
+        pytest.param(
             ["--fault-injection", "--cstar-list", "1", "--q-list", "1", "--window", "491401:48:48"],
             "window, fault_injection: a kernel at modulus 2103",
+            id="fault-injection-491401:48:48",
         ),
-        (["--moebius-m-max", "410"], "moebius_m_max, moebius_cstar: a kernel at modulus 2050"),
-        (["--ramanujan-ell-max", "257"], "ramanujan_ell_max, ramanujan_cstar: a kernel at"),
-        (["--m-set", "1,-52"], "c_max, m_set: a kernel at modulus 2080"),
-        (["--orthogonality-c-max", "2049"], "orthogonality_c_max: a kernel at modulus 2049"),
+        _invalid(
+            "--moebius-m-max", "410", "moebius_m_max, moebius_cstar: a kernel at modulus 2050"
+        ),
+        _invalid("--ramanujan-ell-max", "257", "ramanujan_ell_max, ramanujan_cstar: a kernel at"),
+        _invalid("--c-max", "342"),
+        _invalid("--m-set", "1,-52", "c_max, m_set: a kernel at modulus 2080"),
+        _invalid("--kloosterman-c-max", "2049"),
+        _invalid("--gauss-c-max", "2049"),
+        _invalid("--collapse-c-max", "2049"),
+        _invalid("--orthogonality-c-max", "2049", "orthogonality_c_max: a kernel at modulus 2049"),
+        _invalid("--orthogonality-c-max", str(2**62)),
+        # batched Gauss blocks past 2048**2 entries
+        _invalid(
+            "--m2-max",
+            "1000000000",
+            "c_max, m_set, m2_max: a Gauss block of 6400000003200 entries, above 4194304",
+        ),
+        _invalid("--c-max", "290", "c_max, m_set, m2_max: a Gauss block of 4205000 entries"),
+        _invalid(
+            "--ramanujan-m-max",
+            "2428",
+            "ramanujan_cstar, ramanujan_ell_max, ramanujan_m_max: a Gauss block of 4195584",
+        ),
+        _invalid("--nu1", "0.5"),
+        _invalid("--nu1", "nan"),
+        _invalid("--fault-injection", "--window=36:24:24", id="fault-injection-36:24:24"),
+        _invalid("--fault-injection", "--window=3:27:2", id="fault-injection-3:27:2"),
+        _invalid("--fault-injection", "--window=36:27:1", id="fault-injection-36:27:1"),
     ],
 )
-def test_kernel_modulus_cap_names_the_fields(argv, names, capsys, monkeypatch):
-    def never(config):
-        raise AssertionError("a check ran")
-
-    monkeypatch.setattr("gl3voronoi.cli.CHECKS", {name: never for name in CHECKS})
+def test_invalid_config_exits_2_before_any_check(argv, error, capsys, no_check_runs):
     assert main(["verify", "all", *argv]) == 2
-    assert f"error: {names}" in capsys.readouterr().err
+    assert f"error: {error}" in capsys.readouterr().err
+    SuiteConfig().validate()
 
 
 def test_kernel_modulus_cap_is_inclusive():
     for name in ("kloosterman_c_max", "gauss_c_max", "collapse_c_max", "orthogonality_c_max"):
         replace(SuiteConfig(), **{name: cli.KERNEL_MAX_MODULUS}).validate()
-    replace(SuiteConfig(), c_max=cli.KERNEL_MAX_MODULUS // 6).validate()
+    # c_max max|m_set| = 2046; one column keeps the Gauss block small
+    replace(SuiteConfig(), c_max=cli.KERNEL_MAX_MODULUS // 6, m2_max=0).validate()
+    # Gauss blocks of exactly 2048**2 entries: 2048^2 phi(1) 1 and
+    # phi(4)^2 512 2048
+    replace(SuiteConfig(), c_max=2048, m_set=(1,), m2_max=0).validate()
+    replace(
+        SuiteConfig(), ramanujan_cstar=(4,), ramanujan_ell_max=512, ramanujan_m_max=2048
+    ).validate()
+    # the largest c_max at the default m_set and m2_max: 289^2 phi(6) 25
+    replace(SuiteConfig(), c_max=289).validate()
 
 
 @pytest.mark.parametrize("value", ["nan", "-1", "0", "inf"])
 @pytest.mark.parametrize("source", ["flag", "config"])
-def test_bad_tolerance_exits_2_before_any_check(source, value, tmp_path, capsys, monkeypatch):
+def test_bad_tolerance_exits_2_before_any_check(source, value, tmp_path, capsys, no_check_runs):
     # NaN or a tolerance <= 0 would FAIL every check, inf PASS every one
-    def never(config):
-        raise AssertionError("a check ran")
-
-    monkeypatch.setattr("gl3voronoi.cli.CHECKS", {name: never for name in CHECKS})
     if source == "flag":
         argv = ["verify", "gamma-unitarity", f"--tol={value}"]
     else:
