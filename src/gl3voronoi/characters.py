@@ -17,21 +17,23 @@ exact public form of the same data.
 
 Rounding contract.  Each value chi(n) is one complex exponential of an
 exact angle: a(n)/L is reduced to lowest terms and exponentiated once,
-so its floating error is O(1) ulp.  chi(n) reads the value table, which
-holds exactly these values.  Every root of unity e(k/c) of the Gauss
-and Kloosterman kernels (here and in expsums) is the entry
-_exp_table(c)[k mod c], one exponential of the angle reduced mod c, and
-their sums run over the units of _units_and_inverses(c), the one unit
-list.  Every Gauss sum sum_u chi(u) e(u m/c)
-comes from one numpy kernel, batched over characters: each term is the
-product of two table values (chi(u) and e(j/c)), rounded as Python's
-complex product, and each character's terms are added in ascending
-order of u.  A unit kept for another character of the batch adds a
-signed zero to the row of a character that vanishes there, which
-changes no partial sum: every row equals the one-character call bit for
-bit, signs of zeros included, and each column m, summed on its own,
-equals entry m mod c of gauss_sum_table.  The gauss-modulus check,
-char_kloosterman_reduction_sweep and ramanujan_lemma_sweep rely on this.
+so its floating error is O(1) ulp.  That exponential is entry a(n) of
+_root_table(L), the one root table of the group exponent L, and chi(n)
+reads the value table, which holds exactly these values.  Every root of
+unity e(k/c) of the Gauss and Kloosterman kernels (here and in expsums)
+is the entry _exp_table(c)[k mod c], one exponential of the angle
+reduced mod c, and their sums run over the units of
+_units_and_inverses(c), the one unit list.  Every Gauss sum
+sum_u chi(u) e(u m/c) comes from one numpy kernel, batched over
+characters: each term is the product of two table values (chi(u) and
+e(j/c)), rounded as Python's complex product, and each character's
+terms are added in ascending order of u.  A unit kept for another
+character of the batch adds a signed zero to the row of a character
+that vanishes there, which changes no partial sum: every row equals the
+one-character call bit for bit, signs of zeros included, and each
+column m, summed on its own, equals entry m mod c of gauss_sum_table.
+So the kernel may sum columns in blocks, and each check builds only the
+columns it reads, for all its characters at once.
 Modulus 1 is supported (the trivial character is 1 everywhere).
 
 Characters are frozen, hashable values (modulus, exponents): equal
@@ -64,6 +66,11 @@ __all__ = [
 ]
 
 
+# a kernel at modulus c holds ~c phi(c) roots: at c = 2039, one
+# gauss_sum_table peaks at ~160 MiB and one kloosterman_matrix at ~225 MiB
+KERNEL_MAX_MODULUS = 2048
+
+
 def _root_of_unity(num: int, den: int) -> complex:
     return cmath.exp(2j * math.pi * num / den)
 
@@ -93,6 +100,23 @@ def _structure(q: int):
 
 
 @lru_cache(maxsize=None)
+def _log_vectors(q: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """The units n mod q in dlog order, their discrete logs weighted as
+    k_i (L / r_i), whose product with the exponents mod L is a(n), and L."""
+    _, dlog, exponent, weights = _structure(q)
+    logs = np.array(list(dlog.values()), dtype=np.int64) * np.array(weights, dtype=np.int64)
+    return np.array(list(dlog)), logs, exponent
+
+
+@lru_cache(maxsize=None)
+def _root_table(L: int) -> np.ndarray:
+    """e(a/L) for a = 0..L-1 in lowest terms, then 0 at index L, as Python
+    complex objects that the value tables share."""
+    gs = [math.gcd(a, L) for a in range(L)]
+    return np.array([_root_of_unity(a // g, L // g) for a, g in enumerate(gs)] + [0j], object)
+
+
+@lru_cache(maxsize=None)
 def _exp_table(c: int) -> tuple[complex, ...]:
     """e(j/c) for j = 0..c-1."""
     return tuple(_root_of_unity(j, c) for j in range(c))
@@ -111,13 +135,10 @@ def _value_table(q: int, exponents: tuple[int, ...]) -> tuple[complex, ...]:
     """chi(0), ..., chi(q-1) for the character (q, exponents): one table
     per distinct character, each value one exponential of a(n)/L in
     lowest terms."""
-    vals = [0j] * q
-    _, dlog, exponent, weights = _structure(q)
-    for n, combo in dlog.items():
-        a = sum(e * k * w for e, k, w in zip(exponents, combo, weights)) % exponent
-        g = math.gcd(a, exponent)
-        vals[n] = _root_of_unity(a // g, exponent // g)
-    return tuple(vals)
+    units, logs, exponent = _log_vectors(q)
+    index = np.full(q, exponent)
+    index[units] = logs @ np.array(exponents, dtype=np.int64) % exponent
+    return tuple(_root_table(exponent)[index].tolist())
 
 
 @dataclass(frozen=True, slots=True)
@@ -258,20 +279,27 @@ def _gauss_sums(chis, c: int, ms) -> np.ndarray:
     Direct summation for any c >= 1: each chi is read as a function on
     Z, so units of c that share a factor with its modulus contribute 0;
     units on which every chi vanishes are skipped.  Real and imaginary
-    parts of each product are formed by separate float operations, so
-    that every term rounds as Python's complex product does (numpy's
-    complex multiply may fuse them), and the terms are accumulated in
-    ascending order of u (a plain sum over one column would be pairwise).
+    parts of each product are formed by separate float operations (a - b
+    as a + (-b), which is exact), so that every term rounds as Python's
+    complex product does (numpy's complex multiply may fuse them), and the
+    terms are accumulated in ascending order of u (a plain sum over one
+    column would be pairwise).
     """
+    out = np.empty((len(chis), len(ms)), dtype=complex)
+    if not out.size:
+        return out
     u = np.array(_units_and_inverses(c)[0])
     w = np.array([np.array(chi.values())[u % chi.modulus] for chi in chis])
     keep = (w != 0).any(axis=0)
     u, w = u[keep], w[:, keep]
-    roots = np.array(_exp_table(c))[np.outer(u, ms) % c]
     wr, wi = w.real[:, :, None], w.imag[:, :, None]
-    out = np.empty((len(w), roots.shape[1]), dtype=complex)
-    out.real = np.add.accumulate(wr * roots.real - wi * roots.imag, axis=1)[:, -1]
-    out.imag = np.add.accumulate(wr * roots.imag + wi * roots.real, axis=1)[:, -1]
+    step = max(1, KERNEL_MAX_MODULUS**2 // w.size)
+    for j in range(0, len(ms), step):
+        e = np.array(_exp_table(c))[np.outer(u, ms[j : j + step]) % c]  # e(u m / c)
+        for part, x, y in ((out.real, e.real, -e.imag), (out.imag, e.imag, e.real)):
+            terms = wr * x
+            terms += wi * y
+            part[:, j : j + step] = np.add.accumulate(terms, axis=1)[:, -1]
     return out
 
 

@@ -38,7 +38,13 @@ from dataclasses import dataclass, field, replace
 
 from . import __version__
 from .arith import _MAX_N, euler_phi, factorize, is_prime, primes_up_to, worse
-from .characters import _gauss_sums, enumerate_characters, gauss_sum, primitive_characters
+from .characters import (
+    KERNEL_MAX_MODULUS,
+    _gauss_sums,
+    enumerate_characters,
+    gauss_sum,
+    primitive_characters,
+)
 from .expsums import (
     additive_collapse_sweep,
     char_kloosterman_reduction_sweep,
@@ -138,10 +144,6 @@ class VerificationReport:
 
 
 CHARS_LIST_MAX_MODULUS = 4096  # phi(q) value tables of q entries: ~650 MiB at a prime
-# a Gauss or Kloosterman kernel at modulus c holds ~c phi(c) roots: at
-# c = 2039 one gauss_sum_table peaks at ~160 MiB, one kloosterman_matrix
-# at ~225 MiB
-KERNEL_MAX_MODULUS = 2048
 
 
 @dataclass(frozen=True)

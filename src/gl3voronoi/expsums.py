@@ -42,7 +42,6 @@ from .characters import (
     _units_and_inverses,
     enumerate_characters,
     gauss_sum,
-    gauss_sum_table,
     multiply,
     primitive_characters,
     primitive_part,
@@ -70,20 +69,15 @@ def kloosterman(a: int, b: int, c: int) -> complex:
     return sum(roots[(a * x + b * xbar) % c] for x, xbar in zip(units, invs))
 
 
-def _kloosterman_block(c: int, a, b) -> np.ndarray:
-    """S(a_i, b_j; c) for the integers a_i (rows) and b_j (columns), as
-    one product of two root-table gathers over the units mod c."""
-    units, invs = _units_and_inverses(c)
-    roots = np.array(_exp_table(c))
-    return roots[np.outer(a, units) % c] @ roots[np.outer(b, invs) % c].T
-
-
 def kloosterman_matrix(c: int) -> np.ndarray:
-    """All S(a, b; c) for a, b mod c at once, as a c x c complex matrix."""
+    """All S(a, b; c) for a, b mod c at once, as a c x c complex matrix:
+    one product of two root-table gathers over the units mod c."""
     if c < 1:
         raise ValueError(f"modulus must be positive, got {c}")
+    units, invs = _units_and_inverses(c)
+    roots = np.array(_exp_table(c))
     j = np.arange(c)
-    return _kloosterman_block(c, j, j)
+    return roots[np.outer(j, units) % c] @ roots[np.outer(j, invs) % c].T
 
 
 # -- character-averaged collapse --------------------------------------------
@@ -125,13 +119,20 @@ def char_kloosterman_reduction_sweep(
     all m1 | c m, |m2| <= m2_max.  Returns (max residual, case count).
 
     Vectorized over characters and m2; spot tuples are cross-checked
-    against the scalar path in the test suite.  Within one c, the Gauss
-    sums g(chibar*, C, m2) depend on (m, m1) only through
-    C = |c m| / m1, so they are built once per C, with sign +1: since
-    m2s is symmetric and each column of the kernel is computed on its
-    own, the sign -1 block is the +1 block reversed.
+    against the scalar path in the test suite.  The Gauss sums
+    g(chibar*, C, m2) depend on (c, m, m1) only through chibar* and
+    C = |c m| / m1, so each row is built once per (chibar*, C), with
+    sign +1: since m2s is symmetric and each column of the kernel is
+    computed on its own, the sign -1 block is the +1 block reversed.
+    C's phases e(m2 u~ / C) are built once too, and all of it is dropped
+    after the last c that reads C.  g(chibar*, c, m1) comes from one
+    kernel call per c over the columns m1 mod c that it reads.
     """
     m2s = np.arange(-m2_max, m2_max + 1)
+    last = {  # C -> the last c that reads it
+        abs(c * m) // m1: c for c in range(1, c_max + 1) for m in m_set for m1 in divisors(c * m)
+    }
+    shared: dict[int, tuple] = {}  # C -> (roots, units, phase block, {chibar*: g2 row})
     worst = 0.0
     cases = 0
     for c in range(1, c_max + 1):
@@ -141,21 +142,26 @@ def char_kloosterman_reduction_sweep(
             [[ch.values()[a % c] for a in units_c] for ch in chars]
         ).conjugate()
         prim = [primitive_part(ch.conjugate()) for ch in chars]
-        g1_rows = [gauss_sum_table(ps, c) for ps in prim]
-        # C -> Gauss-sum block at sign +1, for this c only: the columns
-        # m2s, not whole gauss_sum_tables at the large moduli C
-        g2_blocks: dict[int, np.ndarray] = {}
-        for m in m_set:
-            for m1 in divisors(c * m):
-                big_c = abs(c * m) // m1
-                if big_c not in g2_blocks:
-                    g2_blocks[big_c] = _gauss_sums(prim, big_c, m2s)
-                g2 = g2_blocks[big_c] if m > 0 else g2_blocks[big_c][:, ::-1]
-                lhs = xbar @ _kloosterman_block(big_c, units_c * m, m2s)  # (n_chi, n_m2)
-                g1 = np.array([row[m1 % c] for row in g1_rows])
-                resid = float(np.abs(lhs - g1[:, None] * g2).max())
-                worst = worse(worst, resid)
-                cases += len(chars) * len(m2s)
+        tuples = [(m, m1, abs(c * m) // m1) for m in m_set for m1 in divisors(c * m)]
+        cols = sorted({m1 % c for _, m1, _ in tuples})
+        g1 = dict(zip(cols, _gauss_sums(prim, c, cols).T))
+        g2_blocks = {}
+        for big_c in sorted({big_c for _, _, big_c in tuples}):
+            if big_c not in shared:
+                units_big, invs_big = _units_and_inverses(big_c)
+                roots = np.array(_exp_table(big_c))
+                shared[big_c] = roots, units_big, roots[np.outer(m2s, invs_big) % big_c], {}
+            rows = shared[big_c][3]
+            new = [ps for ps in prim if ps not in rows]
+            rows.update(zip(new, _gauss_sums(new, big_c, m2s)))
+            g2_blocks[big_c] = np.array([rows[ps] for ps in prim])
+        for m, m1, big_c in tuples:
+            g2 = g2_blocks[big_c] if m > 0 else g2_blocks[big_c][:, ::-1]
+            roots, units_big, phase, _ = shared[big_c]
+            lhs = xbar @ (roots[np.outer(units_c * m, units_big) % big_c] @ phase.T)
+            worst = worse(worst, float(np.abs(lhs - g1[m1 % c][:, None] * g2).max()))
+            cases += len(chars) * len(m2s)
+        shared = {big_c: data for big_c, data in shared.items() if last[big_c] > c}
     return worst, cases
 
 

@@ -582,7 +582,10 @@ def verify_orthogonality_equivalence(
     if math.gcd(q, level) != 1:
         raise ValueError(f"q={q} must be coprime to the level {level}")
     chars = enumerate_characters(c)
-    tabs = [gauss_sum_table(primitive_part(ch.conjugate()), c) for ch in chars]
+    prim = [primitive_part(ch.conjugate()) for ch in chars]
+    # column n mod c, for each n <= n_max: g(prim[i], c, n) as Python complex
+    cols = sorted({n % c for n in range(1, min(n_max, c) + 1)})
+    tabs = dict(zip(cols, _gauss_sums(prim, c, cols).T.tolist()))
     vals = [ch.values() for ch in chars]
     units, invs = _units_and_inverses(c)
     roots = _exp_table(c)
@@ -590,9 +593,10 @@ def verify_orthogonality_equivalence(
     worst = 0.0
     for n in range(1, n_max + 1):
         a_qn = model.coefficient(q, n)
+        g = tabs[n % c]
         for a, abar in zip(units, invs):
             lhs = sum(
-                vals[i][a % c].conjugate() * a_qn * tabs[i][n % c]
+                vals[i][a % c].conjugate() * a_qn * g[i]
                 for i in range(len(chars))
             )
             rhs = phi_c * a_qn * roots[abar * n % c]

@@ -267,6 +267,21 @@ def test_integer_exponent_algebra_matches_fraction_oracle():
                     )
 
 
+def test_value_tables_hold_one_exponential_per_numerator():
+    # gathered from the root table of the group exponent L, each value is,
+    # by repr, the exponential of its numerator a(n) / L in lowest terms
+    for q in range(1, 121):
+        exponent = characters._structure(q)[2]
+        for chi in enumerate_characters(q):
+            want = [0j] * q
+            for n in range(q):
+                a = chi._numerator(n)
+                if a is not None:
+                    g = math.gcd(a, exponent)
+                    want[n] = characters._root_of_unity(a // g, exponent // g)
+            assert repr(chi.values()) == repr(tuple(want)), chi
+
+
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     """Equal values and equal signs of zeros."""
     return (
@@ -294,6 +309,19 @@ def test_batched_gauss_sums_rows_equal_one_character_calls():
                     assert _same_bits(row, _gauss_sums((chi,), c, cols)[0]), (chi, c)
     chi = enumerate_characters(7)[3]
     assert list(_gauss_sums((chi,), 14, np.arange(14))[0]) == list(gauss_sum_table(chi, 14))
+
+
+def test_gauss_sums_in_column_blocks_equal_one_block(monkeypatch):
+    chis, cols = enumerate_characters(12), np.arange(-7, 8)
+    whole = _gauss_sums(chis, 24, cols)
+    # 4 characters x 8 units: blocks of 2 columns, the last one short
+    monkeypatch.setattr(characters, "KERNEL_MAX_MODULUS", 8)
+    assert _same_bits(_gauss_sums(chis, 24, cols), whole)
+
+
+def test_gauss_sums_with_no_characters_or_no_columns():
+    assert _gauss_sums(enumerate_characters(5), 5, []).shape == (4, 0)
+    assert _gauss_sums([], 5, [1, 2]).shape == (0, 2)
 
 
 def test_order_exponent_raises_under_python_O():

@@ -136,7 +136,10 @@ def _bumped(table, index):
     return out if isinstance(table, np.ndarray) else tuple(out.tolist())
 
 
-_TABLE_AT_3 = ("identities.gauss_sum_table", lambda t, chi, c: _bumped(t, 1) if c == 3 else t)
+_KERNEL_AT_3 = (
+    "identities._gauss_sums",
+    lambda g, chis, c, ms: _bumped(g, (0, 0)) if c == 3 else g,
+)
 
 # check -> (module.attribute of the layer below it, perturb(value, *args));
 # z-expansion and fe-rearrangement have fault-probe reports instead
@@ -156,11 +159,8 @@ LAYER_FAULTS = {
     ),
     "hecke-relations": ("cli.new_model", lambda model, *args: model.corrupted((2, 1), 1e-6)),
     "euler-product": ("cli.new_model", lambda model, *args: model.corrupted((1, 4), 1e-6)),
-    "ramanujan-lemma": (
-        "identities._gauss_sums",
-        lambda g, chis, c, ms: _bumped(g, (0, 0)) if c == 3 else g,
-    ),
-    "orthogonality": _TABLE_AT_3,
+    "ramanujan-lemma": _KERNEL_AT_3,
+    "orthogonality": _KERNEL_AT_3,
     "moebius-assembly": ("identities.mobius", lambda mu, n: mu * (1 + 1e-6) if n == 2 else mu),
     "bessel-identity": ("special.bessel_k", lambda k, nu, x: k * (1 + 1e-5)),
     "gamma-unitarity": ("cli.xi_factor", lambda xi, *args: xi * (1 + 1e-6)),

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from gl3voronoi.arith import divisors, mobius, mod_inverse, worse
+from gl3voronoi import expsums
+from gl3voronoi.arith import divisors, euler_phi, mobius, mod_inverse, worse
 from gl3voronoi.characters import (
     _exp_table,
     _gauss_sum_any_modulus,
@@ -204,14 +205,42 @@ def reduction_sweep_per_tuple(c_max, m_set, m2_max):
     return worst, cases
 
 
-@pytest.mark.parametrize("m_set", [(1, -1, 2, -2), (3, -5)], ids=["paired", "unpaired"])
+@pytest.mark.parametrize(
+    "m_set",
+    [(1, -1, 2, -2), (3, -5), (1, -1, 2, -2, 6, -6)],
+    ids=["paired", "unpaired", "default"],
+)
 @pytest.mark.parametrize("m2_max", [0, 4])
 def test_reduction_sweep_shares_blocks_bit_for_bit(m_set, m2_max):
-    # one block per (c, C) and the sign -1 block read reversed give the
-    # per-(m, m1) sweep's result exactly
-    for c_max in (1, 6, 12):
+    # g2 rows once per (chibar*, C) and phases once per C, reused across c,
+    # g1 from one kernel call per c and the sign -1 block read reversed
+    # give the per-(m, m1) sweep's result exactly
+    for c_max in (1, 6, 12, 24):
         shared = char_kloosterman_reduction_sweep(c_max, m_set, m2_max)
         assert repr(shared) == repr(reduction_sweep_per_tuple(c_max, m_set, m2_max))
+
+
+def test_reduction_sweep_builds_no_table_and_no_larger_kernel_block(monkeypatch):
+    c_max, m_set, m2_max = 40, (1, -1, 2, -2, 6, -6), 12
+    blocks = []
+
+    def spy(chis, c, ms):
+        blocks.append(len(chis) * len(_units_and_inverses(c)[0]) * len(ms))
+        return _gauss_sums(chis, c, ms)
+
+    monkeypatch.setattr(expsums, "_gauss_sums", spy)
+    info = gauss_sum_table.cache_info()
+    char_kloosterman_reduction_sweep(c_max, m_set, m2_max)
+    assert gauss_sum_table.cache_info() == info
+    # characters x units x columns of the largest block of a layout that
+    # builds g(chibar*, C, m2s) for every character mod c at every (c, C)
+    per_c = max(
+        euler_phi(c) * euler_phi(abs(c * m) // m1) * (2 * m2_max + 1)
+        for c in range(1, c_max + 1)
+        for m in m_set
+        for m1 in divisors(c * m)
+    )
+    assert blocks and max(blocks) <= per_c
 
 
 def test_reduction_sweep_default_residual_floor():

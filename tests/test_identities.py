@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gl3voronoi.arith import divisors
+from gl3voronoi.arith import divisors, worse
 from gl3voronoi.characters import (
+    _exp_table,
     enumerate_characters,
     gauss_sum,
     gauss_sum_table,
     primitive_characters,
+    primitive_part,
 )
 from gl3voronoi import identities
 from gl3voronoi.formal import (
@@ -713,6 +715,35 @@ def test_orthogonality_examples():
     assert verify_orthogonality_equivalence(model, 1, 1, n_max=24) < 1e-13
     assert verify_orthogonality_equivalence(model, 3, 1, n_max=24) < 1e-12
     assert verify_orthogonality_equivalence(model, 8, 3, n_max=24) < 1e-9
+
+
+def orthogonality_per_table(model, c, q, n_max):
+    """verify_orthogonality_equivalence from one gauss_sum_table per character."""
+    chars = enumerate_characters(c)
+    tabs = [gauss_sum_table(primitive_part(ch.conjugate()), c) for ch in chars]
+    units = [a for a in range(1, c + 1) if math.gcd(a, c) == 1]
+    worst = 0.0
+    for n in range(1, n_max + 1):
+        a_qn = model.coefficient(q, n)
+        for a in units:
+            lhs = sum(
+                ch.values()[a % c].conjugate() * a_qn * tab[n % c]
+                for ch, tab in zip(chars, tabs)
+            )
+            rhs = len(units) * a_qn * _exp_table(c)[pow(a, -1, c) * n % c]
+            worst = worse(worst, abs(lhs - rhs))
+    return worst
+
+
+def test_orthogonality_reads_kernel_columns_bit_for_bit():
+    # the columns n mod c of one kernel call give the per-table residual
+    # exactly, and no gauss_sum_table is built or read
+    model = new_model(1, seed=0)
+    for c, n_max in ((1, 5), (5, 0), (7, 3), (12, 30), (30, 40)):
+        info = gauss_sum_table.cache_info()
+        got = verify_orthogonality_equivalence(model, c, 1, n_max)
+        assert gauss_sum_table.cache_info() == info
+        assert repr(got) == repr(orthogonality_per_table(model, c, 1, n_max)), c
 
 
 def test_orthogonality_respects_level():
