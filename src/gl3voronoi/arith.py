@@ -99,8 +99,6 @@ def mod_inverse(a: int, c: int) -> int:
     """
     if c < 1:
         raise ValueError(f"modulus must be positive, got {c}")
-    if c == 1:
-        return 0
     try:
         return pow(a, -1, c)
     except ValueError as exc:

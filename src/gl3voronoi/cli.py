@@ -143,7 +143,7 @@ class VerificationReport:
         )
 
 
-CHARS_LIST_MAX_MODULUS = 4096  # phi(q) value tables of q entries: ~650 MiB at a prime
+CHARS_LIST_MAX_MODULUS = 4096  # phi(q) tables of q pointers: 160 MiB peak at q = 4093
 
 
 @dataclass(frozen=True)

@@ -1,15 +1,15 @@
 """Kloosterman sums and character-average collapses.
 
 S(a, b; c) = sum over units x mod c of e((a x + b x~)/c), with x~ the
-inverse of x mod c.  S(a, b; 1) = 1 (empty modulus).  Sums are computed
-by direct enumeration over the units and inverses of
-characters._units_and_inverses, each phase read from the root table
-characters._exp_table(c) at its angle reduced mod c.
+inverse of x mod c.  S(a, b; 1) = 1 (empty modulus).
+kloosterman_matrix(c) gives every S(a, b; c) at once from the units and
+inverses of characters._units_and_inverses, each phase read from the
+root table characters._exp_table(c) at its angle reduced mod c.
 
-The two residual functions verify, by full enumeration on both sides:
+The sweeps verify, by full enumeration on both sides:
 
-- the collapse of a character-averaged Kloosterman sum into a product
-  of Gauss sums,
+- char_kloosterman_reduction_sweep: the collapse of a
+  character-averaged Kloosterman sum into a product of Gauss sums,
       sum_{(a,c)=1} chibar(a) S(a m, m2; c m / m1)
           = g(chibar*, c, m1) * g(chibar*, c m / m1, m2),
   where chibar* is the primitive character inducing chibar and a
@@ -17,14 +17,19 @@ The two residual functions verify, by full enumeration on both sides:
   primitive chi the right side vanishes whenever m1 does not divide m,
   which is the familiar two-branch form of the identity.
 
-- the additive collapse
+- additive_collapse_sweep: the additive collapse
       sum_{(a,c)=1} (psi chi)bar(a) e(-n a~ / c)
           = (-1)^kappa tau(psi chi) (psi chi)bar(n)
   for psi chi primitive mod c, kappa = 0 or 1 according to the parity
   of psi chi.
 
-All identity checks return residuals; thresholding happens in the
-harness so tolerances stay centrally configured.
+- kloosterman_basic_sweep: S(a, b; c) real and symmetric in (a, b),
+  and the Weil bound |S(a, b; p)| <= 2 sqrt p for (ab, p) = 1, a
+  classical sanity oracle external to the verified identities;
+  reality_symmetry_sweep and weil_bound_sweep read its parts.
+
+The sweeps return residuals; thresholding happens in the harness so
+tolerances stay centrally configured.
 """
 
 from __future__ import annotations
@@ -37,36 +42,22 @@ from .arith import divisors, primes_up_to, worse
 from .characters import (
     DirichletCharacter,
     _exp_table,
-    _gauss_sum_any_modulus,
     _gauss_sums,
     _units_and_inverses,
     enumerate_characters,
     gauss_sum,
-    multiply,
     primitive_characters,
     primitive_part,
 )
 
 __all__ = [
-    "kloosterman",
     "kloosterman_matrix",
-    "char_kloosterman_reduction_residual",
     "char_kloosterman_reduction_sweep",
-    "additive_collapse_residual",
     "additive_collapse_sweep",
     "kloosterman_basic_sweep",
     "reality_symmetry_sweep",
     "weil_bound_sweep",
 ]
-
-
-def kloosterman(a: int, b: int, c: int) -> complex:
-    """S(a, b; c) by direct enumeration over units mod c."""
-    if c < 1:
-        raise ValueError(f"modulus must be positive, got {c}")
-    units, invs = _units_and_inverses(c)
-    roots = _exp_table(c)
-    return sum(roots[(a * x + b * xbar) % c] for x, xbar in zip(units, invs))
 
 
 def kloosterman_matrix(c: int) -> np.ndarray:
@@ -83,35 +74,6 @@ def kloosterman_matrix(c: int) -> np.ndarray:
 # -- character-averaged collapse --------------------------------------------
 
 
-def char_kloosterman_reduction_residual(
-    chi: DirichletCharacter, c: int, m: int, m1: int, m2: int
-) -> float:
-    """Residual of the Gauss-product collapse for one parameter tuple.
-
-    Left side: sum over units a mod c of chibar(a) S(a m, m2; |c m| / m1).
-    Right side: g(chibar*, c, m1) * g(chibar*, |c m|/m1, sign(m) m2).
-    Requires m1 | c m.  For primitive chi the product vanishes when
-    m1 does not divide m (the zero branch), which callers may assert.
-    """
-    if chi.modulus != c:
-        raise ValueError("character modulus must equal c")
-    if m == 0:
-        raise ValueError("m must be nonzero")
-    if (c * m) % m1:
-        raise ValueError(f"m1={m1} does not divide c*m={c * m}")
-    big_c = abs(c * m) // m1
-    chibar = chi.conjugate()
-    chibar_vals = chibar.values()
-    lhs = 0j
-    for a in _units_and_inverses(c)[0]:
-        lhs += chibar_vals[a % c] * kloosterman(a * m, m2, big_c)
-    ps = primitive_part(chibar)
-    rhs = _gauss_sum_any_modulus(ps, c, m1) * _gauss_sum_any_modulus(
-        ps, big_c, (1 if m > 0 else -1) * m2
-    )
-    return abs(lhs - rhs)
-
-
 def char_kloosterman_reduction_sweep(
     c_max: int, m_set: tuple[int, ...], m2_max: int
 ) -> tuple[float, int]:
@@ -119,7 +81,7 @@ def char_kloosterman_reduction_sweep(
     all m1 | c m, |m2| <= m2_max.  Returns (max residual, case count).
 
     Vectorized over characters and m2; spot tuples are cross-checked
-    against the scalar path in the test suite.  The Gauss sums
+    against a scalar oracle in the test suite.  The Gauss sums
     g(chibar*, C, m2) depend on (c, m, m1) only through chibar* and
     C = |c m| / m1, so each row is built once per (chibar*, C), with
     sign +1: since m2s is symmetric and each column of the kernel is
@@ -166,23 +128,6 @@ def char_kloosterman_reduction_sweep(
 
 
 # -- additive collapse -------------------------------------------------------
-
-
-def additive_collapse_residual(
-    psi: DirichletCharacter, chi: DirichletCharacter, n: int
-) -> float:
-    """Residual of the additive collapse at shift n.
-
-    psi has modulus N, chi modulus c with N | c, and psi*chi must be
-    primitive mod c (raises otherwise).
-    """
-    c = chi.modulus
-    if c % psi.modulus:
-        raise ValueError("level must divide the twist modulus")
-    theta = multiply(psi, chi)
-    if theta.modulus != c or not theta.is_primitive:
-        raise ValueError("psi*chi must be primitive modulo c")
-    return _collapse_residuals(theta)[n % c]
 
 
 def _collapse_residuals(theta: DirichletCharacter) -> list[float]:

@@ -247,9 +247,16 @@ def test_shells_build_no_H_series_per_cell(monkeypatch):
 
 
 def test_additive_collapse_evaluates_each_primitive_product_once(monkeypatch):
-    # one gauss_sum per primitive theta mod c, and no psi*chi products formed
+    # one gauss_sum per primitive theta mod c, and no psi*chi products formed;
+    # characters is the one module of the package that binds multiply
+    binders = [
+        name
+        for name, module in sys.modules.items()
+        if name.startswith("gl3voronoi") and hasattr(module, "multiply")
+    ]
+    assert binders == ["gl3voronoi.characters"]
     calls = _count_calls(
-        monkeypatch, ["expsums.multiply", "expsums.gauss_sum"], lambda *chars: chars
+        monkeypatch, ["characters.multiply", "expsums.gauss_sum"], lambda *chars: chars
     )
     assert CHECKS["additive-collapse"](FAST)[0].passed
     assert calls == collections.Counter(

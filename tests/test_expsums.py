@@ -15,16 +15,12 @@ from gl3voronoi.characters import (
     gauss_sum,
     gauss_sum_table,
     multiply,
-    primitive_characters,
     primitive_part,
     principal_character,
 )
 from gl3voronoi.expsums import (
-    additive_collapse_residual,
     additive_collapse_sweep,
-    char_kloosterman_reduction_residual,
     char_kloosterman_reduction_sweep,
-    kloosterman,
     kloosterman_basic_sweep,
     kloosterman_matrix,
     reality_symmetry_sweep,
@@ -39,12 +35,37 @@ def quadratic_mod(p):
     return chi
 
 
+def kloosterman(a, b, c):
+    """S(a, b; c) by direct enumeration over units mod c, c >= 1."""
+    units, invs = _units_and_inverses(c)
+    roots = _exp_table(c)
+    return sum(roots[(a * x + b * xbar) % c] for x, xbar in zip(units, invs))
+
+
+def char_kloosterman_reduction_residual(chi, c, m, m1, m2):
+    """Residual of the Gauss-product collapse for one tuple, the scalar
+    path: chi mod c, m != 0 and m1 | c m.
+
+    Left side: sum over units a mod c of chibar(a) S(a m, m2; |c m| / m1).
+    Right side: g(chibar*, c, m1) * g(chibar*, |c m|/m1, sign(m) m2).
+    """
+    big_c = abs(c * m) // m1
+    chibar = chi.conjugate()
+    chibar_vals = chibar.values()
+    lhs = 0j
+    for a in _units_and_inverses(c)[0]:
+        lhs += chibar_vals[a % c] * kloosterman(a * m, m2, big_c)
+    ps = primitive_part(chibar)
+    rhs = _gauss_sum_any_modulus(ps, c, m1) * _gauss_sum_any_modulus(
+        ps, big_c, (1 if m > 0 else -1) * m2
+    )
+    return abs(lhs - rhs)
+
+
 def test_kloosterman_examples():
     assert kloosterman(1, 1, 1) == 1
     assert abs(kloosterman(1, 1, 3) - (-1)) < 1e-14  # e(2/3) + e(4/3)
     assert abs(kloosterman(2, 1, 3) - 2) < 1e-14  # e(1) + e(2)
-    with pytest.raises(ValueError):
-        kloosterman(1, 1, 0)
 
 
 def test_kloosterman_matrix_matches_scalar():
@@ -157,12 +178,6 @@ def test_reduction_negative_m():
                 assert r < 1e-10, (m, m1, m2, r)
 
 
-def test_reduction_rejects_bad_m1():
-    chi3 = quadratic_mod(3)
-    with pytest.raises(ValueError):
-        char_kloosterman_reduction_residual(chi3, 3, 1, 2, 1)
-
-
 def test_reduction_sweep_cross_check():
     worst, cases = char_kloosterman_reduction_sweep(10, (1, -2), 4)
     assert worst < 1e-10 and cases > 0
@@ -255,13 +270,13 @@ def test_additive_collapse_worked_example():
     chi3 = quadratic_mod(3)
     lhs = cmath.exp(-2j * math.pi / 3) - cmath.exp(-4j * math.pi / 3)
     assert abs(lhs - (-1j * math.sqrt(3))) < 1e-13
-    assert additive_collapse_residual(principal_character(1), chi3, 1) < 1e-13
+    assert _collapse_residual_at(multiply(principal_character(1), chi3), 1) < 1e-13
 
 
 def test_additive_collapse_nonunit_shift():
     chi3 = quadratic_mod(3)
-    assert additive_collapse_residual(principal_character(1), chi3, 3) < 1e-13
-    assert additive_collapse_residual(principal_character(1), chi3, 0) < 1e-13
+    assert _collapse_residual_at(multiply(principal_character(1), chi3), 3) < 1e-13
+    assert _collapse_residual_at(multiply(principal_character(1), chi3), 0) < 1e-13
 
 
 def test_additive_collapse_level_equals_modulus():
@@ -269,14 +284,7 @@ def test_additive_collapse_level_equals_modulus():
     psi = [c for c in enumerate_characters(5) if c.is_primitive][0]
     chi = principal_character(5)
     for n in range(5):
-        assert additive_collapse_residual(psi, chi, n) < 1e-12
-
-
-def test_additive_collapse_requires_primitive_product():
-    psi = principal_character(1)
-    chi6 = [c for c in enumerate_characters(6) if not c.is_principal][0]
-    with pytest.raises(ValueError):
-        additive_collapse_residual(psi, chi6, 1)  # conductor 3 < 6
+        assert _collapse_residual_at(multiply(psi, chi), n) < 1e-12
 
 
 def test_additive_collapse_sweep_small():
@@ -324,16 +332,6 @@ def test_additive_collapse_sweep_matches_the_per_triple_loop(c_max):
     assert repr(additive_collapse_sweep(c_max)) == repr(additive_collapse_per_triple(c_max))
 
 
-def test_additive_collapse_residual_depends_on_n_mod_c_only():
-    for c in (5, 8, 12):
-        for theta in primitive_characters(c):
-            psi, chi = principal_character(1), theta
-            for n in (-c - 1, -1, 0, 1, c - 1, c, 3 * c + 2):
-                assert repr(additive_collapse_residual(psi, chi, n)) == repr(
-                    _collapse_residual_at(theta, n)
-                )
-
-
 def test_intro_sign_variant_is_relabeling():
     # the twist e(+n abar/c) is the stated check at -n: relabeling a -> -a
     chi3 = quadratic_mod(3)
@@ -358,10 +356,9 @@ def test_intro_sign_variant_is_relabeling():
     [
         lambda c: gauss_sum_table(principal_character(1), c),
         kloosterman_matrix,
-        lambda c: kloosterman(1, 1, c),
         lambda c: _gauss_sum_any_modulus(principal_character(1), c, 1),
     ],
-    ids=["gauss_sum_table", "kloosterman_matrix", "kloosterman", "_gauss_sum_any_modulus"],
+    ids=["gauss_sum_table", "kloosterman_matrix", "_gauss_sum_any_modulus"],
 )
 def test_nonpositive_modulus_is_a_value_error(entry, c):
     with pytest.raises(ValueError, match=f"^modulus must be positive, got {c}$"):
