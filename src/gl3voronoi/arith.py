@@ -16,7 +16,6 @@ __all__ = [
     "mobius",
     "mod_inverse",
     "euler_phi",
-    "is_prime",
     "primes_up_to",
     "unit_group_generators",
     "worse",
@@ -110,12 +109,6 @@ def euler_phi(n: int) -> int:
     for p, e in factorize(n):
         phi *= p ** (e - 1) * (p - 1)
     return phi
-
-
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    return factorize(n) == [(n, 1)]
 
 
 def primes_up_to(n: int) -> list[int]:

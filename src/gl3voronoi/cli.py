@@ -37,7 +37,7 @@ import typing
 from dataclasses import dataclass, field, replace
 
 from . import __version__
-from .arith import _MAX_N, euler_phi, factorize, is_prime, primes_up_to, worse
+from .arith import _MAX_N, euler_phi, factorize, primes_up_to, worse
 from .characters import (
     KERNEL_MAX_MODULUS,
     _gauss_sums,
@@ -144,6 +144,9 @@ class VerificationReport:
 
 
 CHARS_LIST_MAX_MODULUS = 4096  # phi(q) tables of q pointers: 160 MiB peak at q = 4093
+WINDOW_MAX_PQ = 1024  # key grids grow with P, Q: fe-rearrangement 18 s, 226 MiB at the cap
+ORTHOGONALITY_MAX_C = 256  # a value table per character mod c <= c_max: 11 s, 91 MiB
+PRIME_BOUND_MAX = 2**16  # a sieve of prime_bound bytes, then each prime's relations
 
 
 @dataclass(frozen=True)
@@ -206,7 +209,9 @@ class SuiteConfig:
         chars list, and so is every cstar, which also has a primitive
         character; no kernel is built at a modulus above
         KERNEL_MAX_MODULUS (see kernel_moduli below) nor a batched Gauss
-        block of more than KERNEL_MAX_MODULUS**2 entries (see blocks); every
+        block of more than KERNEL_MAX_MODULUS**2 entries (see blocks); the
+        window's P and Q are <= WINDOW_MAX_PQ, orthogonality_c_max <=
+        ORTHOGONALITY_MAX_C and prime_bound <= PRIME_BOUND_MAX; every
         Hecke-relation index fits factorize; the triple of (nu1, nu2) is
         purely imaginary, as unitarity on the critical line needs; every
         tolerance override names a check and is finite and > 0; under
@@ -277,9 +282,17 @@ class SuiteConfig:
         for names, size in blocks.items():
             if size > limit:
                 raise ValueError(f"{names}: a Gauss block of {size} entries, above {limit}")
+        for name, value, cap in (
+            ("window P", p_max, WINDOW_MAX_PQ),
+            ("window Q", q_max, WINDOW_MAX_PQ),
+            ("orthogonality_c_max", self.orthogonality_c_max, ORTHOGONALITY_MAX_C),
+            ("prime_bound", self.prime_bound, PRIME_BOUND_MAX),
+        ):
+            if value > cap:
+                raise ValueError(f"{name} must be <= {cap}, got {value}")
         # hecke-relations factorizes indices up to p^(2 power_bound), with p
         # the largest prime <= prime_bound; the bit count avoids a huge power
-        p = next((n for n in range(self.prime_bound, 1, -1) if is_prime(n)), 1)
+        p = (primes_up_to(self.prime_bound) or [1])[-1]
         power = 2 * self.power_bound
         if power * (p.bit_length() - 1) >= 63 or p**power > 2**63 - 1:
             raise ValueError(f"power_bound: {p}^(2*power_bound) exceeds 2**63-1")

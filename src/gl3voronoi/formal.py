@@ -121,18 +121,6 @@ def series_mul(a: FormalSeries, b: FormalSeries, window: Window) -> FormalSeries
     return FormalSeries(acc, window)
 
 
-def _int_root(x: int, k: int) -> int:
-    """floor(x ** (1/k)) for positive integers."""
-    if k == 1:
-        return x
-    r = round(x ** (1.0 / k))
-    while r**k > x:
-        r -= 1
-    while (r + 1) ** k <= x:
-        r += 1
-    return r
-
-
 def build_lseries(
     coeff_fn: Callable[[int], complex],
     w_mult: int,
@@ -154,7 +142,9 @@ def build_lseries(
     if shift < 0:
         raise ValueError("shift must be nonnegative")
     terms: dict[tuple[int, int, int], complex] = {}
-    for n in range(1, _int_root(window.x_max, w_mult) + 1):
+    n = 0
+    while (n + 1) ** w_mult <= window.x_max:
+        n += 1
         if restriction is not None and not restriction(n):
             continue
         if s_mult >= 0:

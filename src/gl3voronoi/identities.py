@@ -66,7 +66,6 @@ from .characters import (
     gauss_sum,
     gauss_sum_table,
     primitive_characters,
-    primitive_part,
 )
 from .formal import PRUNE_EPS, FormalSeries, Window, build_lseries, compare, series_mul
 from .heckemodel import HeckeCoefficientModel
@@ -582,10 +581,9 @@ def verify_orthogonality_equivalence(
     if math.gcd(q, level) != 1:
         raise ValueError(f"q={q} must be coprime to the level {level}")
     chars = enumerate_characters(c)
-    prim = [primitive_part(ch.conjugate()) for ch in chars]
-    # column n mod c, for each n <= n_max: g(prim[i], c, n) as Python complex
+    # column n mod c, for each n <= n_max: g(chibar_i, c, n) as Python complex
     cols = sorted({n % c for n in range(1, min(n_max, c) + 1)})
-    tabs = dict(zip(cols, _gauss_sums(prim, c, cols).T.tolist()))
+    tabs = dict(zip(cols, _gauss_sums([ch.conjugate() for ch in chars], c, cols).T.tolist()))
     vals = [ch.values() for ch in chars]
     units, invs = _units_and_inverses(c)
     roots = _exp_table(c)

@@ -1,6 +1,7 @@
 """Gamma and Bessel factors, on `math` and `cmath` alone.
 
-Complex log-gamma, K_nu of complex order through its defining integral,
+Complex log-gamma on the half plane Re z >= 0, where every gamma factor
+of the checks lies, K_nu of complex order through its defining integral,
 the Fourier transform identity
 
     int e(u y) (u^2+1)^(-s) u^k du
@@ -45,42 +46,21 @@ _STIRLING = tuple(b / (2 * k * (2 * k - 1)) for k, b in enumerate(_BERNOULLI, 1)
 
 
 def log_gamma(z: complex) -> complex:
-    """Principal log Gamma: Re z in [0, 15) lifted to 15 by log Gamma(z) = log
-    Gamma(z + n) - sum_{k<n} log(z + k), principal logs, then Stirling's series to
-    B_16, which omits < 2e-21 there; Re z < 0 by reflection.  Roundoff leaves
-    1e-13 absolute on |Re z| <= 20, |Im z| <= 50.  PoleError at nonpositive
-    integers."""
+    """Principal log Gamma on the half plane Re z >= 0: Re z in [0, 15) lifted to
+    15 by log Gamma(z) = log Gamma(z + n) - sum_{k<n} log(z + k), principal logs,
+    then Stirling's series to B_16, which omits < 2e-21 there.  Roundoff leaves
+    1e-13 absolute on Re z <= 20, |Im z| <= 50.  PoleError at 0 and the negative
+    integers; ValueError, in constant time, at any other Re z < 0."""
     z = complex(z)
     if z.imag == 0.0 and z.real <= 0.0 and z.real == int(z.real):
         raise PoleError(f"log_gamma pole at {z}")
     if z.real < 0:
-        return _log_gamma_reflected(z)
+        raise ValueError(f"log_gamma needs Re z >= 0, got {z}")
     n = int(15 - z.real) + 1 if z.real < 15 else 0
     shift = sum(cmath.log(z + k) for k in range(n))
     z += n
     series = sum(c / z ** (2 * i + 1) for i, c in enumerate(_STIRLING))
     return (z - 0.5) * cmath.log(z) - z + 0.5 * math.log(2 * math.pi) + series - shift
-
-
-def _log_gamma_reflected(z: complex) -> complex:
-    """log Gamma(z) = log pi - S(z) - log Gamma(1 - z) for Re z < 0, in time
-    independent of Re z.  On Im z >= 0, S(z) = i pi (1/2 - z) - log 2 + log(1 - e(z))
-    is the branch of log sin(pi z) that is continuous there, since 1 - e(z) has
-    Re >= 0, and S(1/2) = 0 fixes the branch term: the right side then agrees with
-    the principal log Gamma on the whole upper half plane, up to the real axis.
-    Im z < 0 by conjugate symmetry.  1 - e(z) is formed from t = Re z - round(Re z),
-    exact, as 2 sin^2(pi t) - expm1(-2 pi y) cos(2 pi t) - i e^(-2 pi y) sin(2 pi t)
-    with y = Im z, which keeps its digits next to the poles and at Re z = -1e12."""
-    if z.imag < 0:
-        return _log_gamma_reflected(z.conjugate()).conjugate()
-    t = z.real - round(z.real)
-    a = -2 * math.pi * z.imag
-    b = 2 * math.pi * t
-    one_minus_e = complex(
-        2 * math.sin(math.pi * t) ** 2 - math.expm1(a) * math.cos(b), -math.exp(a) * math.sin(b)
-    )
-    s = 1j * math.pi * (0.5 - z) - math.log(2) + cmath.log(one_minus_e)
-    return math.log(math.pi) - s - log_gamma(1 - z)
 
 
 def _quad(terms) -> complex:

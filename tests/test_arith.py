@@ -8,7 +8,6 @@ from gl3voronoi.arith import (
     divisors,
     euler_phi,
     factorize,
-    is_prime,
     mobius,
     mod_inverse,
     primes_up_to,
@@ -135,8 +134,8 @@ def test_unit_group_generates():
 def test_primes_and_is_prime():
     ps = primes_up_to(100)
     assert ps[:5] == [2, 3, 5, 7, 11] and ps[-1] == 97
-    assert all(is_prime(p) for p in ps)
-    assert not any(is_prime(n) for n in (0, 1, 4, 91, 100))
+    assert ps == [n for n in range(2, 101) if factorize(n) == [(n, 1)]]
+    assert primes_up_to(1) == [] and primes_up_to(2) == [2]
 
 
 def test_worse_keeps_non_finite_residuals():

@@ -766,6 +766,18 @@ def _invalid(flag, value, error="", id=None):
         _invalid("--gauss-c-max", "2049"),
         _invalid("--collapse-c-max", "2049"),
         _invalid("--orthogonality-c-max", str(2**62)),
+        # sizes that no kernel bounds: value tables, key grids, the sieve
+        _invalid("--orthogonality-c-max", "257", "orthogonality_c_max must be <= 256, got 257"),
+        _invalid("--window", "144:1025:48", "window P must be <= 1024, got 1025"),
+        _invalid("--window", "144:48:1025", "window Q must be <= 1024, got 1025"),
+        _invalid("--window", "144:48:480000", "window Q must be <= 1024, got 480000"),
+        _invalid("--prime-bound", "65537", "prime_bound must be <= 65536, got 65537"),
+        _invalid(
+            "--prime-bound=3000000000",
+            "--power-bound=1",
+            "prime_bound must be <= 65536",
+            id="prime-bound-3000000000-power-bound-1",
+        ),
         # batched Gauss blocks past 2048**2 entries
         _invalid(
             "--m2-max",
@@ -813,7 +825,7 @@ def test_kernel_modulus_cap_names_the_fields(argv, names, capsys, no_check_runs)
 
 
 def test_kernel_modulus_cap_is_inclusive():
-    for name in ("kloosterman_c_max", "gauss_c_max", "collapse_c_max", "orthogonality_c_max"):
+    for name in ("kloosterman_c_max", "gauss_c_max", "collapse_c_max"):
         replace(SuiteConfig(), **{name: cli.KERNEL_MAX_MODULUS}).validate()
     # c_max max|m_set| = 2046; one column keeps the Gauss block small
     replace(SuiteConfig(), c_max=cli.KERNEL_MAX_MODULUS // 6, m2_max=0).validate()
@@ -825,6 +837,25 @@ def test_kernel_modulus_cap_is_inclusive():
     ).validate()
     # the largest c_max at the default m_set and m2_max: 289^2 phi(6) 25
     replace(SuiteConfig(), c_max=289).validate()
+
+
+def test_size_caps_are_inclusive():
+    top = cli.WINDOW_MAX_PQ
+    replace(SuiteConfig(), window=(144, top, top)).validate()
+    replace(SuiteConfig(), orthogonality_c_max=cli.ORTHOGONALITY_MAX_C).validate()
+    # 65521^2 fits factorize; the default power_bound 4 would not
+    replace(SuiteConfig(), prime_bound=cli.PRIME_BOUND_MAX, power_bound=1).validate()
+
+
+def test_prime_bound_cap_comes_before_any_primality_work(monkeypatch, capsys, no_check_runs):
+    # the largest prime <= prime_bound comes from the sieve, after the cap:
+    # a search down from 2**62 by trial division would take minutes
+    def sieve(n):
+        raise AssertionError(f"sieved to {n}")
+
+    monkeypatch.setattr(cli, "primes_up_to", sieve)
+    assert main(["verify", "all", "--prime-bound", str(2**62), "--power-bound", "1"]) == 2
+    assert "error: prime_bound must be <= 65536" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value", ["nan", "-1", "0", "inf"])

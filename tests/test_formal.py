@@ -23,11 +23,14 @@ def test_window_validation():
 
 
 def test_counting_series():
-    w = Window(12, 1, 1)
-    s = build_lseries(lambda n: 1.0, 1, 0, 0, None, w)
-    assert len(s) == 12
-    for n in range(1, 13):
-        assert s.terms[(n, 1, 1)] == 1
+    # the slice ends exactly at X = k^w, and one step below it at k^w - 1
+    cases = [(1, 12, 12), (1, 11, 11), (2, 99**2, 99), (2, 99**2 - 1, 98)]
+    cases += [(3, 4096**3, 4096), (3, 4096**3 - 1, 4095), (3, 10**15, 10**5)]
+    for w_mult, x_max, top in cases:
+        s = build_lseries(lambda n: 1.0, w_mult, 0, 0, None, Window(x_max, 1, 1))
+        assert len(s) == top, (w_mult, x_max)
+        for n in range(1, top + 1):
+            assert s.terms[(n**w_mult, 1, 1)] == 1
 
 
 def test_hand_product():

@@ -746,6 +746,23 @@ def test_orthogonality_reads_kernel_columns_bit_for_bit():
         assert repr(got) == repr(orthogonality_per_table(model, c, 1, n_max)), c
 
 
+def test_orthogonality_reads_each_conjugate_itself(monkeypatch):
+    # g(chibar, c, n) of chibar itself: no primitive part is formed, since
+    # on the units of c both hold the same values bit for bit
+    calls = []
+
+    def spy(chi):
+        calls.append(chi)
+        return primitive_part(chi)
+
+    monkeypatch.setattr("gl3voronoi.characters.primitive_part", spy)
+    monkeypatch.setattr(identities, "primitive_part", spy, raising=False)
+    model = new_model(1, seed=0)
+    for c in (1, 8, 12, 30):
+        verify_orthogonality_equivalence(model, c, 1, 24)
+    assert calls == []
+
+
 def test_orthogonality_respects_level():
     psi = quadratic_mod(3)
     model = new_model(3, psi, seed=0)
