@@ -28,7 +28,6 @@ from __future__ import annotations
 import argparse
 import cmath
 import functools
-import itertools
 import json
 import math
 import sys
@@ -51,12 +50,7 @@ from .expsums import (
     kloosterman_basic_sweep,
 )
 from .formal import Window
-from .heckemodel import (
-    euler_product_residual,
-    hecke_relation_residual_1,
-    hecke_relation_residual_2,
-    new_model,
-)
+from .heckemodel import euler_product_residual, new_model, relation_residuals
 from .identities import (
     fe_rearrangement_sensitivity,
     ramanujan_lemma_sweep,
@@ -146,7 +140,9 @@ class VerificationReport:
 CHARS_LIST_MAX_MODULUS = 4096  # phi(q) tables of q pointers: 160 MiB peak at q = 4093
 WINDOW_MAX_PQ = 1024  # key grids grow with P, Q: fe-rearrangement 18 s, 226 MiB at the cap
 ORTHOGONALITY_MAX_C = 256  # a value table per character mod c <= c_max: 11 s, 91 MiB
-PRIME_BOUND_MAX = 2**16  # a sieve of prime_bound bytes, then each prime's relations
+# a sieve of prime_bound bytes, then each prime's relations: hecke-relations
+# takes 0.3 s at the cap with one model, level 1 and power_bound 1
+PRIME_BOUND_MAX = 2**16
 
 
 @dataclass(frozen=True)
@@ -212,10 +208,11 @@ class SuiteConfig:
         block of more than KERNEL_MAX_MODULUS**2 entries (see blocks); the
         window's P and Q are <= WINDOW_MAX_PQ, orthogonality_c_max <=
         ORTHOGONALITY_MAX_C and prime_bound <= PRIME_BOUND_MAX; every
-        Hecke-relation index fits factorize; the triple of (nu1, nu2) is
-        purely imaginary, as unitarity on the critical line needs; every
-        tolerance override names a check and is finite and > 0; under
-        fault injection the window holds both probes' corrupted terms.
+        index that hecke-relations reads, pure or mixed, fits factorize;
+        the triple of (nu1, nu2) is purely imaginary, as unitarity on the
+        critical line needs; every tolerance override names a check and is
+        finite and > 0; under fault injection the window holds both
+        probes' corrupted terms.
         """
         if min(self.window) < 1:
             raise ValueError("window fields must be positive")
@@ -290,12 +287,25 @@ class SuiteConfig:
         ):
             if value > cap:
                 raise ValueError(f"{name} must be <= {cap}, got {value}")
-        # hecke-relations factorizes indices up to p^(2 power_bound), with p
-        # the largest prime <= prime_bound; the bit count avoids a huge power
-        p = (primes_up_to(self.prime_bound) or [1])[-1]
-        power = 2 * self.power_bound
-        if power * (p.bit_length() - 1) >= 63 or p**power > 2**63 - 1:
-            raise ValueError(f"power_bound: {p}^(2*power_bound) exceeds 2**63-1")
+        # coefficient factorizes every index that hecke-relations reads: up
+        # to p^(2 power_bound) and, at a level whose largest prime is q,
+        # q^2 p^4, with p the largest prime <= prime_bound off the level;
+        # as p^64 > 2**63 already, the exponent is capped at 64
+        primes = primes_up_to(self.prime_bound)
+        for level in self.hecke_levels:
+            p = next((p for p in reversed(primes) if level % p), None)
+            if p is None:
+                continue
+            indices = {f"{p}^{2 * self.power_bound}": p ** min(2 * self.power_bound, 64)}
+            if level > 1:
+                q = factorize(level)[-1][0]
+                indices[f"{q}^2*{p}^4"] = q * q * p**4
+            for text, index in indices.items():
+                if index > _MAX_N:
+                    raise ValueError(
+                        f"prime_bound, power_bound, hecke_levels: hecke-relations reads "
+                        f"A(m1, m2) at an index {text}, above 2**63-1"
+                    )
         finite = cmath.isfinite(self.nu1) and cmath.isfinite(self.nu2)
         triple = GammaData(self.nu1, self.nu2).triple if finite else ()
         if not finite or max(abs(a.real) for a in triple) >= 1e-12:
@@ -417,21 +427,12 @@ def check_hecke_relations(config: SuiteConfig, fold: _Fold) -> dict:
     primes = primes_up_to(config.prime_bound)
     models = 0
     for level in config.hecke_levels:
+        level_primes = [q for q, _ in factorize(level)]
         unramified = [p for p in primes if level % p]
         for _, model in _models(config, level, config.trials):
             models += 1
             for p in unramified:
-                powers = [p**e for e in range(config.power_bound + 1)]
-                for n, n1, n2 in itertools.product(powers[1:], powers, powers):
-                    fold.add(
-                        hecke_relation_residual_1(model, n, n1, n2),
-                        hecke_relation_residual_2(model, n, n1, n2),
-                    )
-            if level > 1:
-                p0 = min(p for p, _ in factorize(level))
-                for p in unramified:
-                    for j, e, a, b in itertools.product((1, 2), (0, 1, 2), (1, p, p * p), (1, p)):
-                        fold.add(hecke_relation_residual_2(model, p0**j * p**e, a, b))
+                fold.add(*relation_residuals(model, p, config.power_bound, level_primes))
     return {
         "levels": ",".join(map(str, config.hecke_levels)),
         "prime_bound": config.prime_bound,

@@ -46,15 +46,26 @@ corrupted twin of a corrupted model carries both deltas, added in the
 order they were injected.  A corrupted dual keeps the dual's values;
 the dual of a corrupted model drops every corruption.
 
-The relation verifiers treat the model as untrusted input and enumerate
-the divisor sums in full, so any alternative coefficient source can be
-plugged in.
+The relation verifiers treat the model as untrusted input and read it
+only through coefficient, so any alternative coefficient source can be
+plugged in.  hecke_relation_residual_1 and _2 enumerate the divisor sums
+of any (n, n1, n2) in full.  relation_residuals, which the
+hecke-relations check calls, takes one prime p at a time: every index is
+then p^x, or p^x q^J at a prime q of the level, so both sums follow from
+the exponents alone.  One exponent plan per power bound lists each term's
+psi exponent and table cell, in the order of the divisor loops; each
+(model, p) reads one table A(p^x, p^y), one list psi(p^k) and, per q^J,
+one table A(p^x, q^J p^y), and replays the plan over them, so that every
+residual equals the generic one by repr and nothing is factorized but
+the table indices, once each.
 """
 
 from __future__ import annotations
 
 import cmath
 import copy
+import functools
+import itertools
 import math
 import random
 
@@ -67,6 +78,7 @@ __all__ = [
     "CoefficientDomainError",
     "hecke_relation_residual_1",
     "hecke_relation_residual_2",
+    "relation_residuals",
     "euler_product_residual",
 ]
 
@@ -286,6 +298,100 @@ def hecke_relation_residual_2(
                 continue
             rhs += psi(c) * model.coefficient(b * n2 // c, a * n1 // b)
     return abs(lhs - rhs)
+
+
+def _terms_1(i: int, j: int, k: int) -> list[tuple[int, tuple[int, int]]]:
+    """(psi exponent, (x, y)) of each term psi(ab) A(c n2/b, b n1/a) of the
+    first relation at n = p^i, n1 = p^j, n2 = p^k, with a = p^al | n1 and
+    b = p^be | n2, in the order of hecke_relation_residual_1's loops."""
+    return [
+        (al + be, (i - al - 2 * be + k, be + j - al))
+        for al in range(min(i, j) + 1)
+        for be in range(min(i - al, k) + 1)
+    ]
+
+
+def _terms_2(i: int, j: int, k: int) -> list[tuple[int, tuple[int, int]]]:
+    """(psi exponent, (x, y)) of each term psi(c) A(b n2/c, a n1/b) of the
+    second relation at m = p^i, n1 = p^j, n2 = p^k, with a = p^al,
+    b = p^be | n1 and c = p^(i - al - be) | n2, in the order of
+    hecke_relation_residual_2's loops."""
+    return [
+        (i - al - be, (2 * be + al + k - i, al + j - be))
+        for al in range(i + 1)
+        for be in range(min(i - al, j) + 1)
+        if i - al - be <= k
+    ]
+
+
+@functools.lru_cache(maxsize=None)
+def _exponent_plan(power_bound: int):
+    """(pure cells, cofactor cells, pure relations, mixed relations).
+
+    A cell (x, y) of the pure table is A(p^x, p^y), one of a cofactor
+    table A(p^x, q^J p^y); a relation (left, right, terms) has the
+    residual |L[left] P[right] - sum psi(p^e) L[t] over (e, t) in terms|,
+    with P the pure table and L the pure table or a cofactor table, each
+    index a slot of the table's cell list.  The pure relations are the
+    first then the second relation at each (i, j, k) with 1 <= i <=
+    power_bound and j, k <= power_bound, the mixed ones the second
+    relation at m = q^J p^i, n1 = p^j, n2 = p^k with i, j <= 2, k <= 1:
+    only a = q^J p^al survives there, so its terms are those at m = p^i
+    with q^J on each second index.
+    """
+    pure_cells: dict[tuple[int, int], int] = {}
+    cofactor_cells: dict[tuple[int, int], int] = {}
+
+    def relation(left, right, terms, cells):
+        return (
+            cells.setdefault(left, len(cells)),
+            pure_cells.setdefault(right, len(pure_cells)),
+            tuple((e, cells.setdefault(cell, len(cells))) for e, cell in terms),
+        )
+
+    exps = range(power_bound + 1)
+    pure = []
+    for i, j, k in itertools.product(exps[1:], exps, exps):
+        pure.append(relation((i, 0), (k, j), _terms_1(i, j, k), pure_cells))
+        pure.append(relation((0, i), (k, j), _terms_2(i, j, k), pure_cells))
+    mixed = [
+        relation((0, i), (k, j), _terms_2(i, j, k), cofactor_cells)
+        for i, j, k in itertools.product(range(3), range(3), range(2))
+    ]
+    return tuple(pure_cells), tuple(cofactor_cells), tuple(pure), tuple(mixed)
+
+
+def _replay(relations, table, pure, psi) -> list[float]:
+    out = []
+    for left, right, terms in relations:
+        rhs = 0j
+        for e, t in terms:
+            rhs += psi[e] * table[t]
+        out.append(abs(table[left] * pure[right] - rhs))
+    return out
+
+
+def relation_residuals(
+    model: HeckeCoefficientModel, p: int, power_bound: int, level_primes: list[int]
+) -> list[float]:
+    """Both relations' residuals at one prime p coprime to the level.
+
+    First hecke_relation_residual_1 and _2 at (p^i, p^j, p^k) for each
+    1 <= i <= power_bound and j, k <= power_bound, in turn; then, for each
+    q in level_primes (primes other than p) and J in (1, 2),
+    hecke_relation_residual_2 at (q^J p^i, p^j, p^k) for i, j <= 2,
+    k <= 1; each equal to the generic residual by repr, in itertools.product
+    order.  Every coefficient is read through model.coefficient, once per
+    table cell.
+    """
+    pure_cells, cofactor_cells, pure, mixed = _exponent_plan(power_bound)
+    psi = [model.psi(p**e) for e in range(power_bound + 1)]
+    table = [model.coefficient(p**x, p**y) for x, y in pure_cells]
+    out = _replay(pure, table, table, psi)
+    for q, J in itertools.product(level_primes, (1, 2)):
+        cofactor = [model.coefficient(p**x, q**J * p**y) for x, y in cofactor_cells]
+        out += _replay(mixed, cofactor, table, psi)
+    return out
 
 
 def euler_product_residual(

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -56,6 +57,45 @@ def test_factorize_shape(n):
 def test_factorize_roundtrip_exhaustive():
     for n in range(1, 10**5 + 1):
         assert math.prod(p**e for p, e in factorize(n)) == n
+
+
+def test_factorize_equals_trial_division_by_primes():
+    # trial division by every prime below 10**6 factors each n below 10**12
+    # and each power below 2**63 of a prime below 10**6; factorize
+    # takes a perfect-power step once its trial divisor reaches 101
+    sieve = bytearray([1]) * 10**6
+    sieve[:2] = b"\x00\x00"
+    for f in range(2, 1000):
+        if sieve[f]:
+            sieve[f * f :: f] = bytes(len(range(f * f, 10**6, f)))
+    primes = [f for f in range(10**6) if sieve[f]]
+
+    def oracle(n):
+        out = []
+        for f in primes:
+            if f * f > n:
+                break
+            e = 0
+            while n % f == 0:
+                n //= f
+                e += 1
+            if e:
+                out.append((f, e))
+        else:
+            raise AssertionError("ran out of trial divisors")
+        return out + [(n, 1)] * (n > 1)
+
+    rng = random.Random(1729)
+    near_70000 = [p for p in primes if 69_900 < p < 70_100]
+    values = [
+        *range(1, 30_001),
+        # factorize itself takes about 1 ms per n here, so 300 of them
+        *(rng.randrange(1, 10**12) for _ in range(300)),
+        *(p**k for p in near_70000 for k in range(1, 4)),
+        2**63 - 1,
+    ]
+    for n in values:
+        assert factorize(n) == oracle(n), n
 
 
 def test_divisors_examples():

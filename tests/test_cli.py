@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -184,6 +185,22 @@ def test_check_fails_on_one_perturbed_value_of_its_layer(name, monkeypatch):
     assert report.tolerance < report.max_residual < math.inf
 
 
+@pytest.mark.parametrize("index", [(1, 2), (1, 3), (1, 9), (5, 3)])
+def test_hecke_relations_reads_every_prime_of_a_composite_level(index, monkeypatch):
+    # at level 6 the mixed part runs at q = 2 and at q = 3: A(1, 3), A(1, 9)
+    # and A(5, 3) are read only by the second
+    config = replace(FAST, hecke_levels=(6,))
+    assert CHECKS["hecke-relations"](config)[0].passed
+
+    def corrupt(*args, **kw):
+        return new_model(*args, **kw).corrupted(index, 1e-6)
+
+    monkeypatch.setattr("gl3voronoi.cli.new_model", corrupt)
+    report = CHECKS["hecke-relations"](config)[0]
+    assert not report.passed
+    assert report.tolerance < report.max_residual < math.inf
+
+
 def _count_calls(monkeypatch, targets, key) -> collections.Counter:
     """Patch each gl3voronoi.<module>.<attribute> in targets to count
     key(*args) per call, all into the one returned Counter."""
@@ -198,6 +215,19 @@ def _count_calls(monkeypatch, targets, key) -> collections.Counter:
 
         monkeypatch.setattr(f"gl3voronoi.{target}", counted)
     return calls
+
+
+def test_hecke_relations_enumerates_no_divisor_sum(monkeypatch):
+    # the check replays one exponent plan per power bound over tables read
+    # once per (model, p); the generic verifiers stay as the tests' oracle
+    targets = [
+        "heckemodel.divisors",
+        "heckemodel.hecke_relation_residual_1",
+        "heckemodel.hecke_relation_residual_2",
+    ]
+    calls = _count_calls(monkeypatch, targets, lambda *args: args)
+    assert CHECKS["hecke-relations"](replace(FAST, hecke_levels=(1, 2, 6)))[0].passed
+    assert calls == collections.Counter()
 
 
 def test_kloosterman_basic_builds_one_matrix_per_modulus(monkeypatch):
@@ -588,6 +618,25 @@ def test_special_function_checks_run_with_scipy_blocked():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_hecke_relations_time_grows_with_the_prime_count():
+    # a prime power p^k factors in a few steps, not about p/3, so the cap
+    # runs in under a second where trial division alone took 11.5 s
+    argv = ["verify", "hecke-relations", "--prime-bound", "65536", "--power-bound", "1"]
+    argv += ["--trials", "1", "--hecke-levels", "1"]
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "gl3voronoi.cli", *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert time.perf_counter() - t0 < 4.0
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("PASS  hecke-relations")
+
+
 def test_gamma_unitarity_gate(capsys):
     # a non-imaginary derived triple would leave the critical-line check
     # with nothing to evaluate, so the config is rejected before it runs
@@ -736,7 +785,12 @@ def _invalid(flag, value, error="", id=None):
         _invalid("--levels", "0"),
         _invalid("--m-set", "0"),
         _invalid("--cstar-list", "2"),
-        _invalid("--power-bound", "9"),
+        _invalid(
+            "--power-bound",
+            "9",
+            "prime_bound, power_bound, hecke_levels: hecke-relations reads A(m1, m2) at an "
+            "index 13^18, above 2**63-1",
+        ),
         _invalid("--kloosterman-c-max", "1"),
         # beyond factorize's 2**63 - 1
         _invalid("--levels", str(2**70)),
@@ -789,6 +843,20 @@ def _invalid(flag, value, error="", id=None):
             "--ramanujan-m-max",
             "2428",
             "ramanujan_cstar, ramanujan_ell_max, ramanujan_m_max: a Gauss block of 4195584",
+        ),
+        # mixed-part indices q^2 p^4 past factorize's 2**63 - 1
+        _invalid(
+            "--prime-bound=30000",
+            "--power-bound=1",
+            "prime_bound, power_bound, hecke_levels: hecke-relations reads A(m1, m2) at an "
+            "index 5^2*29989^4, above 2**63-1",
+            id="prime-bound-30000-power-bound-1",
+        ),
+        pytest.param(
+            ["--prime-bound=65536", "--power-bound=1", "--hecke-levels=2"],
+            "prime_bound, power_bound, hecke_levels: hecke-relations reads A(m1, m2) at an "
+            "index 2^2*65521^4",
+            id="prime-bound-65536-power-bound-1-hecke-levels-2",
         ),
         _invalid("--nu1", "0.5"),
         _invalid("--nu1", "nan"),
@@ -843,8 +911,15 @@ def test_size_caps_are_inclusive():
     top = cli.WINDOW_MAX_PQ
     replace(SuiteConfig(), window=(144, top, top)).validate()
     replace(SuiteConfig(), orthogonality_c_max=cli.ORTHOGONALITY_MAX_C).validate()
-    # 65521^2 fits factorize; the default power_bound 4 would not
-    replace(SuiteConfig(), prime_bound=cli.PRIME_BOUND_MAX, power_bound=1).validate()
+    # 65521^2 fits factorize; the default power_bound 4 would not, nor would
+    # a level > 1, whose mixed part reads q^2 65521^4
+    replace(
+        SuiteConfig(), prime_bound=cli.PRIME_BOUND_MAX, power_bound=1, hecke_levels=(1,)
+    ).validate()
+    # at level 2 the largest index is 2^2 p^4: 4 * 38959^4 fits, 4 * 38971^4 not
+    replace(SuiteConfig(), prime_bound=38970, power_bound=1, hecke_levels=(2,)).validate()
+    with pytest.raises(ValueError, match=r"an index 2\^2\*38971\^4"):
+        replace(SuiteConfig(), prime_bound=38971, power_bound=1, hecke_levels=(2,)).validate()
 
 
 def test_prime_bound_cap_comes_before_any_primality_work(monkeypatch, capsys, no_check_runs):

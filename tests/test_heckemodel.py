@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -11,6 +12,7 @@ from gl3voronoi.heckemodel import (
     hecke_relation_residual_1,
     hecke_relation_residual_2,
     new_model,
+    relation_residuals,
 )
 
 
@@ -114,6 +116,30 @@ def test_hecke_relation_sweep_with_nebentypus():
                                     hecke_relation_residual_2(m, p**e, p**e1, p**e2),
                                 )
     assert worst < 1e-10
+
+
+@pytest.mark.parametrize("power_bound", [1, 2, 3, 4])
+def test_relation_residuals_equal_the_divisor_sums_by_repr(power_bound):
+    # the exponent plan replays the generic divisor loops term for term, so
+    # every residual, pure and mixed, is the generic one bit for bit
+    for level in range(1, 10):
+        level_primes = [q for q, _ in factorize(level)]
+        for i, psi in enumerate(enumerate_characters(level)):
+            m = new_model(level, psi, seed=100 + i)
+            for p in (2, 3, 5, 7, 11, 13, 17):
+                if level % p == 0:
+                    continue
+                powers = [p**e for e in range(power_bound + 1)]
+                expected = []
+                for n, n1, n2 in itertools.product(powers[1:], powers, powers):
+                    expected.append(hecke_relation_residual_1(m, n, n1, n2))
+                    expected.append(hecke_relation_residual_2(m, n, n1, n2))
+                for q, j, e, a, b in itertools.product(
+                    level_primes, (1, 2), (0, 1, 2), (1, p, p * p), (1, p)
+                ):
+                    expected.append(hecke_relation_residual_2(m, q**j * p**e, a, b))
+                got = relation_residuals(m, p, power_bound, level_primes)
+                assert list(map(repr, got)) == list(map(repr, expected)), (level, i, p)
 
 
 def test_hecke_relation_2_ramified_m():

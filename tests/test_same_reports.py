@@ -15,10 +15,10 @@ def test_error_on_both_sides_counts_as_a_difference(capsys):
     tool = _load()
     report = {"z-expansion": ("1e-14", True, {"q_max": 6})}
     assert tool.report_differences(report, dict(report), "w", {}) == 0
-    for marker in ("<child error>", "<verify all error>"):
+    for marker in ("<child error>", "<verify error>"):
         same = {marker: "Traceback: boom"}
         assert tool.report_differences(same, dict(same), "w", {}) == 1
-    assert "<verify all error>" in capsys.readouterr().out
+    assert "<verify error>" in capsys.readouterr().out
 
 
 def test_differences_carry_their_log10_drift(capsys):

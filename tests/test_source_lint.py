@@ -14,6 +14,8 @@ UNREAD_EXPORTS = {
     "weil_bound_sweep",
     "ramanujan_lemma_residual",
     "build_G",
+    "hecke_relation_residual_1",
+    "hecke_relation_residual_2",
 }
 
 

@@ -3,13 +3,16 @@
 For every pinned seed in bench/expected.json, every workload and both
 sizes (full and tiny), runs each checkout's bench/child.py with that
 checkout's src/ and bench/ on PYTHONPATH and PYTHONHASHSEED=0; then, once
-per checkout, `verify all --fault-injection --format json` at the default
-SuiteConfig, so both fault probes are compared at the default window too.
+per checkout, each command of VERIFY_RUNS with `--format json`:
+`verify all --fault-injection` at the default SuiteConfig, so both fault
+probes are compared at the default window too, and hecke-relations at
+`--prime-bound 233`, the largest prime whose p^8 (power_bound 4) fits
+factorize, so its largest indices take factorize's perfect-power step.
 Prints each report whose max_residual repr, verdict or parameters differ
 (runtime_ms is not compared): whether its residual repr and its verdict
 are equal, each parameter removed, added or changed, and its log10
 residual drift, log10(change / parent); then one count line for the
-workloads, one for the default run and a closing line with the largest
+workloads, one per VERIFY_RUNS command and a closing line with the largest
 |drift| and the names of the checks that differ, and exits 1 on any
 difference.  A change whose only differences are roundoff shows as equal
 verdicts and parameters with small drifts.  A run that raised or left no
@@ -48,22 +51,30 @@ def run(root: Path, tag: str, workload: str, seed: int, tiny: bool, tmp: str) ->
     }
 
 
-def run_default(root: Path) -> dict:
-    """check name -> (max_residual repr, verdict, parameters) of the
-    default `verify all --fault-injection`."""
+# where -> verify arguments, each run once per checkout
+VERIFY_RUNS = {
+    "default verify all": ["all", "--fault-injection"],
+    "verify hecke-relations --prime-bound 233 --trials 3": [
+        "hecke-relations", "--prime-bound", "233", "--trials", "3",
+    ],
+}
+
+
+def run_verify(root: Path, args: list[str]) -> dict:
+    """check name -> (max_residual repr, verdict, parameters) of one
+    `verify ARGS --format json` run."""
     env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONHASHSEED="0")
-    cmd = [sys.executable, "-m", "gl3voronoi.cli", "verify", "all", "--fault-injection"]
-    cmd += ["--format", "json"]
+    cmd = [sys.executable, "-m", "gl3voronoi.cli", "verify", *args, "--format", "json"]
     proc = subprocess.run(cmd, cwd=root, env=env, capture_output=True, text=True, timeout=900)
     if proc.returncode not in (0, 1):
-        return {"<verify all error>": proc.stderr}
+        return {"<verify error>": proc.stderr}
     return {
         r["check_name"]: (repr(r["max_residual"]), r["pass"], r["parameters"])
         for r in json.loads(proc.stdout)["reports"]
     }
 
 
-ERRORS = ("<child error>", "<verify all error>")
+ERRORS = ("<child error>", "<verify error>")
 
 
 def drift(old, new) -> float | None:
@@ -144,13 +155,15 @@ def main() -> int:
                     size = "tiny" if tiny else "full"
                     where = f"{workload} {size} seed {seed}"
                     differ += report_differences(old, new, where, differing)
-    old, new = (run_default(r) for r in roots)
-    default_differ = report_differences(old, new, "default verify all", differing)
-    print(f"default verify all: {len(old.keys() | new.keys())} reports compared, "
-          f"{default_differ} differ")
+    verify_differ = 0
+    for where, args in VERIFY_RUNS.items():
+        old, new = (run_verify(r, args) for r in roots)
+        count = report_differences(old, new, where, differing)
+        print(f"{where}: {len(old.keys() | new.keys())} reports compared, {count} differ")
+        verify_differ += count
     print(f"{compared} reports compared, {differ} differ")
     print(closing_line(differing))
-    return 1 if differ or default_differ else 0
+    return 1 if differ or verify_differ else 0
 
 
 if __name__ == "__main__":
