@@ -22,13 +22,17 @@ so its floating error is O(1) ulp.  That exponential is entry a(n) of
 _root_table(L), the one root table of the group exponent L, and chi(n)
 reads the value table, which holds exactly these values.  Every root of
 unity e(k/c) of the Gauss and Kloosterman kernels (here and in expsums)
-is the entry _exp_table(c)[k mod c], one exponential of the angle
-reduced mod c, and their sums run over the units of
-_units_and_inverses(c), the one unit list.  Every Gauss sum
-sum_u chi(u) e(u m/c) comes from one numpy kernel, batched over
+is entry k mod c of _root_array(c), the one cached root array of c,
+each entry one exponential of the angle reduced mod c (the scalar sums
+read the same values as the tuple _exp_table(c)), and their sums run
+over the units of _units_and_inverses(c), the one unit list.  Every
+Gauss sum sum_u chi(u) e(u m/c) comes from one numpy kernel, batched over
 characters: each term is the product of two table values (chi(u) and
 e(j/c)), rounded as Python's complex product, and each character's
-terms are added in ascending order of u.  A unit kept for another
+terms are added in ascending order of u, by a reduce over the units
+of terms laid out as (units, characters, columns), which adds them row
+by row; a block of one character and one column, which that reduce
+would sum pairwise, is accumulated instead.  A unit kept for another
 character of the batch adds a signed zero to the row of a character
 that vanishes there, which changes no partial sum: every row equals the
 one-character call bit for bit, signs of zeros included, and each
@@ -38,8 +42,9 @@ columns it reads, for all its characters at once.
 Modulus 1 is supported (the trivial character is 1 everywhere).
 
 Characters are frozen, hashable values (modulus, exponents): equal
-characters share one value table, and the conductor is computed once per
-distinct character.
+characters share one value table.  The conductors of all characters of
+a modulus are computed at once, into one table per modulus indexed by
+exponents, which keeps no character alive.
 """
 
 from __future__ import annotations
@@ -49,7 +54,7 @@ import itertools
 import math
 from fractions import Fraction
 from dataclasses import dataclass, field
-from functools import cache, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -118,9 +123,17 @@ def _root_table(L: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
+def _root_array(c: int) -> np.ndarray:
+    """e(j/c) for j = 0..c-1, as one read-only complex array."""
+    roots = np.array([_root_of_unity(j, c) for j in range(c)])
+    roots.flags.writeable = False
+    return roots
+
+
+@lru_cache(maxsize=None)
 def _exp_table(c: int) -> tuple[complex, ...]:
-    """e(j/c) for j = 0..c-1."""
-    return tuple(_root_of_unity(j, c) for j in range(c))
+    """_root_array(c) as Python complex values, for the scalar sums."""
+    return tuple(_root_array(c).tolist())
 
 
 @lru_cache(maxsize=None)
@@ -148,8 +161,8 @@ class DirichletCharacter:
 
     Exponents are reduced mod their generator orders at construction,
     which also stores the character's value table (shared by every equal
-    character) in the one derived slot; the conductor is cached per
-    distinct character.
+    character) in the one derived slot; the conductor is read from the
+    table of its modulus.
     """
 
     modulus: int
@@ -211,16 +224,47 @@ class DirichletCharacter:
         return self.conductor == self.modulus
 
     @property
-    @cache
     def conductor(self) -> int:
         """Smallest d | q with chi(a) = 1 for all units a = 1 (mod d)."""
-        q = self.modulus
-        for d in divisors(q):
-            if all(self._numerator(a) == 0 for a in range(1, q + 1, d) if math.gcd(a, q) == 1):
-                return d
+        return int(_conductors(self.modulus)[self.exponents])
 
     def conjugate(self) -> "DirichletCharacter":
         return DirichletCharacter(self.modulus, tuple(-e for e in self.exponents))
+
+
+@lru_cache(maxsize=None)
+def _conductors(q: int) -> np.ndarray:
+    """The conductor of every character mod q, indexed by its exponents.
+
+    chi has conductor dividing d iff a(u) = 0 at every unit u = 1 (mod d).
+    For each d | q in ascending order, the characters whose conductor is
+    still open read the columns of those units in the numerator matrix
+    (exponents @ weighted logs mod L), in blocks of at most
+    KERNEL_MAX_MODULUS entries (or one column, if more characters are
+    open); a character leaves at its first nonzero numerator and gets
+    conductor d if it has none.  Blocks this small add nothing to the
+    peak set by the phi(q) value tables of q; blocks of up to
+    KERNEL_MAX_MODULUS**2 entries raised the peak of `chars list
+    --modulus 4093` from 160 to about 200 MiB.
+    """
+    units, logs, exponent = _log_vectors(q)
+    orders = [r for _, r in _structure(q)[0]]
+    exps = np.indices(orders).reshape(len(orders), math.prod(orders)).T
+    out = np.full(len(exps), q)
+    open_rows = np.arange(len(exps))
+    for d in divisors(q)[:-1]:  # every character is trivial on the units = 1 (mod q)
+        cols = logs[(units - 1) % d == 0]
+        trivial, j = open_rows, 0
+        while len(trivial) and j < len(cols):
+            step = max(1, KERNEL_MAX_MODULUS // len(trivial))
+            a = exps[trivial] @ cols[j : j + step].T
+            a %= exponent
+            trivial, j = trivial[~a.any(axis=1)], j + step
+        out[trivial] = d
+        open_rows = open_rows[out[open_rows] == q]
+    table = out.reshape(orders)
+    table.flags.writeable = False
+    return table
 
 
 def principal_character(q: int) -> DirichletCharacter:
@@ -279,28 +323,41 @@ def _gauss_sums(chis, c: int, ms) -> np.ndarray:
 
     Direct summation for any c >= 1: each chi is read as a function on
     Z, so units of c that share a factor with its modulus contribute 0;
-    units on which every chi vanishes are skipped.  Real and imaginary
-    parts of each product are formed by separate float operations (a - b
-    as a + (-b), which is exact), so that every term rounds as Python's
-    complex product does (numpy's complex multiply may fuse them), and the
-    terms are accumulated in ascending order of u (a plain sum over one
-    column would be pairwise).
+    units on which every chi vanishes are skipped.  The values of each
+    modulus in chis are gathered at once, and each root e(u m / c) is
+    read from _root_array(c).  Real and imaginary parts of each product
+    are formed by separate float operations (a - b as a + (-b), which is
+    exact), so that every term rounds as Python's complex product does
+    (numpy's complex multiply may fuse them).  The terms are laid out as
+    (units, characters, columns) and reduced over the units, which adds
+    them row by row in ascending order of u; a block of one character
+    and one column would be summed pairwise by that reduce, so it is
+    accumulated instead.
     """
     out = np.empty((len(chis), len(ms)), dtype=complex)
     if not out.size:
         return out
     u = np.array(_units_and_inverses(c)[0])
-    w = np.array([np.array(chi.values())[u % chi.modulus] for chi in chis])
-    keep = (w != 0).any(axis=0)
-    u, w = u[keep], w[:, keep]
+    by_modulus: dict[int, list[int]] = {}
+    for i, chi in enumerate(chis):
+        by_modulus.setdefault(chi.modulus, []).append(i)
+    w = np.empty((len(u), len(chis)), dtype=complex)  # chi(u): units x characters
+    for q, rows in by_modulus.items():
+        w[:, rows] = np.array([chis[i].values() for i in rows])[:, u % q].T
+    keep = (w != 0).any(axis=1)
+    u, w = u[keep], w[keep]
     wr, wi = w.real[:, :, None], w.imag[:, :, None]
+    roots = _root_array(c)
     step = max(1, KERNEL_MAX_MODULUS**2 // w.size)
     for j in range(0, len(ms), step):
-        e = np.array(_exp_table(c))[np.outer(u, ms[j : j + step]) % c]  # e(u m / c)
+        e = roots[np.outer(u, ms[j : j + step]) % c][:, None, :]  # e(u m / c)
         for part, x, y in ((out.real, e.real, -e.imag), (out.imag, e.imag, e.real)):
             terms = wr * x
             terms += wi * y
-            part[:, j : j + step] = np.add.accumulate(terms, axis=1)[:, -1]
+            if terms.shape[1:] == (1, 1):
+                part[:, j : j + step] = np.add.accumulate(terms, axis=0)[-1]
+            else:
+                part[:, j : j + step] = np.add.reduce(terms, axis=0)
     return out
 
 

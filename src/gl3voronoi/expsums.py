@@ -4,7 +4,7 @@ S(a, b; c) = sum over units x mod c of e((a x + b x~)/c), with x~ the
 inverse of x mod c.  S(a, b; 1) = 1 (empty modulus).
 kloosterman_matrix(c) gives every S(a, b; c) at once from the units and
 inverses of characters._units_and_inverses, each phase read from the
-root table characters._exp_table(c) at its angle reduced mod c.
+root array characters._root_array(c) at its angle reduced mod c.
 
 The sweeps verify, by full enumeration on both sides:
 
@@ -40,9 +40,11 @@ import numpy as np
 
 from .arith import divisors, primes_up_to, worse
 from .characters import (
+    KERNEL_MAX_MODULUS,
     DirichletCharacter,
     _exp_table,
     _gauss_sums,
+    _root_array,
     _units_and_inverses,
     enumerate_characters,
     gauss_sum,
@@ -66,7 +68,7 @@ def kloosterman_matrix(c: int) -> np.ndarray:
     if c < 1:
         raise ValueError(f"modulus must be positive, got {c}")
     units, invs = _units_and_inverses(c)
-    roots = np.array(_exp_table(c))
+    roots = _root_array(c)
     j = np.arange(c)
     return roots[np.outer(j, units) % c] @ roots[np.outer(j, invs) % c].T
 
@@ -83,25 +85,31 @@ def char_kloosterman_reduction_sweep(
     Vectorized over characters and m2; spot tuples are cross-checked
     against a scalar oracle in the test suite.  The Gauss sums
     g(chibar*, C, m2) depend on (c, m, m1) only through chibar* and
-    C = |c m| / m1, so each row is built once per (chibar*, C), with
-    sign +1: since m2s is symmetric and each column of the kernel is
-    computed on its own, the sign -1 block is the +1 block reversed.
+    C = |c m| / m1, with sign +1: since m2s is symmetric and each column
+    of the kernel is computed on its own, the sign -1 block is the +1
+    block reversed.  chibar* runs over the primitive characters mod d for
+    every d | c, so at the first c that reads C, one row per primitive
+    character mod every divisor of every c that reads C is built, in as
+    few kernel calls as KERNEL_MAX_MODULUS**2 entries per call allow.
     C's phases e(m2 u~ / C) are built once too, and all of it is dropped
     after the last c that reads C.  g(chibar*, c, m1) comes from one
     kernel call per c over the columns m1 mod c that it reads.
     """
     m2s = np.arange(-m2_max, m2_max + 1)
-    last = {  # C -> the last c that reads it
-        abs(c * m) // m1: c for c in range(1, c_max + 1) for m in m_set for m1 in divisors(c * m)
-    }
+    readers: dict[int, set[int]] = {}  # C -> the c that read it
+    for c in range(1, c_max + 1):
+        for m in m_set:
+            for m1 in divisors(c * m):
+                readers.setdefault(abs(c * m) // m1, set()).add(c)
+    last = {big_c: max(cs) for big_c, cs in readers.items()}  # C -> the last c that reads it
     shared: dict[int, tuple] = {}  # C -> (roots, units, phase block, {chibar*: g2 row})
     worst = 0.0
     cases = 0
     for c in range(1, c_max + 1):
         units_c = np.array(_units_and_inverses(c)[0])
         chars = enumerate_characters(c)
-        xbar = np.array(
-            [[ch.values()[a % c] for a in units_c] for ch in chars]
+        xbar = np.ascontiguousarray(
+            np.array([ch.values() for ch in chars])[:, units_c % c]
         ).conjugate()
         prim = [primitive_part(ch.conjugate()) for ch in chars]
         tuples = [(m, m1, abs(c * m) // m1) for m in m_set for m1 in divisors(c * m)]
@@ -110,12 +118,8 @@ def char_kloosterman_reduction_sweep(
         g2_blocks = {}
         for big_c in sorted({big_c for _, _, big_c in tuples}):
             if big_c not in shared:
-                units_big, invs_big = _units_and_inverses(big_c)
-                roots = np.array(_exp_table(big_c))
-                shared[big_c] = roots, units_big, roots[np.outer(m2s, invs_big) % big_c], {}
+                shared[big_c] = _reduction_rows(big_c, readers[big_c], m2s)
             rows = shared[big_c][3]
-            new = [ps for ps in prim if ps not in rows]
-            rows.update(zip(new, _gauss_sums(new, big_c, m2s)))
             g2_blocks[big_c] = np.array([rows[ps] for ps in prim])
         for m, m1, big_c in tuples:
             g2 = g2_blocks[big_c] if m > 0 else g2_blocks[big_c][:, ::-1]
@@ -125,6 +129,24 @@ def char_kloosterman_reduction_sweep(
             cases += len(chars) * len(m2s)
         shared = {big_c: data for big_c, data in shared.items() if last[big_c] > c}
     return worst, cases
+
+
+def _reduction_rows(big_c: int, readers: set[int], m2s: np.ndarray) -> tuple:
+    """What the reduction sweep shares at C: its roots, units, phases
+    e(m2 u~ / C), and the row g(chibar*, C, m2s) of every primitive
+    character chibar* mod every divisor of every c in readers."""
+    units_big, invs_big = _units_and_inverses(big_c)
+    roots = _root_array(big_c)
+    phase = roots[np.outer(m2s, invs_big) % big_c]
+    chis = [
+        chi for d in sorted({d for c in readers for d in divisors(c)})
+        for chi in primitive_characters(d)
+    ]
+    per_call = max(1, KERNEL_MAX_MODULUS**2 // (len(units_big) * len(m2s)))
+    rows = np.concatenate(
+        [_gauss_sums(chis[i : i + per_call], big_c, m2s) for i in range(0, len(chis), per_call)]
+    )
+    return roots, units_big, phase, dict(zip(chis, rows))
 
 
 # -- additive collapse -------------------------------------------------------

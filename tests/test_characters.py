@@ -1,6 +1,7 @@
 import cmath
 import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -322,6 +323,132 @@ def test_gauss_sums_in_column_blocks_equal_one_block(monkeypatch):
 def test_gauss_sums_with_no_characters_or_no_columns():
     assert _gauss_sums(enumerate_characters(5), 5, []).shape == (4, 0)
     assert _gauss_sums([], 5, [1, 2]).shape == (0, 2)
+
+
+def gauss_sums_accumulated(chis, c, ms):
+    """The Gauss kernel as one accumulate over the units, characters x
+    units x columns: the oracle of the (units, characters, columns) reduce."""
+    out = np.empty((len(chis), len(ms)), dtype=complex)
+    if not out.size:
+        return out
+    u = np.array(characters._units_and_inverses(c)[0])
+    w = np.array([np.array(chi.values())[u % chi.modulus] for chi in chis])
+    keep = (w != 0).any(axis=0)
+    u, w = u[keep], w[:, keep]
+    wr, wi = w.real[:, :, None], w.imag[:, :, None]
+    step = max(1, characters.KERNEL_MAX_MODULUS**2 // w.size)
+    for j in range(0, len(ms), step):
+        e = np.array(characters._exp_table(c))[np.outer(u, ms[j : j + step]) % c]
+        for part, x, y in ((out.real, e.real, -e.imag), (out.imag, e.imag, e.real)):
+            terms = wr * x
+            terms += wi * y
+            part[:, j : j + step] = np.add.accumulate(terms, axis=1)[:, -1]
+    return out
+
+
+def _same_kernel(chis, c, ms):
+    want = gauss_sums_accumulated(chis, c, ms)
+    got = _gauss_sums(chis, c, ms)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_gauss_kernel_equals_the_accumulated_oracle_on_random_batches(monkeypatch):
+    rng = random.Random(27)
+    pool = [chi for q in range(1, 49) for chi in enumerate_characters(q)]
+    for trial in range(600):
+        chis = [rng.choice(pool) for _ in range(rng.choice([1, 2, 3, 6, 17]))]
+        c = rng.randint(1, 120)
+        ms = np.array([rng.randint(-2 * c, 2 * c) for _ in range(rng.choice([1, 2, 5, 31]))])
+        ms = np.concatenate([ms, ms[: rng.randint(0, len(ms))]])  # repeated columns
+        if trial % 3 == 0:  # column blocks of a few columns, the last one short
+            monkeypatch.setattr(characters, "KERNEL_MAX_MODULUS", rng.randint(1, 24))
+        assert _same_kernel(chis, c, ms), (chis, c, ms)
+        monkeypatch.undo()
+    assert _same_kernel(enumerate_characters(5), 5, np.array([], dtype=int))
+    assert _same_kernel([], 5, np.array([1, 2]))
+
+
+def test_gauss_kernel_accumulates_a_lone_entry(monkeypatch):
+    # one character x one column over 9 or more units on which the
+    # character does not vanish: a plain reduce would sum them pairwise
+    for q in (1, 5, 7, 13):
+        for chi in enumerate_characters(q):
+            for c in (17, 21, 97):
+                for m in (-5, 1, 3):
+                    assert _same_kernel([chi], c, np.array([m])), (chi, c, m)
+    # 96 units: blocks of one column each
+    monkeypatch.setattr(characters, "KERNEL_MAX_MODULUS", 10)
+    assert _same_kernel([enumerate_characters(13)[5]], 97, np.arange(-9, 10))
+
+
+def conductor_by_definition(chi):
+    """Smallest d | q with a(u) = 0 at every unit u = 1 (mod d)."""
+    q = chi.modulus
+    for d in divisors(q):
+        if all(chi._numerator(a) == 0 for a in range(1, q + 1, d) if math.gcd(a, q) == 1):
+            return d
+
+
+def test_conductor_table_matches_the_definition():
+    for q in [*range(1, 301), 1024, 2048, 4093]:
+        for chi in enumerate_characters(q):
+            assert chi.conductor == conductor_by_definition(chi), chi
+
+
+@pytest.mark.parametrize("cap", [1, 3, 40])
+def test_conductor_table_in_small_blocks(monkeypatch, cap):
+    # blocks of one column, and of a few rows and columns at a time
+    monkeypatch.setattr(characters, "KERNEL_MAX_MODULUS", cap)
+    characters._conductors.cache_clear()
+    try:
+        for q in (1, 2, 8, 12, 45, 64, 97, 120, 210):
+            for chi in enumerate_characters(q):
+                assert chi.conductor == conductor_by_definition(chi), (cap, chi)
+    finally:
+        characters._conductors.cache_clear()
+
+
+def test_chars_list_4093_peak_rss():
+    # the 4092 value tables alone peak at 159.7-160.0 MiB, so the bound
+    # leaves 5% for allocator noise; conductor blocks of up to
+    # KERNEL_MAX_MODULUS**2 entries peaked at 196 MiB
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    script = (
+        "import resource, subprocess, sys\n"
+        "cmd = [sys.executable, '-m', 'gl3voronoi.cli', 'chars', 'list', '--modulus', '4093']\n"
+        "subprocess.run(cmd, stdout=subprocess.DEVNULL, check=True)\n"
+        "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) / 1024 <= 168
+
+
+def test_reading_conductors_keeps_no_character_alive():
+    # in a fresh interpreter, so that no other test has cached an equal
+    # character mod 97 first
+    script = (
+        "import gc\n"
+        "from gl3voronoi.characters import DirichletCharacter, enumerate_characters\n"
+        "def live():\n"
+        "    return sum(type(o) is DirichletCharacter for o in gc.get_objects())\n"
+        "chars = enumerate_characters(97)\n"
+        "assert sum(chi.conductor == 97 for chi in chars) == 95\n"
+        "assert live() == 96\n"
+        "del chars\n"
+        "gc.collect()\n"
+        "print(live())\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0\n"
 
 
 def test_order_exponent_raises_under_python_O():

@@ -258,6 +258,31 @@ def test_reduction_sweep_builds_no_table_and_no_larger_kernel_block(monkeypatch)
     assert blocks and max(blocks) <= per_c
 
 
+def test_reduction_sweep_builds_the_rows_of_each_C_in_one_call(monkeypatch):
+    c_max, m_set, m2_max = 40, (1, -1, 2, -2, 6, -6), 12
+    calls = []
+
+    def spy(chis, c, ms):
+        calls.append(c)
+        return _gauss_sums(chis, c, ms)
+
+    monkeypatch.setattr(expsums, "_gauss_sums", spy)
+    char_kloosterman_reduction_sweep(c_max, m_set, m2_max)
+    moduli = {
+        abs(c * m) // m1 for c in range(1, c_max + 1) for m in m_set for m1 in divisors(c * m)
+    }
+    # one g1 call per c and one g2 call per C
+    assert len(calls) == c_max + len(moduli) == 140
+
+
+@pytest.mark.parametrize("cap", [2, 5, 9])
+def test_reduction_sweep_rows_in_smaller_calls_bit_for_bit(monkeypatch, cap):
+    # caps of 2, 5 and 9 give calls of one to three rows of 25 columns
+    want = repr(char_kloosterman_reduction_sweep(24, (1, -1, 2, -2, 6, -6), 12))
+    monkeypatch.setattr(expsums, "KERNEL_MAX_MODULUS", cap)
+    assert repr(char_kloosterman_reduction_sweep(24, (1, -1, 2, -2, 6, -6), 12)) == want
+
+
 def test_reduction_sweep_default_residual_floor():
     # every phase is a root-table entry at its angle reduced mod C (2.3e-13
     # here); phases exponentiated at unreduced angles read 8.4e-12

@@ -7,7 +7,12 @@ per checkout, each command of VERIFY_RUNS with `--format json`:
 `verify all --fault-injection` at the default SuiteConfig, so both fault
 probes are compared at the default window too, and hecke-relations at
 `--prime-bound 233`, the largest prime whose p^8 (power_bound 4) fits
-factorize, so its largest indices take factorize's perfect-power step.
+factorize, so its largest indices take factorize's perfect-power step;
+kloosterman-reduction at `--c-max 120`, whose large C batch many g2 rows
+into each Gauss-kernel call; and kloosterman-reduction at `--m2-max 0
+--c-max 60`, where every g2 block and every left side is one column
+wide, the shape in which the kernel's order of summation and the
+memory order of the left side's operands decide its rounding.
 Prints each report whose max_residual repr, verdict or parameters differ
 (runtime_ms is not compared): whether its residual repr and its verdict
 are equal, each parameter removed, added or changed, and its log10
@@ -56,6 +61,10 @@ VERIFY_RUNS = {
     "default verify all": ["all", "--fault-injection"],
     "verify hecke-relations --prime-bound 233 --trials 3": [
         "hecke-relations", "--prime-bound", "233", "--trials", "3",
+    ],
+    "verify kloosterman-reduction --c-max 120": ["kloosterman-reduction", "--c-max", "120"],
+    "verify kloosterman-reduction --m2-max 0 --c-max 60": [
+        "kloosterman-reduction", "--m2-max", "0", "--c-max", "60",
     ],
 }
 
