@@ -2,18 +2,21 @@
 
 One subcommand per verified identity, named after the identity, plus two
 module-sanity checks (gauss-modulus, kloosterman-basic) and the suite
-runner ``verify all``.  A new check is one ``@_check(name)`` body, which
-folds its residuals and returns its parameters, plus a DEFAULT_TOLERANCES
-entry; the decorator registers it in CHECKS.  Every report is formed by
-``_Fold.report``, which alone times a report, looks up its tolerance and
-applies the no-case rule below.  Reports are deterministic given (seed,
-config): randomness enters only through the seeded coefficient draws,
-checks are collected in name order, and runtime_ms is excluded from the
-determinism contract.
+runner ``verify all``.  A new check is one ``@_check(name, tolerance,
+**fields)`` body: the decorator registers it in CHECKS and its tolerance
+in DEFAULT_TOLERANCES, and each report parameter named in fields echoes
+that SuiteConfig field, so the body folds its residuals and returns only
+the parameters it computed.  Every report is formed by ``_Fold.report``,
+which alone times a report, looks up its tolerance and applies the
+no-case rule below.  Reports are deterministic given (seed, config):
+randomness enters only through the seeded coefficient draws, checks are
+collected in name order, and runtime_ms is excluded from the determinism
+contract.
 
 Exit codes: 0 when every check passes and every fault probe (a report
 whose parameters say ``expected: fail``) fails, 1 otherwise, 2 on usage
-errors, which include every invalid configuration.  A check that raises
+errors, which include every invalid configuration and a report file that
+cannot be written (the reports are on stdout first).  A check that raises
 becomes one failing report named after it, so the others still run, and
 a check that evaluates no case FAILs: an empty sweep proves nothing.
 
@@ -68,22 +71,8 @@ from .special import (
 
 DEFAULT_SEED = 1729
 
-DEFAULT_TOLERANCES = {
-    "gauss-modulus": 1e-9,
-    "kloosterman-basic": 1e-9,
-    "kloosterman-reduction": 1e-8,
-    "additive-collapse": 1e-9,
-    "hecke-relations": 1e-10,
-    "euler-product": 1e-9,
-    "ramanujan-lemma": 1e-9,
-    "z-expansion": 1e-8,
-    "fe-rearrangement": 1e-8,
-    "moebius-assembly": 1e-10,
-    "orthogonality": 1e-9,
-    "bessel-identity": 1e-6,
-    "bessel-identity-spot": 1e-8,
-    "gamma-unitarity": 1e-8,
-}
+# the tolerance of each check; @_check adds those of the checks it registers
+DEFAULT_TOLERANCES = {"bessel-identity": 1e-6, "bessel-identity-spot": 1e-8}
 
 
 @dataclass(frozen=True)
@@ -352,16 +341,21 @@ class _Fold:
 CHECKS: dict[str, typing.Callable[[SuiteConfig], list[VerificationReport]]] = {}
 
 
-def _check(name: str):
-    """Register body(config, fold) -> parameters as CHECKS[name]: the
-    registered check_x(config) -> [report] hands the body a fresh fold,
-    whose report it returns, under the body's own name."""
+def _check(name: str, tolerance: float, **fields: str):
+    """Register body(config, fold) -> parameters as CHECKS[name], and its
+    tolerance as DEFAULT_TOLERANCES[name]: the registered check_x(config)
+    -> [report], under the body's own name, hands the body a fresh fold
+    and returns its report.  fields maps a report parameter to the
+    SuiteConfig field it echoes, as _text writes it; the body returns
+    only the parameters it computed."""
+    DEFAULT_TOLERANCES[name] = tolerance
 
     def register(body):
         @functools.wraps(body)
         def check(config: SuiteConfig) -> list[VerificationReport]:
             fold = _Fold()
-            return [fold.report(config, name, body(config, fold))]
+            echoed = {param: _text(f, getattr(config, f)) for param, f in fields.items()}
+            return [fold.report(config, name, {**echoed, **body(config, fold)})]
 
         CHECKS[name] = check
         return check
@@ -369,7 +363,7 @@ def _check(name: str):
     return register
 
 
-@_check("gauss-modulus")
+@_check("gauss-modulus", 1e-9, c_max="gauss_c_max")
 def check_gauss_modulus(config: SuiteConfig, fold: _Fold) -> dict:
     for c in range(1, config.gauss_c_max + 1):
         prim = primitive_characters(c)
@@ -378,39 +372,33 @@ def check_gauss_modulus(config: SuiteConfig, fold: _Fold) -> dict:
         # one batched kernel call: row i is tau(prim[i]) bit for bit
         for tau in _gauss_sums(prim, c, [1 % c])[:, 0].tolist():
             fold.add(abs(abs(tau) - math.sqrt(c)))
-    return {"c_max": config.gauss_c_max, "primitive_count": fold.cases}
+    return {"primitive_count": fold.cases}
 
 
-@_check("kloosterman-basic")
+@_check("kloosterman-basic", 1e-9, c_max="kloosterman_c_max")
 def check_kloosterman_basic(config: SuiteConfig, fold: _Fold) -> dict:
     max_im, max_asym, weil = kloosterman_basic_sweep(config.kloosterman_c_max)
     # one reality and symmetry residual per modulus
     fold.add(max_im, max_asym, weil - 1.0, cases=config.kloosterman_c_max)
     return {
-        "c_max": config.kloosterman_c_max,
         "max_imag": f"{max_im:.3e}",
         "max_asymmetry": f"{max_asym:.3e}",
         "weil_ratio": f"{weil:.6f}",
     }
 
 
-@_check("kloosterman-reduction")
+@_check("kloosterman-reduction", 1e-8, c_max="c_max", m_set="m_set", m2_max="m2_max")
 def check_kloosterman_reduction(config: SuiteConfig, fold: _Fold) -> dict:
     worst, cases = char_kloosterman_reduction_sweep(config.c_max, config.m_set, config.m2_max)
     fold.add(worst, cases=cases)
-    return {
-        "c_max": config.c_max,
-        "m_set": ",".join(map(str, config.m_set)),
-        "m2_max": config.m2_max,
-        "cases": fold.cases,
-    }
+    return {"cases": fold.cases}
 
 
-@_check("additive-collapse")
+@_check("additive-collapse", 1e-9, c_max="collapse_c_max")
 def check_additive_collapse(config: SuiteConfig, fold: _Fold) -> dict:
     worst, cases = additive_collapse_sweep(config.collapse_c_max)
     fold.add(worst, cases=cases)
-    return {"c_max": config.collapse_c_max, "cases": fold.cases}
+    return {"cases": fold.cases}
 
 
 def _models(config: SuiteConfig, level: int, count: int):
@@ -422,7 +410,8 @@ def _models(config: SuiteConfig, level: int, count: int):
         yield i, new_model(level, psis[i % len(psis)], seed=config.seed + i)
 
 
-@_check("hecke-relations")
+@_check("hecke-relations", 1e-10, levels="hecke_levels", prime_bound="prime_bound",
+        power_bound="power_bound", seed="seed")
 def check_hecke_relations(config: SuiteConfig, fold: _Fold) -> dict:
     primes = primes_up_to(config.prime_bound)
     models = 0
@@ -433,40 +422,26 @@ def check_hecke_relations(config: SuiteConfig, fold: _Fold) -> dict:
             models += 1
             for p in unramified:
                 fold.add(*relation_residuals(model, p, config.power_bound, level_primes))
-    return {
-        "levels": ",".join(map(str, config.hecke_levels)),
-        "prime_bound": config.prime_bound,
-        "power_bound": config.power_bound,
-        "models": models,
-        "seed": config.seed,
-    }
+    return {"models": models}
 
 
-@_check("euler-product")
+@_check("euler-product", 1e-9, n_max="euler_n_max", levels="euler_levels",
+        chi_modulus="euler_chi_modulus")
 def check_euler_product(config: SuiteConfig, fold: _Fold) -> dict:
     for level in config.euler_levels:
         for _, model in _models(config, level, euler_phi(level)):
             for chi in enumerate_characters(config.euler_chi_modulus):
                 fold.add(euler_product_residual(model, chi, 2.5, config.euler_n_max))
-    return {
-        "n_max": config.euler_n_max,
-        "levels": ",".join(map(str, config.euler_levels)),
-        "chi_modulus": config.euler_chi_modulus,
-    }
+    return {}
 
 
-@_check("ramanujan-lemma")
+@_check("ramanujan-lemma", 1e-9, cstar_list="ramanujan_cstar", levels="ramanujan_levels",
+        m_max="ramanujan_m_max", ell_max="ramanujan_ell_max")
 def check_ramanujan_lemma(config: SuiteConfig, fold: _Fold) -> dict:
     bounds = config.ramanujan_levels, config.ramanujan_m_max, config.ramanujan_ell_max
     for cstar in config.ramanujan_cstar:
         fold.add(*ramanujan_lemma_sweep(cstar, *bounds))
-    return {
-        "cstar_list": ",".join(map(str, config.ramanujan_cstar)),
-        "levels": ",".join(map(str, config.ramanujan_levels)),
-        "m_max": config.ramanujan_m_max,
-        "ell_max": config.ramanujan_ell_max,
-        "cases": fold.cases,
-    }
+    return {"cases": fold.cases}
 
 
 def _identity_sweep(config: SuiteConfig, fold: _Fold, verify, per_model=lambda model: {}) -> dict:
@@ -486,23 +461,20 @@ def _identity_sweep(config: SuiteConfig, fold: _Fold, verify, per_model=lambda m
             for q, cstar in pairs:
                 prim = primitive_characters(cstar)
                 fold.add(verify(model, q, prim[i % len(prim)], window, **kw))
-    return {
-        "window": ":".join(map(str, config.window)),
-        "levels": ",".join(map(str, config.levels)),
-        "q_list": ",".join(map(str, config.q_list)),
-        "cstar_list": ",".join(map(str, config.cstar_list)),
-        "seeds": config.seeds_per_case,
-        "seed": config.seed,
-        "runs": fold.cases,
-    }
+    return {"runs": fold.cases}
 
 
-@_check("z-expansion")
+# the fields that both identity sweeps echo
+_SWEEP_FIELDS = dict(window="window", levels="levels", q_list="q_list", cstar_list="cstar_list",
+                     seeds="seeds_per_case", seed="seed")
+
+
+@_check("z-expansion", 1e-8, **_SWEEP_FIELDS)
 def check_z_expansion(config: SuiteConfig, fold: _Fold) -> dict:
     return _identity_sweep(config, fold, verify_Z_expansion)
 
 
-@_check("fe-rearrangement")
+@_check("fe-rearrangement", 1e-8, **_SWEEP_FIELDS)
 def check_fe_rearrangement(config: SuiteConfig, fold: _Fold) -> dict:
     # one contragredient per model, shared by all of its cases
     return _identity_sweep(
@@ -510,7 +482,8 @@ def check_fe_rearrangement(config: SuiteConfig, fold: _Fold) -> dict:
     )
 
 
-@_check("moebius-assembly")
+@_check("moebius-assembly", 1e-10, q_max="moebius_q_max", m_max="moebius_m_max",
+        cstar_list="moebius_cstar", seed="seed")
 def check_moebius_assembly(config: SuiteConfig, fold: _Fold) -> dict:
     _, p_max, q_max = config.window
     window = Window(1, p_max, q_max)
@@ -520,27 +493,17 @@ def check_moebius_assembly(config: SuiteConfig, fold: _Fold) -> dict:
         for q in range(1, config.moebius_q_max + 1):
             for m in range(1, config.moebius_m_max + 1):
                 fold.add(verify_moebius_assembly(model, q, m, chi, window))
-    return {
-        "q_max": config.moebius_q_max,
-        "m_max": config.moebius_m_max,
-        "cstar_list": ",".join(map(str, config.moebius_cstar)),
-        "runs": fold.cases,
-        "seed": config.seed,
-    }
+    return {"runs": fold.cases}
 
 
-@_check("orthogonality")
+@_check("orthogonality", 1e-9, c_max="orthogonality_c_max", n_max="orthogonality_n_max",
+        seed="seed")
 def check_orthogonality(config: SuiteConfig, fold: _Fold) -> dict:
     model = new_model(1, seed=config.seed)
     for c in range(1, config.orthogonality_c_max + 1):
         for q in (1, 3):
             fold.add(verify_orthogonality_equivalence(model, c, q, config.orthogonality_n_max))
-    return {
-        "c_max": config.orthogonality_c_max,
-        "n_max": config.orthogonality_n_max,
-        "runs": fold.cases,
-        "seed": config.seed,
-    }
+    return {"runs": fold.cases}
 
 
 BESSEL_GRID = tuple(
@@ -567,7 +530,7 @@ def check_bessel_identity(config: SuiteConfig) -> list[VerificationReport]:
 CHECKS["bessel-identity"] = check_bessel_identity
 
 
-@_check("gamma-unitarity")
+@_check("gamma-unitarity", 1e-8, nu1="nu1", nu2="nu2")
 def check_gamma_unitarity(config: SuiteConfig, fold: _Fold) -> dict:
     g = GammaData(config.nu1, config.nu2)
     for chi in primitive_characters(5):
@@ -576,13 +539,7 @@ def check_gamma_unitarity(config: SuiteConfig, fold: _Fold) -> dict:
         for t in (0.0, 1.0, 2.3):
             val = xi_factor(0.5 + 1j * t, g, kappa, tau, tau, 5)
             fold.add(abs(abs(val) - 1.0))
-    return {
-        "nu1": config.nu1,
-        "nu2": config.nu2,
-        "unitarity_applicable": True,
-        "t_grid": "0,1,2.3",
-        "chi_modulus": 5,
-    }
+    return {"unitarity_applicable": True, "t_grid": "0,1,2.3", "chi_modulus": 5}
 
 
 def check_fault_injection(config: SuiteConfig) -> list[VerificationReport]:
@@ -640,7 +597,9 @@ def emit_report(
     path: str | None,
     seed: int = DEFAULT_SEED,
 ) -> str:
-    """Serialize reports as JSON or text; write to path or return only."""
+    """Serialize reports as JSON or text, write them to stdout and then to
+    path, if one is given, and return them; a failed write to path raises
+    OSError after stdout has them."""
     if fmt == "json":
         payload = {
             "suite_version": __version__,
@@ -652,6 +611,7 @@ def emit_report(
         text = "".join(r.text_line() + "\n" for r in reports)
     else:
         raise ValueError(f"unknown format {fmt!r}")
+    sys.stdout.write(text)
     if path:
         try:
             with open(path, "w") as fh:
@@ -830,8 +790,12 @@ def _cmd_verify(args) -> int:
         return 2
     names = None if args.check == "all" else [args.check]
     reports = run_suite(config, names)
-    text = emit_report(reports, args.format, config.output, seed=config.seed)
-    sys.stdout.write(text)
+    try:
+        emit_report(reports, args.format, config.output, seed=config.seed)
+    except OSError as exc:
+        # a late failure (a full disk) that the up-front open cannot see
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     # a check must PASS and a fault probe (expected: fail) must FAIL
     ok = all(r.passed != (r.parameters.get("expected") == "fail") for r in reports)
     return 0 if ok else 1

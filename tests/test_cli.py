@@ -1,5 +1,5 @@
 import collections
-import importlib
+import importlib.util
 import json
 import math
 import os
@@ -435,6 +435,106 @@ def test_unwritable_output_exits_2_before_any_check(tmp_path, capsys, no_check_r
     assert captured.out == "" and not path.parent.exists()
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_late_output_failure_exits_2_after_the_reports_reach_stdout(capsys):
+    # opening /dev/full succeeds, so only the write itself can fail
+    assert main(["verify", "gamma-unitarity", "--output", "/dev/full"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out.startswith("PASS  gamma-unitarity")
+    assert captured.err.startswith("error: cannot write report to /dev/full")
+    assert captured.err.count("\n") == 1
+
+
+# check -> report parameter -> the SuiteConfig field it echoes
+ECHOED = {
+    "gauss-modulus": {"c_max": "gauss_c_max"},
+    "kloosterman-basic": {"c_max": "kloosterman_c_max"},
+    "kloosterman-reduction": {"c_max": "c_max", "m_set": "m_set", "m2_max": "m2_max"},
+    "additive-collapse": {"c_max": "collapse_c_max"},
+    "hecke-relations": {
+        "levels": "hecke_levels",
+        "prime_bound": "prime_bound",
+        "power_bound": "power_bound",
+        "seed": "seed",
+    },
+    "euler-product": {
+        "n_max": "euler_n_max",
+        "levels": "euler_levels",
+        "chi_modulus": "euler_chi_modulus",
+    },
+    "ramanujan-lemma": {
+        "cstar_list": "ramanujan_cstar",
+        "levels": "ramanujan_levels",
+        "m_max": "ramanujan_m_max",
+        "ell_max": "ramanujan_ell_max",
+    },
+    **dict.fromkeys(
+        ("z-expansion", "fe-rearrangement"),
+        {
+            "window": "window",
+            "levels": "levels",
+            "q_list": "q_list",
+            "cstar_list": "cstar_list",
+            "seeds": "seeds_per_case",
+            "seed": "seed",
+        },
+    ),
+    "moebius-assembly": {
+        "q_max": "moebius_q_max",
+        "m_max": "moebius_m_max",
+        "cstar_list": "moebius_cstar",
+        "seed": "seed",
+    },
+    "orthogonality": {
+        "c_max": "orthogonality_c_max",
+        "n_max": "orthogonality_n_max",
+        "seed": "seed",
+    },
+    "gamma-unitarity": {"nu1": "nu1", "nu2": "nu2"},
+}
+
+
+def _another(name, value):
+    """A second valid value of an echoed field at the distinct config."""
+    if name == "window":
+        return value[:2] + (value[2] + 1,)
+    if isinstance(value, tuple):
+        return value[:-1]  # every other tuple there has two entries or more
+    if isinstance(value, complex):
+        return value + 0.1j
+    return value + 1
+
+
+def test_each_parameter_echoes_its_own_field():
+    # the run of tools/same_reports.py at which no two echoed fields share
+    # a value; at the defaults m2_max = moebius_m_max, so an echo of the
+    # wrong one of them would go unseen
+    spec = importlib.util.spec_from_file_location(
+        "same_reports", Path(__file__).resolve().parents[1] / "tools" / "same_reports.py"
+    )
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    argv = tool.VERIFY_RUNS["verify all, distinct echoed values"]
+    config = _config_from_args(_build_parser().parse_args(["verify", *argv]))
+    assert sorted(ECHOED) == sorted(set(CHECKS) - {"bessel-identity"})
+    echoed = {f for fields in ECHOED.values() for f in fields.values()}
+    texts = {cli._text(f, getattr(config, f)) for f in echoed}
+    assert len(texts) == len(echoed)
+
+    def params(check, config):
+        (report,) = CHECKS[check](config)
+        assert report.passed, report
+        return {p: report.parameters[p] for p in ECHOED[check]}
+
+    for check, fields in ECHOED.items():
+        base = params(check, config)
+        assert base == {p: cli._text(f, getattr(config, f)) for p, f in fields.items()}
+        for param, name in fields.items():
+            value = _another(name, getattr(config, name))
+            changed = params(check, replace(config, **{name: value}))
+            assert changed == {**base, param: cli._text(name, value)}, (check, name)
+
+
 def test_identity_sweeps_build_each_model_once(monkeypatch):
     config = replace(
         FAST, levels=(1, 2), q_list=(1, 2, 3), cstar_list=(3, 5), seeds_per_case=2
@@ -587,7 +687,7 @@ def test_cli_chars_list_rejects_a_modulus_beyond_factorize(modulus, flags, capsy
 
 
 def test_identity_checks_run_without_scipy():
-    # scipy is imported by the special-function checks alone
+    # the package imports no scipy: an identity check must not pull it in
     script = (
         "import sys\n"
         "from gl3voronoi.cli import main\n"

@@ -9,10 +9,12 @@ probes are compared at the default window too, and hecke-relations at
 `--prime-bound 233`, the largest prime whose p^8 (power_bound 4) fits
 factorize, so its largest indices take factorize's perfect-power step;
 kloosterman-reduction at `--c-max 120`, whose large C batch many g2 rows
-into each Gauss-kernel call; and kloosterman-reduction at `--m2-max 0
+into each Gauss-kernel call; kloosterman-reduction at `--m2-max 0
 --c-max 60`, where every g2 block and every left side is one column
 wide, the shape in which the kernel's order of summation and the
-memory order of the left side's operands decide its rounding.
+memory order of the left side's operands decide its rounding; and
+`verify all` at small sizes at which no two config fields that reports
+echo share a value, so a parameter that echoes the wrong field differs.
 Prints each report whose max_residual repr, verdict or parameters differ
 (runtime_ms is not compared): whether its residual repr and its verdict
 are equal, each parameter removed, added or changed, and its log10
@@ -23,6 +25,10 @@ difference.  A change whose only differences are roundoff shows as equal
 verdicts and parameters with small drifts.  A run that raised or left no
 result counts as a difference on its own, even when both checkouts fail
 alike; it, and a report on one side only, is printed whole.
+
+Blind spot: only report fields are compared, so a change of rounding in
+any case but a report's worst one passes unseen; the bit-for-bit kernel
+tests of Tier-1 are what see it.
 """
 
 import json
@@ -65,6 +71,19 @@ VERIFY_RUNS = {
     "verify kloosterman-reduction --c-max 120": ["kloosterman-reduction", "--c-max", "120"],
     "verify kloosterman-reduction --m2-max 0 --c-max 60": [
         "kloosterman-reduction", "--m2-max", "0", "--c-max", "60",
+    ],
+    # small sizes at which no two fields that reports echo share a value,
+    # so an echo of the wrong field changes a parameter
+    "verify all, distinct echoed values": [
+        "all", "--window", "16:12:13", "--levels", "1,5", "--q-list", "1,2",
+        "--cstar-list", "3,4", "--seeds-per-case", "1", "--hecke-levels", "1,3",
+        "--prime-bound", "5", "--power-bound", "9", "--trials", "1", "--c-max", "6",
+        "--m-set", "1,-2", "--m2-max", "0", "--collapse-c-max", "8",
+        "--kloosterman-c-max", "30", "--gauss-c-max", "12", "--euler-n-max", "40",
+        "--euler-levels", "1,2,3", "--euler-chi-modulus", "4", "--ramanujan-cstar", "3,5",
+        "--ramanujan-levels", "2,3", "--ramanujan-m-max", "11", "--ramanujan-ell-max", "13",
+        "--moebius-q-max", "2", "--moebius-m-max", "3", "--moebius-cstar", "4,7",
+        "--orthogonality-c-max", "10", "--orthogonality-n-max", "7",
     ],
 }
 
