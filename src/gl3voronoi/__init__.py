@@ -11,6 +11,18 @@ Submodules:
 - ``identities``  per-identity builders and residual verifiers
 - ``special``     log-gamma, K-Bessel, gamma-factor evaluators
 - ``cli``         verification harness, reports, command line entry point
+
+The package computes on one thread.  Importing it sets
+OPENBLAS_NUM_THREADS=1, whatever its value was, before any submodule
+imports numpy, since OpenBLAS reads the variable once, when numpy loads
+it.  Otherwise OpenBLAS starts a worker thread per core, which spins
+beside the serial checks for most of the run, and splits the complex
+matmuls of the Kloosterman kernels by core count, so their last bits
+would vary with the host.
 """
+
+import os
+
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 __version__ = "0.1.0"

@@ -24,6 +24,10 @@ Configuration is SuiteConfig alone: each of its fields is both a
 ``--flag-with-dashes`` of ``verify`` and a ``key_with_underscores`` of
 the ``--config`` file, with one parser per field derived from the
 field's type.  Checks run serially, and no environment variable is read.
+The package pins OpenBLAS to one thread before numpy loads (see
+``gl3voronoi.__init__``): otherwise a BLAS worker thread spins on a
+second core beside the serial checks, and the Kloosterman kernels'
+matmuls round by core count.
 """
 
 from __future__ import annotations
@@ -132,6 +136,13 @@ ORTHOGONALITY_MAX_C = 256  # a value table per character mod c <= c_max: 11 s, 9
 # a sieve of prime_bound bytes, then each prime's relations: hecke-relations
 # takes 0.3 s at the cap with one model, level 1 and power_bound 1
 PRIME_BOUND_MAX = 2**16
+# the number of models or cases a check runs, each cap timed with every
+# other field at its default
+TRIALS_MAX = 2**11  # models per hecke level: hecke-relations 9.0 s, 29 MiB
+SEEDS_PER_CASE_MAX = 2**7  # models per level: fe-rearrangement 10.7 s, z-expansion 5.0 s
+EULER_N_MAX = 2**17  # terms of each Euler product: euler-product 5.9 s, 60 MiB
+ORTHOGONALITY_N_MAX = 2**16  # n per (c, q): orthogonality 6.2 s, 53 MiB
+MOEBIUS_Q_MAX = 2**9  # q per (cstar, m): moebius-assembly 9.2 s, 109 MiB
 
 
 @dataclass(frozen=True)
@@ -196,7 +207,9 @@ class SuiteConfig:
         KERNEL_MAX_MODULUS (see kernel_moduli below) nor a batched Gauss
         block of more than KERNEL_MAX_MODULUS**2 entries (see blocks); the
         window's P and Q are <= WINDOW_MAX_PQ, orthogonality_c_max <=
-        ORTHOGONALITY_MAX_C and prime_bound <= PRIME_BOUND_MAX; every
+        ORTHOGONALITY_MAX_C, prime_bound <= PRIME_BOUND_MAX, and each of
+        trials, seeds_per_case, euler_n_max, orthogonality_n_max and
+        moebius_q_max is at most its cap (TRIALS_MAX and so on); every
         index that hecke-relations reads, pure or mixed, fits factorize;
         the triple of (nu1, nu2) is purely imaginary, as unitarity on the
         critical line needs; every tolerance override names a check and is
@@ -273,6 +286,11 @@ class SuiteConfig:
             ("window Q", q_max, WINDOW_MAX_PQ),
             ("orthogonality_c_max", self.orthogonality_c_max, ORTHOGONALITY_MAX_C),
             ("prime_bound", self.prime_bound, PRIME_BOUND_MAX),
+            ("trials", self.trials, TRIALS_MAX),
+            ("seeds_per_case", self.seeds_per_case, SEEDS_PER_CASE_MAX),
+            ("euler_n_max", self.euler_n_max, EULER_N_MAX),
+            ("orthogonality_n_max", self.orthogonality_n_max, ORTHOGONALITY_N_MAX),
+            ("moebius_q_max", self.moebius_q_max, MOEBIUS_Q_MAX),
         ):
             if value > cap:
                 raise ValueError(f"{name} must be <= {cap}, got {value}")

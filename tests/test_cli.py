@@ -1011,6 +1011,14 @@ def test_size_caps_are_inclusive():
     top = cli.WINDOW_MAX_PQ
     replace(SuiteConfig(), window=(144, top, top)).validate()
     replace(SuiteConfig(), orthogonality_c_max=cli.ORTHOGONALITY_MAX_C).validate()
+    replace(
+        SuiteConfig(),
+        trials=cli.TRIALS_MAX,
+        seeds_per_case=cli.SEEDS_PER_CASE_MAX,
+        euler_n_max=cli.EULER_N_MAX,
+        orthogonality_n_max=cli.ORTHOGONALITY_N_MAX,
+        moebius_q_max=cli.MOEBIUS_Q_MAX,
+    ).validate()
     # 65521^2 fits factorize; the default power_bound 4 would not, nor would
     # a level > 1, whose mixed part reads q^2 65521^4
     replace(
@@ -1020,6 +1028,18 @@ def test_size_caps_are_inclusive():
     replace(SuiteConfig(), prime_bound=38970, power_bound=1, hecke_levels=(2,)).validate()
     with pytest.raises(ValueError, match=r"an index 2\^2\*38971\^4"):
         replace(SuiteConfig(), prime_bound=38971, power_bound=1, hecke_levels=(2,)).validate()
+
+
+@pytest.mark.parametrize(
+    "field", ["trials", "seeds_per_case", "euler_n_max", "orthogonality_n_max", "moebius_q_max"]
+)
+def test_a_count_of_10_to_the_12_exits_2_at_once(field, capsys, no_check_runs):
+    # each passed validate, and its check then ran for hours
+    flag = "--" + field.replace("_", "-")
+    t0 = time.perf_counter()
+    assert main(["verify", "all", flag, str(10**12)]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    assert f"error: {field} must be <= " in capsys.readouterr().err
 
 
 def test_prime_bound_cap_comes_before_any_primality_work(monkeypatch, capsys, no_check_runs):

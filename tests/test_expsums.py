@@ -1,5 +1,9 @@
 import cmath
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -388,3 +392,37 @@ def test_intro_sign_variant_is_relabeling():
 def test_nonpositive_modulus_is_a_value_error(entry, c):
     with pytest.raises(ValueError, match=f"^modulus must be positive, got {c}$"):
         entry(c)
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux") or (os.cpu_count() or 1) < 2,
+    reason="counts /proc/self/task; on one core OpenBLAS starts no worker anyway",
+)
+def test_the_package_computes_on_one_thread_whatever_openblas_is_told():
+    # importing gl3voronoi pins OpenBLAS before numpy loads: no worker
+    # thread starts, and the kernels' matmul bytes are the one-thread
+    # bytes; with two threads c = 131, 157 and 199 round differently
+    script = (
+        "import os\n"
+        "import gl3voronoi.cli\n"
+        "from gl3voronoi import expsums\n"
+        "expsums.kloosterman_matrix(199)\n"
+        "print(len(os.listdir('/proc/self/task')))\n"
+        "for c in (131, 157, 199):\n"
+        "    print(expsums.kloosterman_matrix(c).tobytes().hex())\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = {}
+    for threads in (None, "2", "1"):
+        env = dict(os.environ, PYTHONPATH=src)
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        count, *kernels = proc.stdout.split()
+        assert int(count) == 1, f"OPENBLAS_NUM_THREADS={threads}: {count} threads"
+        outputs[threads] = kernels
+    assert outputs[None] == outputs["2"] == outputs["1"]

@@ -1,5 +1,8 @@
 import importlib.util
+import math
 from pathlib import Path
+
+import numpy as np
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "same_reports.py"
 
@@ -83,3 +86,41 @@ def test_a_differing_report_names_its_parameter_changes(capsys):
         "parent: None",
         "change: ('1e-13', True, {})",
     ]
+
+
+def _fake_checkout(root, body):
+    """A checkout whose gl3voronoi.expsums.kloosterman_matrix is body."""
+    package = root / "src" / "gl3voronoi"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "expsums.py").write_text(f"import numpy as np\n\n\ndef kloosterman_matrix(c):\n{body}")
+    return root
+
+
+def test_kernel_run_counts_the_moduli_whose_bytes_differ(tmp_path, capsys):
+    tool = _load()
+    real = Path(__file__).resolve().parents[1]
+    # this checkout against itself: every kernel's bytes are equal
+    assert tool.kernel_run([real, real], str(tmp_path), c_max=12) == 0
+    assert capsys.readouterr().out == (
+        "kloosterman_matrix(c), c <= 12: 0 of 12 moduli differ, largest |delta| 0\n"
+    )
+    ones = "    return np.ones((c, c), complex)\n"
+    bumped = "    return np.ones((c, c), complex) + (c in (3, 7)) * 2e-14\n"
+    parent = _fake_checkout(tmp_path / "parent", ones)
+    change = _fake_checkout(tmp_path / "change", bumped)
+    assert tool.kernel_run([parent, change], str(tmp_path), c_max=8) == 2
+    assert capsys.readouterr().out.endswith("2 of 8 moduli differ, largest |delta| 2e-14\n")
+    # a dump that fails counts as a difference on its own
+    broken = _fake_checkout(tmp_path / "broken", "    raise RuntimeError('boom')\n")
+    assert tool.kernel_run([parent, broken], str(tmp_path), c_max=8) == 1
+    assert "change dump failed, exit 1" in capsys.readouterr().out
+
+
+def test_kernel_differences_flag_a_changed_shape(tmp_path):
+    tool = _load()
+    old, new = str(tmp_path / "a.npz"), str(tmp_path / "b.npz")
+    np.savez(old, **{"1": np.ones((1, 1)), "2": np.ones((2, 2))})
+    np.savez(new, **{"1": np.ones((1, 1)), "2": np.ones((2, 1))})
+    assert tool.kernel_differences(old, new) == (1, math.inf)
+    assert tool.kernel_differences(old, old) == (0, 0.0)

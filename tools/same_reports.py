@@ -26,9 +26,16 @@ verdicts and parameters with small drifts.  A run that raised or left no
 result counts as a difference on its own, even when both checkouts fail
 alike; it, and a report on one side only, is printed whole.
 
-Blind spot: only report fields are compared, so a change of rounding in
-any case but a report's worst one passes unseen; the bit-for-bit kernel
-tests of Tier-1 are what see it.
+Last, each checkout dumps the bytes of kloosterman_matrix(c) for every
+c <= KERNEL_C_MAX, and one line gives how many moduli differ and the
+largest |entry difference|; a kernel that differs counts toward exit 1,
+as does a dump that failed.
+
+Blind spot: report fields show a change of rounding only in a report's
+worst case, and the kernel dump covers kloosterman_matrix alone, so a
+rounding change in any other kernel (the reduction sweep's blocks, the
+Gauss sums) below a report's maximum passes unseen; the bit-for-bit
+kernel tests of Tier-1 are what see it.
 """
 
 import json
@@ -38,6 +45,8 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 
 def run(root: Path, tag: str, workload: str, seed: int, tiny: bool, tmp: str) -> dict:
@@ -166,6 +175,56 @@ def closing_line(differing: dict) -> str:
     return f"largest |log10 drift|: {largest}; checks that differ: {names}"
 
 
+KERNEL_C_MAX = 200
+
+# run in a checkout: save kloosterman_matrix(c) for c <= argv[2] to the .npz
+# argv[1]; gl3voronoi is imported before numpy, so its thread pin holds
+DUMP_KERNELS = (
+    "import sys; from gl3voronoi.expsums import kloosterman_matrix; import numpy as np; "
+    "c_max = int(sys.argv[2]); "
+    "np.savez(sys.argv[1], **{str(c): kloosterman_matrix(c) for c in range(1, c_max + 1)})"
+)
+
+
+def dump_kernels(root: Path, path: str, c_max: int) -> str | None:
+    """Write root's kloosterman_matrix(c), c <= c_max, to path; None, or
+    the error of a dump that failed."""
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONHASHSEED="0")
+    cmd = [sys.executable, "-c", DUMP_KERNELS, path, str(c_max)]
+    proc = subprocess.run(cmd, cwd=root, env=env, capture_output=True, text=True, timeout=900)
+    return None if proc.returncode == 0 else f"exit {proc.returncode}: {proc.stderr}"
+
+
+def kernel_differences(old: str, new: str) -> tuple[int, float]:
+    """How many moduli's kernels differ in bytes between two dumps of
+    the same moduli, and the largest |entry difference| (inf for a kernel
+    whose shape changed)."""
+    with np.load(old) as a, np.load(new) as b:
+        pairs = [(a[key], b[key]) for key in a.files]
+    count, largest = 0, 0.0
+    for x, y in pairs:
+        if x.shape != y.shape:
+            count, largest = count + 1, math.inf
+        elif x.tobytes() != y.tobytes():
+            count, largest = count + 1, max(largest, float(np.max(np.abs(x - y))))
+    return count, largest
+
+
+def kernel_run(roots: list[Path], tmp: str, c_max: int = KERNEL_C_MAX) -> int:
+    """Dump both checkouts' kernels, print one line of how many moduli
+    differ and by how much, and return that count (1 if a dump failed)."""
+    where = f"kloosterman_matrix(c), c <= {c_max}"
+    paths = [os.path.join(tmp, f"{tag}-kernels.npz") for tag in "ab"]
+    for root, path, side in zip(roots, paths, ("parent", "change")):
+        error = dump_kernels(root, path, c_max)
+        if error is not None:
+            print(f"{where}: {side} dump failed, {error}")
+            return 1
+    count, largest = kernel_differences(*paths)
+    print(f"{where}: {count} of {c_max} moduli differ, largest |delta| {largest:.3g}")
+    return count
+
+
 def main() -> int:
     if len(sys.argv) != 3:
         sys.exit(__doc__)
@@ -189,9 +248,11 @@ def main() -> int:
         count = report_differences(old, new, where, differing)
         print(f"{where}: {len(old.keys() | new.keys())} reports compared, {count} differ")
         verify_differ += count
+    with tempfile.TemporaryDirectory() as tmp:
+        kernels_differ = kernel_run(roots, tmp)
     print(f"{compared} reports compared, {differ} differ")
     print(closing_line(differing))
-    return 1 if differ or verify_differ else 0
+    return 1 if differ or verify_differ or kernels_differ else 0
 
 
 if __name__ == "__main__":
