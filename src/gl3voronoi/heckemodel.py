@@ -35,11 +35,17 @@ All draws are keyed by (seed, role, p, k) through independently seeded
 generators, so models are deterministic and order-independent.  A model
 is immutable after construction; its caches are idempotent: per prime,
 the local triple (_satake) and the complete homogeneous values h_j
-(_h), from which each local value is two products and a subtraction;
-per (p, k) the free ramified values (_ramified).  coefficient(m1, m2)
-memoizes its final value (sign factor and any injected corruption
+(_h), from which coefficient forms each local value inline, two products
+and a subtraction, growing the list through _hvals only when it is too
+short; per (p, k) the free ramified values (_ramified).  coefficient(m1,
+m2) memoizes its final value (sign factor and any injected corruption
 included) per instance under the key (m1, m2) (_memo), since the
-verifiers ask for the same index pairs many times.
+verifiers ask for the same index pairs many times.  Its misses read the
+factorizations of |m1| and |m2| from one module-level cache of tuples
+(_factors), shared by every model and bounded at 4096 integers, since
+the misses of one sweep factor the same few thousand integers over and
+over; an unbounded cache would hold every index of a hecke-relations
+run up to its prime bound.
 corrupted and contragredient return copies with empty caches, so a twin
 never sees its parent's cached values.  Corruptions stack: a
 corrupted twin of a corrupted model carries both deltas, added in the
@@ -81,6 +87,12 @@ __all__ = [
     "relation_residuals",
     "euler_product_residual",
 ]
+
+
+@functools.lru_cache(maxsize=4096)
+def _factors(n: int) -> tuple[tuple[int, int], ...]:
+    """factorize(n) as a tuple, shared by every model's coefficient misses."""
+    return tuple(factorize(n))
 
 
 class CoefficientDomainError(ValueError):
@@ -173,14 +185,6 @@ class HeckeCoefficientModel:
             )
         return h
 
-    def _local(self, p: int, k1: int, k2: int) -> complex:
-        """A(p^k1, p^k2) = s_{(k1+k2, k1, 0)} via Jacobi-Trudi."""
-        h = self._hvals(p, k1 + k2 + 1)
-        val = h[k1 + k2] * h[k1]
-        if k1 >= 1:
-            val -= h[k1 + k2 + 1] * h[k1 - 1]
-        return val
-
     # -- public surface --------------------------------------------------------
 
     def coefficient(self, m1: int, m2: int) -> complex:
@@ -195,16 +199,25 @@ class HeckeCoefficientModel:
             raise CoefficientDomainError(
                 f"first index {m1} shares a factor with the level {self.level}"
             )
+        level, hs = self.level, self._h
         val = 1 + 0j
-        ps = dict(factorize(a1))
-        for p, e in factorize(a2):
+        ps = dict(_factors(a1))
+        # A(p^k1, p^k2) = s_{(k1+k2, k1, 0)} by Jacobi-Trudi, from h_0..h_(k1+k2+1)
+        for p, k2 in _factors(a2):
+            if level % p == 0:
+                val *= self.ramified(p, k2)
+                continue
             k1 = ps.pop(p, 0)
-            if self.level % p == 0:
-                val *= self.ramified(p, e)
-            else:
-                val *= self._local(p, k1, e)
+            k = k1 + k2
+            h = hs.get(p)
+            if h is None or len(h) <= k + 1:
+                h = self._hvals(p, k + 1)
+            val *= h[k] * h[k1] - h[k + 1] * h[k1 - 1] if k1 else h[k] * h[0]
         for p, k1 in ps.items():
-            val *= self._local(p, k1, 0)
+            h = hs.get(p)
+            if h is None or len(h) <= k1 + 1:
+                h = self._hvals(p, k1 + 1)
+            val *= h[k1] * h[k1] - h[k1 + 1] * h[k1 - 1]
         if m2 < 0:
             val *= self.psi.parity
         for index, delta in self._corruption:

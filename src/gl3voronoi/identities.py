@@ -36,7 +36,9 @@ Conventions shared by every builder here:
   K their terms sit at Y = K/n (_add_H and the Z left side: 1/Y =
   K/n), and ``_keys`` lists exactly the in-window keys with the one
   index n that lands on each, so no index whose term falls outside the
-  window is touched.
+  window is touched.  It returns the grid as three int64 columns (nums,
+  dens, ns), walked with zip, since the grids stay cached for the life
+  of the process and a tuple per key took nearly four times the memory.
 
 - The right sides of the Z expansion, the rearranged dual expansion and
   the Moebius assembly share one shell, built by ``_shell``:
@@ -54,6 +56,8 @@ Conventions shared by every builder here:
 from __future__ import annotations
 
 import math
+from array import array
+from collections.abc import Sequence
 from functools import lru_cache
 
 from .arith import divisors, mobius, worse
@@ -176,9 +180,10 @@ def build_H(
 
 
 @lru_cache(maxsize=None)
-def _keys(k_num: int, k_den: int, p_max: int, q_max: int) -> tuple[tuple[int, int, int], ...]:
+def _keys(k_num: int, k_den: int, p_max: int, q_max: int) -> tuple[Sequence[int], ...]:
     """Every (num, den, n) with num/den = K/n in lowest terms, num <= p_max,
-    den <= q_max and n >= 1, where K = k_num/k_den is in lowest terms.
+    den <= q_max and n >= 1, where K = k_num/k_den is in lowest terms, as
+    three columns (nums, dens, ns): walk it as zip(*_keys(...)).
 
     Complete: num k_den n = den k_num with (num, den) = 1 forces
     num | k_num, and (k_num, k_den) = 1 forces k_den | den.  So num runs
@@ -186,16 +191,28 @@ def _keys(k_num: int, k_den: int, p_max: int, q_max: int) -> tuple[tuple[int, in
     k_den up to q_max coprime to num; conversely each such pair is hit by
     exactly one index, n = (k_num / num) (den / k_den), since K/n is
     injective in n.
+
+    The grids stay cached for the life of the process, so each column is
+    an int64 array (a grid's three take about a quarter of the memory of
+    a tuple of triples); a grid with an index past 2**63 - 1 keeps tuple
+    columns instead.
     """
-    out = []
+    nums: list[int] = []
+    dens: list[int] = []
+    ns: list[int] = []
     for num in divisors(k_num):
         if num > p_max:
             break
         step = k_num // num
         for den in range(k_den, q_max + 1, k_den):
             if math.gcd(num, den) == 1:
-                out.append((num, den, step * (den // k_den)))
-    return tuple(out)
+                nums.append(num)
+                dens.append(den)
+                ns.append(step * (den // k_den))
+    try:
+        return array("q", nums), array("q", dens), array("q", ns)
+    except OverflowError:
+        return tuple(nums), tuple(dens), tuple(ns)
 
 
 def build_G(
@@ -262,7 +279,7 @@ def _add_G(terms, x, q0, splits, chi_star, model, window, shift, contragredient)
         mod2 = qk * cstar // d
         gtab2 = gauss_sum_table(chi_star, mod2)
         g = math.gcd(knum, d * d)
-        for num, den, n in _keys(knum // g, d * d // g, window.p_max, window.q_max):
+        for num, den, n in zip(*_keys(knum // g, d * d // g, window.p_max, window.q_max)):
             g2 = gtab2[n % mod2]
             if not g2:
                 continue
@@ -318,7 +335,7 @@ def _add_H(terms, x, q0, splits, chi_star, model, window, shift) -> None:
         gtab = gauss_sum_table(chibar, c)
         ell2 = ell * ell
         g = math.gcd(ell2, shift)
-        for den, num, n in _keys(ell2 // g, shift // g, window.q_max, window.p_max):
+        for den, num, n in zip(*_keys(ell2 // g, shift // g, window.q_max, window.p_max)):
             gv = gtab[n % c]
             if not gv:
                 continue
@@ -398,7 +415,7 @@ def verify_Z_expansion(
     # times L(s, F x chi*) = sum_m A(1, m) chi*(m) m^-s
     lterms: dict[tuple[int, int, int], complex] = {}
     for (x, _, big_d), ca in p1.terms.items():
-        for den, num, m in _keys(big_d, 1, window.q_max, window.p_max):
+        for den, num, m in zip(*_keys(big_d, 1, window.q_max, window.p_max)):
             chi = chi_star(m)
             if not chi:
                 continue
@@ -502,7 +519,7 @@ def _fe_lhs_series(model, q, chi_star, window, dual, tau) -> FormalSeries:
         for d1 in divisors(q):
             psn = pref * psi(n * q)
             g = math.gcd(c3, n * d1)
-            for num, den, d0 in _keys(c3 // g, n * d1 // g, p_max, q_max):
+            for num, den, d0 in zip(*_keys(c3 // g, n * d1 // g, p_max, q_max)):
                 cb = chibar(d0 * d1)
                 if not cb:
                     continue

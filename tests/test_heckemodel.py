@@ -1,11 +1,14 @@
+import collections
 import itertools
 import math
+import random
 
 import pytest
 
 from gl3voronoi import heckemodel
 from gl3voronoi.arith import factorize
-from gl3voronoi.characters import enumerate_characters, principal_character
+from gl3voronoi.characters import enumerate_characters, primitive_characters, principal_character
+from gl3voronoi.formal import Window
 from gl3voronoi.heckemodel import (
     CoefficientDomainError,
     euler_product_residual,
@@ -14,6 +17,7 @@ from gl3voronoi.heckemodel import (
     new_model,
     relation_residuals,
 )
+from gl3voronoi.identities import verify_fe_rearrangement
 
 
 def quadratic_mod(p):
@@ -357,3 +361,82 @@ def test_satake_guard_raises_on_a_triple_off_psi(monkeypatch):
     monkeypatch.setattr(heckemodel, "_unit", lambda rng: complex("nan"))
     with pytest.raises(ValueError, match="Satake triple at 2"):
         new_model(1, seed=7).satake(2)
+
+
+def _local_by_definition(model, p, k1, k2):
+    """A(p^k1, p^k2) = s_{(k1+k2, k1, 0)} via Jacobi-Trudi."""
+    h = model._hvals(p, k1 + k2 + 1)
+    val = h[k1 + k2] * h[k1]
+    if k1 >= 1:
+        val -= h[k1 + k2 + 1] * h[k1 - 1]
+    return val
+
+
+def coefficient_by_definition(model, m1, m2):
+    """A(m1, m2), (m1, N) = 1, formed from scratch on every call: both
+    indices factorized afresh and each local value read through _hvals,
+    multiplied in the order of coefficient (primes of m2, then those of
+    m1 alone)."""
+    val = 1 + 0j
+    ps = dict(factorize(abs(m1)))
+    for p, e in factorize(abs(m2)):
+        k1 = ps.pop(p, 0)
+        if model.level % p == 0:
+            val *= model.ramified(p, e)
+        else:
+            val *= _local_by_definition(model, p, k1, e)
+    for p, k1 in ps.items():
+        val *= _local_by_definition(model, p, k1, 0)
+    if m2 < 0:
+        val *= model.psi.parity
+    for index, delta in model._corruption:
+        if index == (m1, m2):
+            val += delta
+    return val
+
+
+def _oracle_models(level, psi, seed):
+    """A model, its contragredient and a twin with stacked corruptions."""
+    model = new_model(level, psi, seed=seed)
+    stacked = model.corrupted((1, 2), 1e-3).corrupted((5, -4), -2e-3j).corrupted((1, 2), 3e-4)
+    return [model, model.contragredient(), stacked]
+
+
+@pytest.mark.parametrize("shuffled", [False, True], ids=["ascending", "shuffled"])
+def test_coefficient_equals_its_definition_by_repr(shuffled):
+    # levels 1-9 with every nebentypus; each side reads its own model, so
+    # the caches of coefficient never feed the definition
+    for level in range(1, 10):
+        grid = [
+            (m1, m2)
+            for m1 in range(1, 21)
+            if math.gcd(m1, level) == 1
+            for m2 in itertools.chain(range(1, 49), range(-1, -49, -1))
+        ]
+        if shuffled:
+            random.Random(level).shuffle(grid)
+        for i, psi in enumerate(enumerate_characters(level)):
+            pairs = zip(_oracle_models(level, psi, 40 + i), _oracle_models(level, psi, 40 + i))
+            for model, oracle in pairs:
+                got = [repr(model.coefficient(*k)) for k in grid]
+                want = [repr(coefficient_by_definition(oracle, *k)) for k in grid]
+                assert got == want, (level, i)
+
+
+def test_one_fe_case_factorizes_each_index_once(monkeypatch):
+    # every coefficient miss reads its factorizations from one shared cache
+    counts = collections.Counter()
+
+    def spy(n):
+        counts[n] += 1
+        return factorize(n)
+
+    monkeypatch.setattr(heckemodel, "factorize", spy)
+    heckemodel._factors.cache_clear()
+    try:
+        chi = primitive_characters(4)[0]
+        assert verify_fe_rearrangement(new_model(1, seed=9), 6, chi, Window(144, 48, 48)) < 1e-8
+    finally:
+        heckemodel._factors.cache_clear()
+    assert len(counts) > 100
+    assert max(counts.values()) == 1, counts.most_common(3)

@@ -1,5 +1,7 @@
 import cmath
+import inspect
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -219,7 +221,7 @@ def test_build_H_key_grid_matches_index_scan(level, q, ell, shift, window):
 def test_keys_match_an_index_scan(k_num, k_den, p_max, q_max):
     g = math.gcd(k_num, k_den)
     k_num, k_den = k_num // g, k_den // g
-    keys = _keys(k_num, k_den, p_max, q_max)
+    keys = list(zip(*_keys(k_num, k_den, p_max, q_max)))
     scan = set()
     for n in range(1, k_num * q_max // k_den + 2):
         g = math.gcd(k_num, k_den * n)
@@ -228,6 +230,55 @@ def test_keys_match_an_index_scan(k_num, k_den, p_max, q_max):
             scan.add((num, den, n))
     assert len(set(keys)) == len(keys)
     assert set(keys) == scan
+
+
+def test_keys_hold_an_index_past_int64():
+    # K = 3 * 2**61: the keys num / den with num = 1 and 2 <= den <= 5 sit
+    # at n = K den > 2**63 - 1.  A landing n is a multiple of K / num with
+    # num | K, num <= 4, so of K / 12, and the scan walks those multiples
+    k_num, p_max, q_max = 3 * 2**61, 4, 5
+    nums, dens, ns = _keys(k_num, 1, p_max, q_max)
+    keys = list(zip(nums, dens, ns))
+    step = k_num // 12
+    scan = set()
+    for n in range(step, k_num * q_max + 1, step):
+        g = math.gcd(k_num, n)
+        num, den = k_num // g, n // g
+        if num <= p_max and den <= q_max:
+            scan.add((num, den, n))
+    assert max(ns) > 2**63 - 1
+    assert keys == sorted(keys)  # num, then den, ascending
+    assert set(keys) == scan and len(keys) == len(scan)
+    # a grid whose indices fit keeps int64 columns
+    assert all(col.typecode == "q" for col in _keys(12, 1, 4, 5))
+
+
+def test_key_grids_of_an_identity_window_fe_sweep_stay_small():
+    # the fe-rearrangement sweep of the identity-window benchmark: the
+    # grids that _keys builds, and keeps for the life of the process, hold
+    # under 2.5 MiB (a tuple of (num, den, n) per key held 4.2 MiB)
+    lines, first = inspect.getsourcelines(_keys.__wrapped__)
+    body = range(first, first + len(lines))
+    window = Window(288, 64, 64)
+    identities._keys.cache_clear()
+    tracemalloc.start()
+    try:
+        for q in (1, 6):
+            for cstar in (3, 4):
+                model = new_model(1, enumerate_characters(1)[0], seed=1729)
+                dual = model.contragredient()
+                assert verify_fe_rearrangement(model, q, primitive_mod(cstar), window, dual) < 1e-8
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    grids = sum(
+        trace.size
+        for trace in snapshot.traces
+        if trace.traceback[0].filename == identities.__file__
+        and trace.traceback[0].lineno in body
+    )
+    assert identities._keys.cache_info().currsize > 200
+    assert 0 < grids < 2.5 * 2**20
 
 
 def _build_G_by_index_scan(q, ell, chi, model, window, contragredient, shift, scale):

@@ -122,5 +122,59 @@ def test_kernel_differences_flag_a_changed_shape(tmp_path):
     old, new = str(tmp_path / "a.npz"), str(tmp_path / "b.npz")
     np.savez(old, **{"1": np.ones((1, 1)), "2": np.ones((2, 2))})
     np.savez(new, **{"1": np.ones((1, 1)), "2": np.ones((2, 1))})
-    assert tool.kernel_differences(old, new) == (1, math.inf)
-    assert tool.kernel_differences(old, old) == (0, 0.0)
+    assert tool.dump_differences(old, new) == (1, math.inf)
+    assert tool.dump_differences(old, old) == (0, 0.0)
+    # an array that one dump lacks differs too
+    np.savez(new, **{"1": np.ones((1, 1))})
+    assert tool.dump_differences(old, new) == (1, math.inf)
+
+
+# a fake gl3voronoi for the coefficient dump: one nebentypus per level, and
+# A(m1, m2) = m1 + i m2, which the contragredient of the level-2 model
+# moves by BUMP, exactly when BUMP is a small power of two
+FAKE_MODELS = """\
+class Model:
+    def __init__(self, level, dual=False):
+        self.level, self.dual = level, dual
+
+    def contragredient(self):
+        return Model(self.level, True)
+
+    def corrupted(self, index, delta):
+        return self
+
+    def coefficient(self, m1, m2):
+        return complex(m1, m2) + (BUMP if self.level == 2 and self.dual else 0)
+
+
+def new_model(level, psi, seed):
+    return Model(level)
+"""
+
+
+def _fake_model_checkout(root, bump):
+    package = root / "src" / "gl3voronoi"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "characters.py").write_text("def enumerate_characters(level):\n    return [None]\n")
+    (package / "heckemodel.py").write_text(f"BUMP = {bump!r}\n\n" + FAKE_MODELS)
+    return root
+
+
+def test_coefficient_run_counts_the_models_whose_bytes_differ(tmp_path, capsys):
+    tool = _load()
+    real = Path(__file__).resolve().parents[1]
+    # this checkout against itself: levels 1-3 with every nebentypus, each
+    # model, its dual and its corrupted twin, all equal
+    assert tool.coefficient_run([real, real], str(tmp_path), m1_max=6, m2_max=10) == 0
+    assert capsys.readouterr().out == (
+        "A(m1, m2), m1 <= 6, 0 < |m2| <= 10: 0 of 12 models differ, largest |delta| 0\n"
+    )
+    parent = _fake_model_checkout(tmp_path / "parent", 0)
+    change = _fake_model_checkout(tmp_path / "change", 2**-45)
+    assert tool.coefficient_run([parent, change], str(tmp_path), m1_max=4, m2_max=5) == 1
+    assert capsys.readouterr().out.endswith("1 of 9 models differ, largest |delta| 2.84e-14\n")
+    # a dump that fails counts as a difference on its own
+    broken = _fake_model_checkout(tmp_path / "broken", "1 / 0")
+    assert tool.coefficient_run([parent, broken], str(tmp_path), m1_max=4, m2_max=5) == 1
+    assert "change dump failed, exit 1" in capsys.readouterr().out

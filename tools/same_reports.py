@@ -27,15 +27,19 @@ result counts as a difference on its own, even when both checkouts fail
 alike; it, and a report on one side only, is printed whole.
 
 Last, each checkout dumps the bytes of kloosterman_matrix(c) for every
-c <= KERNEL_C_MAX, and one line gives how many moduli differ and the
-largest |entry difference|; a kernel that differs counts toward exit 1,
-as does a dump that failed.
+c <= KERNEL_C_MAX, and of the coefficients A(m1, m2) for m1 <=
+COEFFICIENT_M1_MAX coprime to the level and 0 < |m2| <= COEFFICIENT_M2_MAX
+of the models at levels 1-3 with every nebentypus, their contragredients
+and a twin with stacked corruptions; one line per dump gives how many
+moduli, or models, differ and the largest |entry difference|.  A kernel or
+a model that differs counts toward exit 1, as does a dump that failed.
 
 Blind spot: report fields show a change of rounding only in a report's
-worst case, and the kernel dump covers kloosterman_matrix alone, so a
-rounding change in any other kernel (the reduction sweep's blocks, the
-Gauss sums) below a report's maximum passes unseen; the bit-for-bit
-kernel tests of Tier-1 are what see it.
+worst case, and the dumps cover kloosterman_matrix and the coefficients
+alone, so a rounding change in any other kernel (the reduction sweep's
+blocks, the Gauss sums) or in the series the identities build, below a
+report's maximum, passes unseen; the bit-for-bit tests of Tier-1 are what
+see it.
 """
 
 import json
@@ -185,44 +189,89 @@ DUMP_KERNELS = (
     "np.savez(sys.argv[1], **{str(c): kloosterman_matrix(c) for c in range(1, c_max + 1)})"
 )
 
+COEFFICIENT_M1_MAX, COEFFICIENT_M2_MAX = 60, 500
 
-def dump_kernels(root: Path, path: str, c_max: int) -> str | None:
-    """Write root's kloosterman_matrix(c), c <= c_max, to path; None, or
-    the error of a dump that failed."""
+# run in a checkout: save to the .npz argv[1], per model, the rows
+# A(m1, m2) for m1 <= argv[2] coprime to the level and 0 < |m2| <= argv[3],
+# of the models at levels 1-3 with every nebentypus, their contragredients
+# and a twin with stacked corruptions, one of them at a negative m2
+DUMP_COEFFICIENTS = """
+import math, sys
+from gl3voronoi.characters import enumerate_characters
+from gl3voronoi.heckemodel import new_model
+import numpy as np
+
+m1_max, m2_max = int(sys.argv[2]), int(sys.argv[3])
+m2s = [m2 for m2 in range(-m2_max, m2_max + 1) if m2]
+out = {}
+for level in (1, 2, 3):
+    m1s = [m1 for m1 in range(1, m1_max + 1) if math.gcd(m1, level) == 1]
+    for i, psi in enumerate(enumerate_characters(level)):
+        model = new_model(level, psi, seed=1729 + i)
+        stacked = model.corrupted((1, 2), 1e-3).corrupted((5, -4), -2e-3j)
+        for name, m in (("model", model), ("dual", model.contragredient()), ("stacked", stacked)):
+            rows = [[m.coefficient(m1, m2) for m2 in m2s] for m1 in m1s]
+            out[f"level {level} psi {i} {name}"] = np.array(rows, dtype=complex)
+np.savez(sys.argv[1], **out)
+"""
+
+
+def dump(root: Path, script: str, path: str, *args: int) -> str | None:
+    """Run script in root with the arguments path, *args; None, or the
+    error of a dump that failed."""
     env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONHASHSEED="0")
-    cmd = [sys.executable, "-c", DUMP_KERNELS, path, str(c_max)]
+    cmd = [sys.executable, "-c", script, path, *map(str, args)]
     proc = subprocess.run(cmd, cwd=root, env=env, capture_output=True, text=True, timeout=900)
     return None if proc.returncode == 0 else f"exit {proc.returncode}: {proc.stderr}"
 
 
-def kernel_differences(old: str, new: str) -> tuple[int, float]:
-    """How many moduli's kernels differ in bytes between two dumps of
-    the same moduli, and the largest |entry difference| (inf for a kernel
-    whose shape changed)."""
+def dump_differences(old: str, new: str) -> tuple[int, float]:
+    """How many arrays differ in bytes between two .npz dumps, and the
+    largest |entry difference| (inf for an array whose shape changed or
+    that one dump lacks)."""
     with np.load(old) as a, np.load(new) as b:
-        pairs = [(a[key], b[key]) for key in a.files]
+        pairs = [
+            (a[key] if key in a else None, b[key] if key in b else None)
+            for key in sorted(set(a.files) | set(b.files))
+        ]
     count, largest = 0, 0.0
     for x, y in pairs:
-        if x.shape != y.shape:
+        if x is None or y is None or x.shape != y.shape:
             count, largest = count + 1, math.inf
         elif x.tobytes() != y.tobytes():
             count, largest = count + 1, max(largest, float(np.max(np.abs(x - y))))
     return count, largest
 
 
-def kernel_run(roots: list[Path], tmp: str, c_max: int = KERNEL_C_MAX) -> int:
-    """Dump both checkouts' kernels, print one line of how many moduli
-    differ and by how much, and return that count (1 if a dump failed)."""
-    where = f"kloosterman_matrix(c), c <= {c_max}"
-    paths = [os.path.join(tmp, f"{tag}-kernels.npz") for tag in "ab"]
+def dump_run(roots: list[Path], tmp: str, where: str, script: str, args, unit: str) -> int:
+    """Dump with script in both checkouts, print one line of how many of
+    the parent's arrays (each one of unit) differ and by how much, and
+    return that count (1 if a dump failed)."""
+    paths = [os.path.join(tmp, f"{tag}-{unit}.npz") for tag in "ab"]
     for root, path, side in zip(roots, paths, ("parent", "change")):
-        error = dump_kernels(root, path, c_max)
+        error = dump(root, script, path, *args)
         if error is not None:
             print(f"{where}: {side} dump failed, {error}")
             return 1
-    count, largest = kernel_differences(*paths)
-    print(f"{where}: {count} of {c_max} moduli differ, largest |delta| {largest:.3g}")
+    count, largest = dump_differences(*paths)
+    with np.load(paths[0]) as a:
+        total = len(a.files)
+    print(f"{where}: {count} of {total} {unit} differ, largest |delta| {largest:.3g}")
     return count
+
+
+def kernel_run(roots: list[Path], tmp: str, c_max: int = KERNEL_C_MAX) -> int:
+    """The kernel bytes: kloosterman_matrix(c) for every c <= c_max."""
+    where = f"kloosterman_matrix(c), c <= {c_max}"
+    return dump_run(roots, tmp, where, DUMP_KERNELS, [c_max], "moduli")
+
+
+def coefficient_run(
+    roots: list[Path], tmp: str, m1_max: int = COEFFICIENT_M1_MAX, m2_max: int = COEFFICIENT_M2_MAX
+) -> int:
+    """The coefficient bytes: A(m1, m2) of each model of DUMP_COEFFICIENTS."""
+    where = f"A(m1, m2), m1 <= {m1_max}, 0 < |m2| <= {m2_max}"
+    return dump_run(roots, tmp, where, DUMP_COEFFICIENTS, [m1_max, m2_max], "models")
 
 
 def main() -> int:
@@ -249,10 +298,10 @@ def main() -> int:
         print(f"{where}: {len(old.keys() | new.keys())} reports compared, {count} differ")
         verify_differ += count
     with tempfile.TemporaryDirectory() as tmp:
-        kernels_differ = kernel_run(roots, tmp)
+        dumps_differ = kernel_run(roots, tmp) + coefficient_run(roots, tmp)
     print(f"{compared} reports compared, {differ} differ")
     print(closing_line(differing))
-    return 1 if differ or verify_differ or kernels_differ else 0
+    return 1 if differ or verify_differ or dumps_differ else 0
 
 
 if __name__ == "__main__":
