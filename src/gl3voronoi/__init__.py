@@ -25,4 +25,4 @@ import os
 
 os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

@@ -131,18 +131,18 @@ class VerificationReport:
 
 
 CHARS_LIST_MAX_MODULUS = 4096  # phi(q) tables of q pointers: 160 MiB peak at q = 4093
-WINDOW_MAX_PQ = 1024  # key grids grow with P, Q: fe-rearrangement 18 s, 226 MiB at the cap
+WINDOW_MAX_PQ = 1024  # key grids grow with P, Q: fe-rearrangement 6.5 s, 62 MiB at the cap
 ORTHOGONALITY_MAX_C = 256  # a value table per character mod c <= c_max: 11 s, 91 MiB
 # a sieve of prime_bound bytes, then each prime's relations: hecke-relations
 # takes 0.3 s at the cap with one model, level 1 and power_bound 1
 PRIME_BOUND_MAX = 2**16
 # the number of models or cases a check runs, each cap timed with every
-# other field at its default
-TRIALS_MAX = 2**11  # models per hecke level: hecke-relations 9.0 s, 29 MiB
-SEEDS_PER_CASE_MAX = 2**7  # models per level: fe-rearrangement 10.7 s, z-expansion 5.0 s
-EULER_N_MAX = 2**17  # terms of each Euler product: euler-product 5.9 s, 60 MiB
-ORTHOGONALITY_N_MAX = 2**16  # n per (c, q): orthogonality 6.2 s, 53 MiB
-MOEBIUS_Q_MAX = 2**9  # q per (cstar, m): moebius-assembly 9.2 s, 109 MiB
+# other field at its default, as WINDOW_MAX_PQ, on one 2-core AMD EPYC host
+TRIALS_MAX = 2**11  # models per hecke level: hecke-relations 14.9 s, 30 MiB
+SEEDS_PER_CASE_MAX = 2**7  # models per level: fe-rearrangement 5.0 s, z-expansion 11.1 s
+EULER_N_MAX = 2**17  # terms of each Euler product: euler-product 13.5 s, 64 MiB
+ORTHOGONALITY_N_MAX = 2**16  # n per (c, q): orthogonality 15.7 s, 56 MiB
+MOEBIUS_Q_MAX = 2**9  # q per (cstar, m): moebius-assembly 25.7 s, 121 MiB
 
 
 @dataclass(frozen=True)
@@ -494,10 +494,16 @@ def check_z_expansion(config: SuiteConfig, fold: _Fold) -> dict:
 
 @_check("fe-rearrangement", 1e-8, **_SWEEP_FIELDS)
 def check_fe_rearrangement(config: SuiteConfig, fold: _Fold) -> dict:
-    # one contragredient per model, shared by all of its cases
-    return _identity_sweep(
-        config, fold, verify_fe_rearrangement, lambda model: {"dual": model.contragredient()}
+    # one contragredient per model, shared by all of its cases; the largest
+    # ratio of an exactly zero weight, already folded into each residual
+    zeros: list[float] = []
+    params = _identity_sweep(
+        config,
+        fold,
+        verify_fe_rearrangement,
+        lambda model: {"dual": model.contragredient(), "zero_weights": zeros},
     )
+    return {**params, "max_zero_weight": f"{worse(0.0, *zeros):.3e}"}
 
 
 @_check("moebius-assembly", 1e-10, q_max="moebius_q_max", m_max="moebius_m_max",

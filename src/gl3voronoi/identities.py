@@ -60,11 +60,14 @@ from array import array
 from collections.abc import Sequence
 from functools import lru_cache
 
-from .arith import divisors, mobius, worse
+from .arith import divisors, euler_phi, mobius, worse
 from .characters import (
     DirichletCharacter,
     _exp_table,
+    _gauss_exponents,
     _gauss_sums,
+    _structure,
+    _sums_to_zero,
     _units_and_inverses,
     enumerate_characters,
     gauss_sum,
@@ -243,7 +246,9 @@ def build_G(
     return FormalSeries(terms, window)
 
 
-def _add_G(terms, x, q0, splits, chi_star, model, window, shift, contragredient) -> None:
+def _add_G(
+    terms, x, q0, splits, chi_star, model, window, shift, contragredient, zeros=None
+) -> None:
     """Add at X = x the sum over the splits (d1, l, scale) of one k = d1 l
     of scale * G(q0 d1, l, chi*, s) at the given shift.
 
@@ -256,10 +261,18 @@ def _add_G(terms, x, q0, splits, chi_star, model, window, shift, contragredient)
 
         chi*(-N) psi(q0 k cstar) cstar w(d) A~(d, n) g(chi*, q0 k cstar / d, n) / (d n).
 
-    Only an exactly zero weight is skipped: over all the splits of k, as
-    in the shell, the Ramanujan lemma makes w(d) vanish unless k | d, and
-    the check must not assume it.  The group's sum at each key is pruned
-    as a built series is.
+    The scales must be one common factor times chi*(d1), as ``_shell``
+    and build_G give them, so w(d) vanishes exactly when the sum over the
+    splits of chi*(d1) g(chi*, l cstar, d) does: ``_weight_vanishes``
+    decides that in integers, and the key grid of an exactly zero weight
+    is not walked.  Over all the splits of k, as in the shell, the
+    Ramanujan lemma makes w(d) vanish unless k | d; nothing here assumes
+    it.  Every other weight is used as its float.  The float of a skipped
+    weight is roundoff, unless a Gauss table is wrong: if zeros is a
+    list, |w(d)| over the sum of the absolute values of its terms (each
+    split's |scale| times the phi(l cstar) unit terms of its Gauss sum)
+    is appended to it.  The group's sum at each key is pruned as a built
+    series is.
     """
     cstar = chi_star.modulus
     d1, ell, _ = splits[0]
@@ -268,12 +281,16 @@ def _add_G(terms, x, q0, splits, chi_star, model, window, shift, contragredient)
     if not pref:
         return
     tabs = [(scale, gauss_sum_table(chi_star, l * cstar), l * cstar) for _, l, scale in splits]
+    cells = tuple((d1, l) for d1, l, _ in splits)
+    bulk = sum(abs(scale) * euler_phi(c) for scale, _, c in tabs)
     knum = shift * qk * cstar**3
     coefficient = contragredient.coefficient
     part: dict[tuple[int, int], complex] = {}
     for d in divisors(qk):
         w = sum(scale * gtab[d % c] for scale, gtab, c in tabs)
-        if not w:
+        if _weight_vanishes(chi_star, cells, d):
+            if zeros is not None:
+                zeros.append(abs(w) / bulk)
             continue
         wd = pref * w / d
         mod2 = qk * cstar // d
@@ -289,6 +306,29 @@ def _add_G(terms, x, q0, splits, chi_star, model, window, shift, contragredient)
     for (num, den), coeff in part.items():
         if not abs(coeff) < PRUNE_EPS:
             terms[x, num, den] = terms.get((x, num, den), 0j) + coeff
+
+
+@lru_cache(maxsize=4096)
+def _weight_vanishes(chi_star: DirichletCharacter, cells: tuple, d: int) -> bool:
+    """Whether the sum over the cells (d1, l), all with one k = d1 l, of
+    chi*(d1) g(chi*, l cstar, d) is exactly 0.
+
+    Each of its terms chi*(d1) chi*(u) e(u d / (l cstar)) is e(e/M) with
+    M = lcm(L, k cstar), L the exponent of chi*'s group, so the sum is
+    held as the count of each e mod M, and ``_sums_to_zero`` decides it
+    in Python ints; no float is read."""
+    cstar = chi_star.modulus
+    exponent = _structure(cstar)[2]
+    big_m = math.lcm(exponent, math.prod(cells[0]) * cstar)
+    counts: dict[int, int] = {}
+    for d1, ell in cells:
+        a = chi_star._numerator(d1)
+        if a is None:
+            continue
+        for e in _gauss_exponents(chi_star, ell * cstar, d, big_m):
+            key = (a * (big_m // exponent) + e) % big_m
+            counts[key] = counts.get(key, 0) + 1
+    return _sums_to_zero(counts, big_m)
 
 
 def _restrict(level: int):
@@ -435,6 +475,7 @@ def verify_fe_rearrangement(
     chi_star: DirichletCharacter,
     window: Window,
     dual: HeckeCoefficientModel | None = None,
+    zero_weights: list[float] | None = None,
 ) -> float:
     """Rearranged dual expansion of Z(s,w), archimedean factor stripped.
 
@@ -461,11 +502,19 @@ def verify_fe_rearrangement(
     identity holds for arbitrary dual values and perturbing a dual
     coefficient cannot break it; use fe_rearrangement_sensitivity for
     the verifier's own fault probe.
+
+    The right side skips each exactly zero weight of ``_add_G``; the
+    largest ratio that it reports for them, roundoff unless a Gauss table
+    is wrong, is folded into the returned residual and, if zero_weights
+    is a list, appended to it.
     """
     _check_case(model, chi_star, q)
     if dual is None:
         dual = model.contragredient()
-    return _fe_residual(model, q, chi_star, window, dual, dual)
+    residual, zero = _fe_residual(model, q, chi_star, window, dual, dual)
+    if zero_weights is not None:
+        zero_weights.append(zero)
+    return residual
 
 
 def fe_rearrangement_sensitivity(
@@ -484,12 +533,14 @@ def fe_rearrangement_sensitivity(
     be of the order of the injected delta.
     """
     dual = model.contragredient()
-    return _fe_residual(model, q, chi_star, window, dual, dual.corrupted((1, 2), delta))
+    return _fe_residual(model, q, chi_star, window, dual, dual.corrupted((1, 2), delta))[0]
 
 
-def _fe_residual(model, q, chi_star, window, dual, rhs_dual) -> float:
+def _fe_residual(model, q, chi_star, window, dual, rhs_dual) -> tuple[float, float]:
     """Rearrangement residual, dual coefficients from dual on the left
-    side and from rhs_dual on the right (the G-shell)."""
+    side and from rhs_dual on the right (the G-shell), with the largest
+    ratio of the G-shell's exactly zero weights folded in; and that
+    ratio."""
     tau = gauss_sum(chi_star)
     tau_bar = gauss_sum(chi_star.conjugate())
     cstar = chi_star.modulus
@@ -497,10 +548,13 @@ def _fe_residual(model, q, chi_star, window, dual, rhs_dual) -> float:
         raise ValueError(f"tau(chi*) tau(chibar*) = {tau * tau_bar} is not chi*(-1) cstar")
     lhs = _fe_lhs_series(model, q, chi_star, window, dual, tau)
     cells = _dirichlet_cells(window.x_max, model.level)
+    zeros: list[float] = []
     rterms = _shell(
-        {}, _add_G, model, chi_star, q, cells, window, 1 / tau_bar, contragredient=rhs_dual
+        {}, _add_G, model, chi_star, q, cells, window, 1 / tau_bar, contragredient=rhs_dual,
+        zeros=zeros
     )
-    return compare(lhs, FormalSeries(rterms, window))
+    zero = worse(0.0, *zeros)
+    return worse(compare(lhs, FormalSeries(rterms, window)), zero), zero
 
 
 def _fe_lhs_series(model, q, chi_star, window, dual, tau) -> FormalSeries:

@@ -4,18 +4,24 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gl3voronoi import characters
 from gl3voronoi.arith import divisors, euler_phi, mobius
 from gl3voronoi.characters import (
     DirichletCharacter,
+    _gauss_exponents,
     _gauss_sum_any_modulus,
     _gauss_sums,
+    _structure,
+    _sums_to_zero,
     enumerate_characters,
     gauss_sum,
     gauss_sum_table,
@@ -24,6 +30,7 @@ from gl3voronoi.characters import (
     primitive_part,
     principal_character,
 )
+from gl3voronoi.identities import ramanujan_lemma_residual
 
 
 def root_of_unity(angle):
@@ -511,3 +518,119 @@ def test_parity_guard_raises_when_chi_of_minus_one_is_not_a_sign(monkeypatch):
     monkeypatch.setattr(DirichletCharacter, "_numerator", lambda self, n: 1)
     with pytest.raises(ValueError, match="is not \\+1 or -1"):
         DirichletCharacter.parity.fget(chi)
+
+
+# -- exact cyclotomic sums ------------------------------------------------------
+
+
+def _cyclotomic_polynomial(M):
+    """Phi_M, constant term first: the product of (x^d - 1)^mu(M/d) over
+    d | M, multiplied out, then divided out, in Python ints."""
+    poly = [1]
+    for d in divisors(M):
+        if mobius(M // d) == 1:
+            poly = [-a for a in poly] + [0] * d
+            for i, a in enumerate(poly[:-d]):
+                poly[i + d] -= a
+    for d in divisors(M):
+        if mobius(M // d) == -1:
+            quot = []  # p = (x^d - 1) q: q_i = q_(i-d) - p_i
+            for i in range(len(poly) - d):
+                quot.append((quot[i - d] if i >= d else 0) - poly[i])
+            poly = quot
+    return poly
+
+
+def _divisible_by_phi(counts, M):
+    """Whether Phi_M divides sum_e counts[e] x^e, by long division."""
+    phi = _cyclotomic_polynomial(M)
+    deg = len(phi) - 1
+    rem = [0] * M
+    for e, n in counts.items():
+        rem[e] += n
+    for i in range(M - 1, deg - 1, -1):
+        for j, a in enumerate(phi[:deg]):
+            rem[i - deg + j] -= rem[i] * a
+    return not any(rem[:deg])
+
+
+def test_cyclotomic_polynomials_of_small_order():
+    assert _cyclotomic_polynomial(1) == [-1, 1]
+    assert _cyclotomic_polynomial(12) == [1, 0, -1, 0, 1]
+    assert _cyclotomic_polynomial(105)[7] == -2  # the first coefficient off {-1, 0, 1}
+
+
+@given(st.integers(1, 120), st.data())
+@settings(max_examples=300, deadline=None)
+def test_sums_to_zero_is_divisibility_by_phi(M, data):
+    # a random sum of rotated prime orbits (each a zero sum) plus at most
+    # one stray term: the structural test agrees with long division by Phi_M
+    primes = [p for p in range(2, M + 1) if M % p == 0 and mobius(p) == -1]
+    counts = Counter()
+    for _ in range(data.draw(st.integers(0, 4)) if primes else 0):
+        p = data.draw(st.sampled_from(primes))
+        j, n = data.draw(st.integers(0, M - 1)), data.draw(st.integers(-3, 3))
+        for t in range(p):
+            counts[(j + t * M // p) % M] += n
+    if data.draw(st.booleans()):
+        counts[data.draw(st.integers(0, M - 1))] += data.draw(st.integers(-2, 2))
+    assert _sums_to_zero(counts, M) == _divisible_by_phi(counts, M)
+
+
+def test_sums_to_zero_at_a_large_order():
+    # M = 4 * 3 * 5 * 17 * 1021, the order of fe-rearrangement's weights at
+    # cstar = 1021: the orbit of 1021 cancels, one term less does not
+    M = 1041420
+    orbit = Counter((7 + t * (M // 1021)) % M for t in range(1021))
+    assert _sums_to_zero(orbit, M)
+    orbit[7] -= 1
+    assert not _sums_to_zero(orbit, M)
+
+
+def _value(exponents, M):
+    return sum(cmath.exp(2j * math.pi * e / M) for e in exponents)
+
+
+@pytest.mark.parametrize("c", range(1, 25))
+def test_gauss_sum_norm_is_exact(c):
+    # tau(chi) tau(chibar) = chi(-1) c in Z[zeta_M], for every primitive chi
+    # mod c; one unit more is exactly nonzero; the exponents give the float
+    # table's tau within 1e-12
+    M = math.lcm(_structure(c)[2], c)
+    for chi in primitive_characters(c):
+        tau = _gauss_exponents(chi, c, 1, M)
+        tau_bar = _gauss_exponents(chi.conjugate(), c, 1, M)
+        counts = Counter((e1 + e2) % M for e1 in tau for e2 in tau_bar)
+        counts[0] -= chi.parity * c
+        assert _sums_to_zero(counts, M)
+        counts[0] += 1
+        assert not _sums_to_zero(counts, M)
+        assert abs(_value(tau, M) - gauss_sum(chi)) < 1e-12
+        assert abs(_value(tau_bar, M) - gauss_sum(chi.conjugate())) < 1e-12
+
+
+@pytest.mark.parametrize("cstar", [3, 4, 5, 7, 8])
+def test_ramanujan_lemma_is_exact(cstar):
+    # sum_{l1 l2 = l} g(chi*, l1 cstar, m) chi*(l2) = [l | m] tau(chi*)
+    # chibar*(m/l) l in Z[zeta_M], M = lcm(L, l cstar), for l <= 12 and
+    # m <= 24; each Gauss sum's exponents give its float table entry
+    # within 1e-12, and the float lemma holds within 1e-12
+    L = _structure(cstar)[2]
+    for chi in primitive_characters(cstar):
+        for m in range(1, 25):
+            for ell in range(1, 13):
+                M = math.lcm(L, ell * cstar)
+                counts = Counter()
+                for l1 in divisors(ell):
+                    c = l1 * cstar
+                    g = _gauss_exponents(chi, c, m, M)
+                    assert abs(_value(g, M) - gauss_sum_table(chi, c)[m % c]) < 1e-12
+                    a = chi._numerator(ell // l1)
+                    if a is not None:
+                        counts.update((e + a * (M // L)) % M for e in g)
+                a = chi._numerator(m // ell) if m % ell == 0 else None
+                if a is not None:  # chibar*(m/l) = e(-a/L)
+                    for e in _gauss_exponents(chi, cstar, 1, M):
+                        counts[(e - a * (M // L)) % M] -= ell
+                assert _sums_to_zero(counts, M), (chi, m, ell)
+            assert ramanujan_lemma_residual(chi, cstar, m, 1, 12) < 1e-12

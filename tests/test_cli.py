@@ -185,6 +185,30 @@ def test_check_fails_on_one_perturbed_value_of_its_layer(name, monkeypatch):
     assert report.tolerance < report.max_residual < math.inf
 
 
+@pytest.mark.parametrize("index", [1, 2])
+def test_fe_rearrangement_fails_on_a_gauss_entry_of_a_zero_weight(index, monkeypatch):
+    # g(chi_3, 6, index) is read by exactly zero weights, whose key grids
+    # are not walked; entry 1 by those alone, so the compare sees nothing
+    # and the ratio of the skipped weight's float FAILs the check by itself
+    config = replace(SuiteConfig(), levels=(1,), q_list=(1,), cstar_list=(3,), seeds_per_case=1)
+    report = CHECKS["fe-rearrangement"](config)[0]
+    assert report.passed and float(report.parameters["max_zero_weight"]) < 1e-14
+    chi = primitive_characters(3)[0]
+    original = gauss_sum_table
+
+    def bumped(chi_star, c):
+        table = original(chi_star, c)
+        return _bumped(table, index) if (chi_star, c) == (chi, 6) else table
+
+    monkeypatch.setattr("gl3voronoi.identities.gauss_sum_table", bumped)
+    report = CHECKS["fe-rearrangement"](config)[0]
+    zero = float(report.parameters["max_zero_weight"])
+    assert not report.passed and zero >= 1e-8
+    if index == 1:  # the residual is the ratio's, to the 4 digits reported
+        assert report.max_residual == pytest.approx(zero, rel=1e-3)
+    assert VerificationReport.from_dict(json.loads(json.dumps(report.to_dict()))) == report
+
+
 @pytest.mark.parametrize("index", [(1, 2), (1, 3), (1, 9), (5, 3)])
 def test_hecke_relations_reads_every_prime_of_a_composite_level(index, monkeypatch):
     # at level 6 the mixed part runs at q = 2 and at q = 3: A(1, 3), A(1, 9)

@@ -1,7 +1,10 @@
 import cmath
+import functools
 import inspect
 import math
 import tracemalloc
+from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +20,9 @@ from gl3voronoi.characters import (
     primitive_part,
 )
 from gl3voronoi import identities
+from gl3voronoi.cli import CHECKS, SuiteConfig
 from gl3voronoi.formal import (
+    PRUNE_EPS,
     CompletenessError,
     FormalSeries,
     Window,
@@ -256,7 +261,9 @@ def test_keys_hold_an_index_past_int64():
 def test_key_grids_of_an_identity_window_fe_sweep_stay_small():
     # the fe-rearrangement sweep of the identity-window benchmark: the
     # grids that _keys builds, and keeps for the life of the process, hold
-    # under 2.5 MiB (a tuple of (num, den, n) per key held 4.2 MiB)
+    # under 0.5 MiB (0.20 MiB in 123 grids; a tuple of (num, den, n) per
+    # key held 4.2 MiB in 269 grids, before exactly zero weights skipped
+    # their walks)
     lines, first = inspect.getsourcelines(_keys.__wrapped__)
     body = range(first, first + len(lines))
     window = Window(288, 64, 64)
@@ -277,24 +284,61 @@ def test_key_grids_of_an_identity_window_fe_sweep_stay_small():
         if trace.traceback[0].filename == identities.__file__
         and trace.traceback[0].lineno in body
     )
-    assert identities._keys.cache_info().currsize > 200
-    assert 0 < grids < 2.5 * 2**20
+    assert identities._keys.cache_info().currsize > 100
+    assert 0 < grids < 0.5 * 2**20
+
+
+@functools.lru_cache(maxsize=None)
+def _root_mp(t):
+    """e(t) at 50 digits, for a Fraction t."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        return mpmath.expjpi(2 * mpmath.mpf(t.numerator) / t.denominator)
+
+
+@functools.lru_cache(maxsize=None)
+def _gauss_sum_mp(chi, c, m):
+    """g(chi, c, m) at 50 digits, summed over the units u of c from the
+    exact angles of chi(u) e(u m / c)."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        total = mpmath.mpc(0)
+        for u in range(1, c + 1):
+            angle = chi.angle(u) if math.gcd(u, c) == 1 else None
+            if angle is not None:
+                total += _root_mp((angle + Fraction(u * m, c)) % 1)
+        return total
+
+
+def _weight_is_zero_mp(chi, cells, d):
+    """Whether the sum over the cells (d1, l) of chi(d1) g(chi, l cstar, d),
+    at 50 digits, is below 1e-40: the oracles' own zero test of a weight."""
+    mpmath = pytest.importorskip("mpmath")
+    cstar = chi.modulus
+    with mpmath.workdps(50):
+        w = mpmath.mpc(0)
+        for d1, ell in cells:
+            angle = chi.angle(d1)
+            if angle is not None:
+                w += _root_mp(angle) * _gauss_sum_mp(chi, ell * cstar, d % (ell * cstar))
+        return abs(w) < mpmath.mpf(10) ** -40
 
 
 def _build_G_by_index_scan(q, ell, chi, model, window, contragredient, shift, scale):
     """build_G as a scan, for each d | q l, of every index n up to
     K q_max + 1, each kept when its key K / n lands in the window; each
     term is multiplied out in build_G's order, its one-cell weight
-    scale g(chi*, c, d) first."""
+    scale g(chi*, c, d) first, and a d whose g(chi*, c, d) is zero at 50
+    digits is not scanned."""
     cstar = chi.modulus
     c = ell * cstar
     pref = chi(-model.level) * model.psi(q * c) * cstar
     gtab_c = gauss_sum_table(chi, c)
     terms = {}
     for d in divisors(q * ell):
-        w = scale * gtab_c[d % c]
-        if not w:
+        if _weight_is_zero_mp(chi, ((1, ell),), d):
             continue
+        w = scale * gtab_c[d % c]
         wd = pref * w / d
         mod2 = q * c // d
         gtab2 = gauss_sum_table(chi, mod2)
@@ -524,6 +568,33 @@ def test_fe_rearrangement_sensitivity_probe():
     assert 1.9 < r2 / r1 < 2.1  # linear in the injected fault
 
 
+@pytest.mark.parametrize("window, seed", [((144, 48, 48), 1729), ((288, 64, 64), 1)])
+def test_exactly_zero_weights_are_the_roundoff_ones(monkeypatch, window, seed):
+    # every weight of the fe-rearrangement sweep, at the default config and
+    # at 288:64:64: the exact test calls zero exactly the weights whose
+    # float, summed from the Gauss tables, is below 1e-12; the floats of
+    # the others are at least 1
+    exact = identities._weight_vanishes
+    seen = {}
+
+    def spy(chi, cells, d):
+        seen[chi, cells, d] = exact(chi, cells, d)
+        return seen[chi, cells, d]
+
+    monkeypatch.setattr(identities, "_weight_vanishes", spy)
+    assert CHECKS["fe-rearrangement"](replace(SuiteConfig(), window=window, seed=seed))[0].passed
+
+    def w_float(chi, cells, d):
+        moduli = [(d1, ell * chi.modulus) for d1, ell in cells]
+        return abs(sum(chi(d1) * gauss_sum_table(chi, c)[d % c] for d1, c in moduli))
+
+    floats = {key: w_float(*key) for key in seen}
+    assert {key for key, zero in seen.items() if zero} == {
+        key for key, w in floats.items() if w < 1e-12
+    }
+    assert any(seen.values()) and min(w for key, w in floats.items() if not seen[key]) >= 1
+
+
 def test_fe_rearrangement_refuses_a_wrong_gauss_sum_normalization(monkeypatch):
     # tau(chi*) tau(chibar*) = chi*(-1) cstar links the two sides; a Gauss
     # sum off by a factor must raise, not compare
@@ -581,22 +652,55 @@ def test_fe_lhs_key_grid_matches_d0_scan(level, q, cstar, window):
     assert {k: repr(v) for k, v in got.items()} == {k: repr(v) for k, v in scan.items()}
 
 
+def _g_cell(q, ell, chi, model, window, dual, shift, scale, zero):
+    """The one-cell G(q, l) at the given shift, times scale: the terms of
+    each d | q l that zero(d) does not rule out, walked over _keys, each
+    key's sum pruned as a built series is."""
+    cstar = chi.modulus
+    c = ell * cstar
+    pref = chi(-model.level) * model.psi(q * c) * cstar
+    gtab = gauss_sum_table(chi, c)
+    knum = shift * q * ell * cstar**3
+    part = {}
+    for d in divisors(q * ell):
+        if zero(d):
+            continue
+        wd = pref * (scale * gtab[d % c]) / d
+        mod2 = q * c // d
+        gtab2 = gauss_sum_table(chi, mod2)
+        g = math.gcd(knum, d * d)
+        for num, den, n in zip(*_keys(knum // g, d * d // g, window.p_max, window.q_max)):
+            coeff = wd * dual.coefficient(d, n) * gtab2[n % mod2] / n
+            if coeff:
+                part[num, den] = part.get((num, den), 0j) + coeff
+    return {key: v for key, v in part.items() if not abs(v) < PRUNE_EPS}
+
+
 def _g_shell_cell_by_cell(model, q, chi_star, window, dual, scale):
     """The rearrangement's right side built cell by cell, the construction
-    that the fold regroups: one one-split _add_G per (d2, cell), pruned on
-    its own, its keys placed at X = (d1 l)^2 in (d2, cell) order."""
+    that the fold regroups: one one-cell G per (d2, cell), pruned on its
+    own, its keys placed at X = (d1 l)^2 in (d2, cell) order.  A d at
+    which the weight of the cell's group, the cells of its X kept at its
+    d2, is zero at 50 digits is not walked."""
     s_window = Window(1, window.p_max, window.q_max)
+    cells = identities._dirichlet_cells(window.x_max, model.level)
     terms = {}
     for d2 in divisors(q):
-        for x, d1, ell in identities._dirichlet_cells(window.x_max, model.level):
-            pref = scale * model.psi(d2) * chi_star(d1 * d2)
-            if not pref:
-                continue
-            cell = {}
-            identities._add_G(
-                cell, 1, q * d1 // d2, [(1, ell, pref)], chi_star, model, s_window, d2, dual
+        kept = [cell for cell in cells if model.psi(d2) * chi_star(cell[1] * d2)]
+        for x, d1, ell in kept:
+            group = tuple((e1, e2) for y, e1, e2 in kept if y == x)
+            cell = _g_cell(
+                q * d1 // d2,
+                ell,
+                chi_star,
+                model,
+                s_window,
+                dual,
+                d2,
+                scale * model.psi(d2) * chi_star(d1 * d2),
+                lambda d: _weight_is_zero_mp(chi_star, group, d),
             )
-            for (_, num, den), coeff in cell.items():
+            for (num, den), coeff in cell.items():
                 terms[(x, num, den)] = terms.get((x, num, den), 0j) + coeff
     return FormalSeries(terms, window)
 
