@@ -138,7 +138,7 @@ ORTHOGONALITY_MAX_C = 256  # a value table per character mod c <= c_max: 11 s, 9
 PRIME_BOUND_MAX = 2**16
 # the number of models or cases a check runs, each cap timed with every
 # other field at its default, as WINDOW_MAX_PQ, on one 2-core AMD EPYC host
-TRIALS_MAX = 2**11  # models per hecke level: hecke-relations 14.9 s, 30 MiB
+TRIALS_MAX = 2**11  # models per hecke level: hecke-relations 20.2 s, 30 MiB
 SEEDS_PER_CASE_MAX = 2**7  # models per level: fe-rearrangement 5.0 s, z-expansion 11.1 s
 EULER_N_MAX = 2**17  # terms of each Euler product: euler-product 13.5 s, 64 MiB
 ORTHOGONALITY_N_MAX = 2**16  # n per (c, q): orthogonality 15.7 s, 56 MiB
@@ -296,8 +296,9 @@ class SuiteConfig:
                 raise ValueError(f"{name} must be <= {cap}, got {value}")
         # coefficient factorizes every index that hecke-relations reads: up
         # to p^(2 power_bound) and, at a level whose largest prime is q,
-        # q^2 p^4, with p the largest prime <= prime_bound off the level;
-        # as p^64 > 2**63 already, the exponent is capped at 64
+        # q^J p^4 with J = max(2, power_bound), with p the largest prime <=
+        # prime_bound off the level; as 2^64 > 2**63 already, each exponent
+        # is capped at 64
         primes = primes_up_to(self.prime_bound)
         for level in self.hecke_levels:
             p = next((p for p in reversed(primes) if level % p), None)
@@ -306,7 +307,8 @@ class SuiteConfig:
             indices = {f"{p}^{2 * self.power_bound}": p ** min(2 * self.power_bound, 64)}
             if level > 1:
                 q = factorize(level)[-1][0]
-                indices[f"{q}^2*{p}^4"] = q * q * p**4
+                j = max(2, self.power_bound)
+                indices[f"{q}^{j}*{p}^4"] = q ** min(j, 64) * p**4
             for text, index in indices.items():
                 if index > _MAX_N:
                     raise ValueError(

@@ -16,6 +16,8 @@ key lies in its window.  build_lseries and series_mul build whole
 X-slices, every monomial with X <= x_max, and raise CompletenessError
 where they would have to drop one, never truncating silently: a factor
 cut in Y could lose a term that re-enters the product through its partner.
+No check uses them: they are the tests' oracle for the Z expansion's
+left side, and stay while the bench tracer binds them by name.
 
 Series are immutable once built; builders are pure.
 """

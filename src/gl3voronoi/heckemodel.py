@@ -60,10 +60,10 @@ hecke-relations check calls, takes one prime p at a time: every index is
 then p^x, or p^x q^J at a prime q of the level, so both sums follow from
 the exponents alone.  One exponent plan per power bound lists each term's
 psi exponent and table cell, in the order of the divisor loops; each
-(model, p) reads one table A(p^x, p^y), one list psi(p^k) and, per q^J,
-one table A(p^x, q^J p^y), and replays the plan over them, so that every
-residual equals the generic one by repr and nothing is factorized but
-the table indices, once each.
+(model, p) reads one table A(p^x, p^y), one list psi(p^k) and, per q^J
+with 1 <= J <= max(2, power_bound), one table A(p^x, q^J p^y), and
+replays the plan over them, so that every residual equals the generic
+one by repr and nothing is factorized but the table indices, once each.
 """
 
 from __future__ import annotations
@@ -348,7 +348,8 @@ def _exponent_plan(power_bound: int):
     index a slot of the table's cell list.  The pure relations are the
     first then the second relation at each (i, j, k) with 1 <= i <=
     power_bound and j, k <= power_bound, the mixed ones the second
-    relation at m = q^J p^i, n1 = p^j, n2 = p^k with i, j <= 2, k <= 1:
+    relation at m = q^J p^i, n1 = p^j, n2 = p^k with i, j <= 2, k <= 1
+    (1 <= J <= max(2, power_bound), one cofactor table per q^J):
     only a = q^J p^al survives there, so its terms are those at m = p^i
     with q^J on each second index.
     """
@@ -391,17 +392,18 @@ def relation_residuals(
 
     First hecke_relation_residual_1 and _2 at (p^i, p^j, p^k) for each
     1 <= i <= power_bound and j, k <= power_bound, in turn; then, for each
-    q in level_primes (primes other than p) and J in (1, 2),
-    hecke_relation_residual_2 at (q^J p^i, p^j, p^k) for i, j <= 2,
-    k <= 1; each equal to the generic residual by repr, in itertools.product
-    order.  Every coefficient is read through model.coefficient, once per
-    table cell.
+    q in level_primes (primes other than p) and 1 <= J <= max(2,
+    power_bound), hecke_relation_residual_2 at (q^J p^i, p^j, p^k) for
+    i, j <= 2, k <= 1, so every free value A(1, q^J) with J <= power_bound
+    is read; each equal to the generic residual by repr, in
+    itertools.product order.  Every coefficient is read through
+    model.coefficient, once per table cell.
     """
     pure_cells, cofactor_cells, pure, mixed = _exponent_plan(power_bound)
     psi = [model.psi(p**e) for e in range(power_bound + 1)]
     table = [model.coefficient(p**x, p**y) for x, y in pure_cells]
     out = _replay(pure, table, table, psi)
-    for q, J in itertools.product(level_primes, (1, 2)):
+    for q, J in itertools.product(level_primes, range(1, max(2, power_bound) + 1)):
         cofactor = [model.coefficient(p**x, q**J * p**y) for x, y in cofactor_cells]
         out += _replay(mixed, cofactor, table, psi)
     return out

@@ -39,6 +39,8 @@ Conventions shared by every builder here:
   window is touched.  It returns the grid as three int64 columns (nums,
   dens, ns), walked with zip, since the grids stay cached for the life
   of the process and a tuple per key took nearly four times the memory.
+  The Z left side's pairs (n, l) are the cells of ``_dirichlet_cells``,
+  the same cells as its right side's (X, d1, l).
 
 - The right sides of the Z expansion, the rearranged dual expansion and
   the Moebius assembly share one shell, built by ``_shell``:
@@ -74,7 +76,7 @@ from .characters import (
     gauss_sum_table,
     primitive_characters,
 )
-from .formal import PRUNE_EPS, FormalSeries, Window, build_lseries, compare, series_mul
+from .formal import PRUNE_EPS, FormalSeries, Window, compare
 from .heckemodel import HeckeCoefficientModel
 
 __all__ = [
@@ -331,10 +333,6 @@ def _weight_vanishes(chi_star: DirichletCharacter, cells: tuple, d: int) -> bool
     return _sums_to_zero(counts, big_m)
 
 
-def _restrict(level: int):
-    return (lambda n: math.gcd(n, level) == 1) if level > 1 else None
-
-
 def _shell(terms, inner, model, chi_star, big_q, cells, window, scale, shift=1, **kw):
     """Add scale * shift^-s * the shell (see the module docstring) over
     the cells (X, d1, l) into terms.  For each d2 and each group of cells
@@ -405,9 +403,11 @@ def verify_Z_expansion(
 ) -> float:
     """Expansion of Z(s,w) through the shifted twisted series.
 
-    Left side: the quotient L_q^(N)(2w-s, F) / L^(N)(2w-2s+1, chibar*),
-    a windowed product, times L(s, F x chi*), each key summed in the
-    quotient's order:
+    Left side: the quotient L_q^(N)(2w-s, F) / L^(N)(2w-2s+1, chibar*)
+    times L(s, F x chi*).  The quotient's term of the pair (n, l) sits at
+    (X, 1, D) = ((n l)^2, 1, n l^2), and its key names the pair, so the
+    quotient sums nothing; each key of the left side is summed in the
+    order of the pairs:
 
         Z(s,w) = L_q^(N)(2w-s, F) * L(s, F x chi*) / L^(N)(2w-2s+1, chibar*)
 
@@ -417,45 +417,31 @@ def verify_Z_expansion(
         sum_{(d1,N)=1} d1^-2w tau(chibar*)^-1 sum_{d2|q} sum_{(l,N)=1}
             psi(d2) chi*(d1 d2) l^-2w d2^-s H(q d1/d2, l, chi*, s)
 
-    Enumeration bounds: X bounds the index of both factors of the
-    quotient, and their windows hold their whole slices X <= x_max:
-    n^2 <= x_max puts 1/Y = n within isqrt(x_max), l^2 <= x_max puts
-    1/Y = l^2 within x_max.  So does the product's window, as its term
-    at 1/Y = n l^2 <= (n l)^2 <= x_max shows (series_mul would refuse
-    one outside it).  Its term (X, 1, D) meets m at 1/Y = D/m, so
-    ``_keys`` lists the m that land.  On the right, d1,
+    Enumeration bounds: the quotient's pairs, n and l coprime to the
+    level with X = (n l)^2 <= x_max, are the cells (X, n, l) of
+    ``_dirichlet_cells``, in its order, and each term lies in the window,
+    at 1/Y = n l^2 <= (n l)^2 <= x_max.  Its term (X, 1, D) meets m at
+    1/Y = D/m, so ``_keys`` lists the m that land.  On the right, d1,
     l are bounded through X = (d1 l)^2 <= x_max; the inner index n by
     _add_H's key grid, whose keys d2 n / l^2 have num <= p_max and
     den | l^2, den <= q_max.  Returns the windowed compare residual.
     """
     _check_case(model, chi_star, q)
     level = model.level
-    restrict = _restrict(level)
     chibar = chi_star.conjugate()
+    cells = _dirichlet_cells(window.x_max, level)
 
-    # L_q^(N)(2w-s, F): X = n^2, Y = 1/n, dens bounded by sqrt(x_max)
-    s1 = build_lseries(
-        lambda n: model.coefficient(q, n),
-        w_mult=2,
-        s_mult=-1,
-        shift=0,
-        restriction=restrict,
-        window=Window(window.x_max, 1, max(1, math.isqrt(window.x_max))),
-    )
-    # 1 / L^(N)(2w-2s+1, chibar*): X = l^2, Y = 1/l^2, coefficient mu(l) chibar*(l) / l
-    s3 = build_lseries(
-        lambda n: mobius(n) * chibar(n),
-        w_mult=2,
-        s_mult=-2,
-        shift=1,
-        restriction=restrict,
-        window=Window(window.x_max, 1, window.x_max),
-    )
-    p1 = series_mul(s1, s3, Window(window.x_max, 1, window.x_max))
+    # the quotient's term A(q, n) mu(l) chibar*(l) / l at (X, 1, n l^2),
     # times L(s, F x chi*) = sum_m A(1, m) chi*(m) m^-s
     lterms: dict[tuple[int, int, int], complex] = {}
-    for (x, _, big_d), ca in p1.terms.items():
-        for den, num, m in zip(*_keys(big_d, 1, window.q_max, window.p_max)):
+    for x, n, ell in cells:
+        mu_chi = mobius(ell) * chibar(ell)
+        if not mu_chi:
+            continue
+        ca = complex(model.coefficient(q, n)) * (complex(mu_chi) / ell)
+        if abs(ca) < PRUNE_EPS:
+            continue
+        for den, num, m in zip(*_keys(n * ell * ell, 1, window.q_max, window.p_max)):
             chi = chi_star(m)
             if not chi:
                 continue
@@ -463,7 +449,6 @@ def verify_Z_expansion(
             lterms[key] = lterms.get(key, 0j) + ca * (model.coefficient(1, m) * chi)
     lhs = FormalSeries(lterms, window)
 
-    cells = _dirichlet_cells(window.x_max, level)
     terms = _shell({}, _add_H, model, chi_star, q, cells, window, 1 / gauss_sum(chibar))
     rhs = FormalSeries(terms, window)
     return compare(lhs, rhs)

@@ -209,11 +209,19 @@ def test_fe_rearrangement_fails_on_a_gauss_entry_of_a_zero_weight(index, monkeyp
     assert VerificationReport.from_dict(json.loads(json.dumps(report.to_dict()))) == report
 
 
-@pytest.mark.parametrize("index", [(1, 2), (1, 3), (1, 9), (5, 3)])
-def test_hecke_relations_reads_every_prime_of_a_composite_level(index, monkeypatch):
+@pytest.mark.parametrize(
+    "index, power_bound",
+    [pytest.param(ix, 2, id=f"index{i}") for i, ix in enumerate([(1, 2), (1, 3), (1, 9), (5, 3)])]
+    + [
+        pytest.param(ix, 4, id=f"index{i}-power-bound-4")
+        for i, ix in enumerate([(1, 8), (1, 16), (5, 8), (1, 27), (1, 81)], 4)
+    ],
+)
+def test_hecke_relations_reads_every_prime_of_a_composite_level(index, power_bound, monkeypatch):
     # at level 6 the mixed part runs at q = 2 and at q = 3: A(1, 3), A(1, 9)
-    # and A(5, 3) are read only by the second
-    config = replace(FAST, hecke_levels=(6,))
+    # and A(5, 3) are read only by the second; the free values A(1, q^J) and
+    # A(5, q^J) at J = 3, 4 only once J runs up to the power bound 4
+    config = replace(FAST, hecke_levels=(6,), power_bound=power_bound)
     assert CHECKS["hecke-relations"](config)[0].passed
 
     def corrupt(*args, **kw):

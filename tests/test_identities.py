@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gl3voronoi.arith import divisors, worse
+from gl3voronoi.arith import divisors, mobius, worse
 from gl3voronoi.characters import (
     _exp_table,
     enumerate_characters,
@@ -23,9 +23,9 @@ from gl3voronoi import identities
 from gl3voronoi.cli import CHECKS, SuiteConfig
 from gl3voronoi.formal import (
     PRUNE_EPS,
-    CompletenessError,
     FormalSeries,
     Window,
+    build_lseries,
     compare,
     series_mul,
 )
@@ -444,22 +444,27 @@ def test_z_expansion_nonempty_on_window():
 
 
 def _z_product_and_lhs(monkeypatch, model, q, chi, window):
-    """The product p1 = L_q(2w-s, F) / L(2w-2s+1, chibar*) and the left
-    side that verify_Z_expansion builds from it, caught in flight."""
+    """The product p1 = L_q(2w-s, F) / L(2w-2s+1, chibar*), built from the
+    generic builders as a whole slice, and the left side that
+    verify_Z_expansion builds, caught in flight."""
     seen = {}
-
-    def mul(a, b, w):
-        seen["p1"] = series_mul(a, b, w)
-        return seen["p1"]
 
     def spy(a, b):
         seen["lhs"] = a
         return compare(a, b)
 
-    monkeypatch.setattr(identities, "series_mul", mul)
     monkeypatch.setattr(identities, "compare", spy)
     verify_Z_expansion(model, q, chi, window)
-    return seen["p1"], seen["lhs"]
+    level, chibar = model.level, chi.conjugate()
+    restrict = (lambda n: math.gcd(n, level) == 1) if level > 1 else None
+    s1 = build_lseries(
+        lambda n: model.coefficient(q, n), 2, -1, 0, restrict,
+        Window(window.x_max, 1, max(1, math.isqrt(window.x_max))),
+    )
+    s3 = build_lseries(
+        lambda n: mobius(n) * chibar(n), 2, -2, 1, restrict, Window(window.x_max, 1, window.x_max)
+    )
+    return series_mul(s1, s3, Window(window.x_max, 1, window.x_max)), seen["lhs"]
 
 
 @pytest.mark.parametrize(
@@ -476,6 +481,8 @@ def _z_product_and_lhs(monkeypatch, model, q, chi, window):
         (1, 6, 3, Window(288, 64, 64), False),
         (2, 1, 3, Window(288, 64, 64), False),
         (1, 1, 3, Window(288, 64, 64), True),  # the fault probe's model
+        # A(1, 1) = NaN; X >= 16 holds the cells with mu(l) = 0, such as l = 4
+        (1, 1, 3, Window(48, 24, 24), "nan"),
     ],
 )
 def test_z_lhs_key_grid_matches_series_mul(monkeypatch, level, q, cstar, window, corrupt):
@@ -485,7 +492,7 @@ def test_z_lhs_key_grid_matches_series_mul(monkeypatch, level, q, cstar, window,
     chi = primitive_mod(cstar)
     model = new_model(level, seed=4)
     if corrupt:
-        model = model.corrupted((1, 2), 1e-3)
+        model = model.corrupted(*{True: ((1, 2), 1e-3), "nan": ((1, 1), math.nan)}[corrupt])
     p1, lhs = _z_product_and_lhs(monkeypatch, model, q, chi, window)
     oracle = {}
     for (x, _, big_d), ca in p1.terms.items():
@@ -500,16 +507,15 @@ def test_z_lhs_key_grid_matches_series_mul(monkeypatch, level, q, cstar, window,
     assert {(k, repr(v)) for k, v in lhs.terms.items()} == {
         (k, repr(v)) for k, v in oracle.terms.items()
     }
-
-
-def test_z_refuses_a_quotient_window_too_narrow(monkeypatch):
-    # the quotient's terms reach 1/Y = x_max, past a window of half that
-    def narrow(a, b, w):
-        return series_mul(a, b, Window(w.x_max, 1, w.q_max // 2))
-
-    monkeypatch.setattr(identities, "series_mul", narrow)
-    with pytest.raises(CompletenessError, match="outside Window"):
-        verify_Z_expansion(new_model(1, seed=0), 1, primitive_mod(3), SMALL)
+    # keys in the order of p1's terms, each term's keys in its key grid's order
+    order = (
+        (x, num, den)
+        for x, _, big_d in p1.terms
+        for den, num, _ in zip(*_keys(big_d, 1, window.q_max, window.p_max))
+    )
+    assert list(lhs.terms) == list(dict.fromkeys(k for k in order if k in oracle.terms))
+    if corrupt == "nan":
+        assert any(cmath.isnan(v) for v in lhs.terms.values())
 
 
 # -- rearranged dual expansion -------------------------------------------------

@@ -178,3 +178,66 @@ def test_coefficient_run_counts_the_models_whose_bytes_differ(tmp_path, capsys):
     broken = _fake_model_checkout(tmp_path / "broken", "1 / 0")
     assert tool.coefficient_run([parent, broken], str(tmp_path), m1_max=4, m2_max=5) == 1
     assert "change dump failed, exit 1" in capsys.readouterr().out
+
+
+# a fake gl3voronoi for the identity dump: three compares of one-term
+# series, whose second right side BUMP moves, and one report, which
+# carries ERROR as a check's error if it is set
+FAKE_SUITE = """\
+from gl3voronoi import identities
+
+
+class SuiteConfig:
+    def __init__(self, **kw):
+        pass
+
+
+class Series:
+    def __init__(self, terms):
+        self.terms = terms
+
+
+class Report:
+    parameters = {"error": ERROR} if ERROR else {}
+
+
+def run_suite(config, names):
+    for i in range(3):
+        lhs, rhs = Series({(1, 1, i + 1): 1j}), Series({(1, 1, i + 1): 1j + BUMP * (i == 1)})
+        identities.compare(lhs, rhs)
+    return [Report()]
+"""
+
+
+def _fake_suite_checkout(root, bump, error=None):
+    package = root / "src" / "gl3voronoi"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "identities.py").write_text("def compare(a, b):\n    return 0.0\n")
+    (package / "cli.py").write_text(f"BUMP = {bump!r}\nERROR = {error!r}\n\n" + FAKE_SUITE)
+    return root
+
+
+def test_identity_run_counts_the_series_arrays_that_differ(tmp_path, capsys):
+    tool = _load()
+    real = Path(__file__).resolve().parents[1]
+    # this checkout against itself: keys and values of both sides of every
+    # compare of the identity checks and both probes, all equal
+    assert tool.identity_run([real, real], str(tmp_path), window="16:27:8") == 0
+    out = capsys.readouterr().out
+    assert out.startswith("identity series, window 16:27:8: 0 of ")
+    assert out.endswith(" arrays differ, largest |delta| 0\n")
+    parent = _fake_suite_checkout(tmp_path / "parent", 0)
+    change = _fake_suite_checkout(tmp_path / "change", 2**-45)
+    assert tool.identity_run([parent, change], str(tmp_path)) == 1
+    assert capsys.readouterr().out == (
+        "identity series, window default: 1 of 12 arrays differ, largest |delta| 2.84e-14\n"
+    )
+    # a dump that fails counts as a difference on its own
+    broken = _fake_suite_checkout(tmp_path / "broken", "1 / 0")
+    assert tool.identity_run([parent, broken], str(tmp_path)) == 1
+    assert "change dump failed, exit 1" in capsys.readouterr().out
+    # so does a check that raised, whose report carries the error
+    raised = _fake_suite_checkout(tmp_path / "raised", 0, "ValueError: boom")
+    assert tool.identity_run([parent, raised], str(tmp_path)) == 1
+    assert "change dump failed, exit 1: ValueError: boom" in capsys.readouterr().out

@@ -16,6 +16,8 @@ UNREAD_EXPORTS = {
     "build_G",
     "hecke_relation_residual_1",
     "hecke_relation_residual_2",
+    "series_mul",
+    "build_lseries",
 }
 
 

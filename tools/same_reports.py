@@ -27,19 +27,23 @@ result counts as a difference on its own, even when both checkouts fail
 alike; it, and a report on one side only, is printed whole.
 
 Last, each checkout dumps the bytes of kloosterman_matrix(c) for every
-c <= KERNEL_C_MAX, and of the coefficients A(m1, m2) for m1 <=
+c <= KERNEL_C_MAX, of the coefficients A(m1, m2) for m1 <=
 COEFFICIENT_M1_MAX coprime to the level and 0 < |m2| <= COEFFICIENT_M2_MAX
 of the models at levels 1-3 with every nebentypus, their contragredients
-and a twin with stacked corruptions; one line per dump gives how many
-moduli, or models, differ and the largest |entry difference|.  A kernel or
-a model that differs counts toward exit 1, as does a dump that failed.
+and a twin with stacked corruptions, and of both sides of every
+identities.compare call that z-expansion, fe-rearrangement,
+moebius-assembly and both fault probes make at the default SuiteConfig,
+each side as its keys, an int64 (n, 3) array in the series' order, and
+its values; one line per dump gives how many moduli, models or arrays
+differ and the largest |entry difference|.  A kernel, a model or an
+array that differs counts toward exit 1, as does a dump that failed.
 
 Blind spot: report fields show a change of rounding only in a report's
-worst case, and the dumps cover kloosterman_matrix and the coefficients
-alone, so a rounding change in any other kernel (the reduction sweep's
-blocks, the Gauss sums) or in the series the identities build, below a
-report's maximum, passes unseen; the bit-for-bit tests of Tier-1 are what
-see it.
+worst case, and the dumps cover kloosterman_matrix, the coefficients and
+the identity series alone, so a rounding change in any other kernel (the
+reduction sweep's blocks, the Gauss sums) or in the residuals of the
+other checks, below a report's maximum, passes unseen; the bit-for-bit
+tests of Tier-1 are what see it.
 """
 
 import json
@@ -216,7 +220,39 @@ np.savez(sys.argv[1], **out)
 """
 
 
-def dump(root: Path, script: str, path: str, *args: int) -> str | None:
+# run in a checkout: save to the .npz argv[1] both sides of each
+# identities.compare call, in call order, that the identity checks and the
+# fault probes make at the default SuiteConfig, or at the window argv[2]
+# if given; exit 1 if a check raised
+DUMP_IDENTITIES = """
+import sys
+from gl3voronoi import identities
+from gl3voronoi.cli import SuiteConfig, run_suite
+import numpy as np
+
+arrays = {}
+compare = identities.compare
+
+
+def keep(a, b):
+    i = len(arrays) // 4
+    for side, series in (("lhs", a), ("rhs", b)):
+        keys = np.array(list(series.terms), dtype=np.int64).reshape(-1, 3)
+        arrays[f"{i} {side} keys"] = keys
+        arrays[f"{i} {side} values"] = np.array(list(series.terms.values()), dtype=complex)
+    return compare(a, b)
+
+
+identities.compare = keep
+kw = {"window": tuple(map(int, sys.argv[2].split(":")))} if len(sys.argv) > 2 else {}
+config = SuiteConfig(fault_injection=True, **kw)
+reports = run_suite(config, ["fe-rearrangement", "moebius-assembly", "z-expansion"])
+np.savez(sys.argv[1], **arrays)
+sys.exit("; ".join(r.parameters["error"] for r in reports if "error" in r.parameters) or None)
+"""
+
+
+def dump(root: Path, script: str, path: str, *args) -> str | None:
     """Run script in root with the arguments path, *args; None, or the
     error of a dump that failed."""
     env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONHASHSEED="0")
@@ -274,6 +310,12 @@ def coefficient_run(
     return dump_run(roots, tmp, where, DUMP_COEFFICIENTS, [m1_max, m2_max], "models")
 
 
+def identity_run(roots: list[Path], tmp: str, window: str | None = None) -> int:
+    """The identity series: both sides of each compare of DUMP_IDENTITIES."""
+    where = f"identity series, window {window or 'default'}"
+    return dump_run(roots, tmp, where, DUMP_IDENTITIES, [window] if window else [], "arrays")
+
+
 def main() -> int:
     if len(sys.argv) != 3:
         sys.exit(__doc__)
@@ -298,7 +340,7 @@ def main() -> int:
         print(f"{where}: {len(old.keys() | new.keys())} reports compared, {count} differ")
         verify_differ += count
     with tempfile.TemporaryDirectory() as tmp:
-        dumps_differ = kernel_run(roots, tmp) + coefficient_run(roots, tmp)
+        dumps_differ = kernel_run(roots, tmp) + coefficient_run(roots, tmp) + identity_run(roots, tmp)
     print(f"{compared} reports compared, {differ} differ")
     print(closing_line(differing))
     return 1 if differ or verify_differ or dumps_differ else 0
