@@ -37,6 +37,7 @@ import cmath
 import functools
 import json
 import math
+import re
 import sys
 import time
 import typing
@@ -698,12 +699,13 @@ def _text(name: str, value) -> str:
 def load_config_file(path: str) -> dict:
     """Flat key = value file: the keys are SuiteConfig field names, and
     tolerance overrides use 'tol.<check>' keys; a key may appear once.
-    Errors name file:line."""
+    '#' starts a comment at the start of a line or after whitespace;
+    elsewhere it is part of the value.  Errors name file:line."""
     overrides: dict = {}
     tolerances: dict[str, float] = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
+            line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
             if not line:
                 continue
             where = f"{path}:{lineno}"

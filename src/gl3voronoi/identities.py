@@ -29,7 +29,10 @@ Conventions shared by every builder here:
   every term from Y to shift * Y before the window is applied, and
   splits (d1, l, scale), whose ``scale`` is the first factor of every
   coefficient of its cell.  build_H and build_G are their one-cell,
-  unshifted and unscaled cases.
+  unshifted and unscaled cases.  Given a list for the ratios of the
+  weights it skips, ``_add_G`` skips the weights that the Ramanujan
+  lemma makes exactly zero (see its docstring); build_G passes none, so
+  it walks every d.
 
 - _add_H, _add_G and the left sides of the Z expansion and the
   rearrangement enumerate through one key grid, ``_keys``: for a fixed
@@ -66,10 +69,8 @@ from .arith import divisors, euler_phi, mobius, worse
 from .characters import (
     DirichletCharacter,
     _exp_table,
-    _gauss_exponents,
     _gauss_sums,
     _structure,
-    _sums_to_zero,
     _units_and_inverses,
     enumerate_characters,
     gauss_sum,
@@ -240,8 +241,10 @@ def build_G(
     at Y = q l cstar^3 / (d^2 n), X = 1, with A~ read from
     contragredient, the model's dual.  This is the one-cell case of the
     shell's grouped builder ``_add_G``, which enumerates the terms of
-    each d through ``_keys``; the support is unbounded past the window,
-    so the series holds its in-window keys, not a whole X-slice.
+    each d through ``_keys``; every d is walked, as the Ramanujan lemma
+    that lets the shell skip weights needs all the splits of k.  The
+    support is unbounded past the window, so the series holds its
+    in-window keys, not a whole X-slice.
     """
     terms: dict[tuple[int, int, int], complex] = {}
     _add_G(terms, 1, q, [(1, ell, 1)], chi_star, model, window, 1, contragredient)
@@ -264,35 +267,36 @@ def _add_G(
         chi*(-N) psi(q0 k cstar) cstar w(d) A~(d, n) g(chi*, q0 k cstar / d, n) / (d n).
 
     The scales must be one common factor times chi*(d1), as ``_shell``
-    and build_G give them, so w(d) vanishes exactly when the sum over the
-    splits of chi*(d1) g(chi*, l cstar, d) does: ``_weight_vanishes``
-    decides that in integers, and the key grid of an exactly zero weight
-    is not walked.  Over all the splits of k, as in the shell, the
-    Ramanujan lemma makes w(d) vanish unless k | d; nothing here assumes
-    it.  Every other weight is used as its float.  The float of a skipped
-    weight is roundoff, unless a Gauss table is wrong: if zeros is a
-    list, |w(d)| over the sum of the absolute values of its terms (each
-    split's |scale| times the phi(l cstar) unit terms of its Gauss sum)
-    is appended to it.  The group's sum at each key is pruned as a built
-    series is.
+    gives them, so w(d) is that factor times the sum over the splits of
+    chi*(d1) g(chi*, l cstar, d).  Over all the splits of k, as in the
+    shell, the Ramanujan lemma (check ramanujan-lemma) makes that sum
+    [k | d] tau(chi*) chibar*(d/k) k: it is exactly zero when k does not
+    divide d or chi*(d/k) = 0, and then the key grid of d is not walked.
+    That skip is made only when zeros is a list, and each skipped
+    weight's |w(d)| over the sum of the absolute values of its terms
+    (each split's |scale| times the phi(l cstar) unit terms of its Gauss
+    sum) is appended to it: roundoff, unless a Gauss table is wrong or a
+    split of k is missing, and the caller folds it into its residual.
+    With zeros None, as in build_G's one cell, where the lemma does not
+    hold, every d is walked.  Every other weight is used as its float.
+    The group's sum at each key is pruned as a built series is.
     """
     cstar = chi_star.modulus
     d1, ell, _ = splits[0]
-    qk = q0 * d1 * ell
+    k = d1 * ell
+    qk = q0 * k
     pref = chi_star(-model.level) * model.psi(qk * cstar) * cstar
     if not pref:
         return
     tabs = [(scale, gauss_sum_table(chi_star, l * cstar), l * cstar) for _, l, scale in splits]
-    cells = tuple((d1, l) for d1, l, _ in splits)
     bulk = sum(abs(scale) * euler_phi(c) for scale, _, c in tabs)
     knum = shift * qk * cstar**3
     coefficient = contragredient.coefficient
     part: dict[tuple[int, int], complex] = {}
     for d in divisors(qk):
         w = sum(scale * gtab[d % c] for scale, gtab, c in tabs)
-        if _weight_vanishes(chi_star, cells, d):
-            if zeros is not None:
-                zeros.append(abs(w) / bulk)
+        if zeros is not None and (d % k or not chi_star(d // k)):
+            zeros.append(abs(w) / bulk)
             continue
         wd = pref * w / d
         mod2 = qk * cstar // d
@@ -308,29 +312,6 @@ def _add_G(
     for (num, den), coeff in part.items():
         if not abs(coeff) < PRUNE_EPS:
             terms[x, num, den] = terms.get((x, num, den), 0j) + coeff
-
-
-@lru_cache(maxsize=4096)
-def _weight_vanishes(chi_star: DirichletCharacter, cells: tuple, d: int) -> bool:
-    """Whether the sum over the cells (d1, l), all with one k = d1 l, of
-    chi*(d1) g(chi*, l cstar, d) is exactly 0.
-
-    Each of its terms chi*(d1) chi*(u) e(u d / (l cstar)) is e(e/M) with
-    M = lcm(L, k cstar), L the exponent of chi*'s group, so the sum is
-    held as the count of each e mod M, and ``_sums_to_zero`` decides it
-    in Python ints; no float is read."""
-    cstar = chi_star.modulus
-    exponent = _structure(cstar)[2]
-    big_m = math.lcm(exponent, math.prod(cells[0]) * cstar)
-    counts: dict[int, int] = {}
-    for d1, ell in cells:
-        a = chi_star._numerator(d1)
-        if a is None:
-            continue
-        for e in _gauss_exponents(chi_star, ell * cstar, d, big_m):
-            key = (a * (big_m // exponent) + e) % big_m
-            counts[key] = counts.get(key, 0) + 1
-    return _sums_to_zero(counts, big_m)
 
 
 def _shell(terms, inner, model, chi_star, big_q, cells, window, scale, shift=1, **kw):
@@ -488,10 +469,10 @@ def verify_fe_rearrangement(
     coefficient cannot break it; use fe_rearrangement_sensitivity for
     the verifier's own fault probe.
 
-    The right side skips each exactly zero weight of ``_add_G``; the
-    largest ratio that it reports for them, roundoff unless a Gauss table
-    is wrong, is folded into the returned residual and, if zero_weights
-    is a list, appended to it.
+    The right side skips each weight of ``_add_G`` that the Ramanujan
+    lemma makes exactly zero; the largest ratio that it reports for them,
+    roundoff unless a Gauss table is wrong or the skip is, is folded into
+    the returned residual and, if zero_weights is a list, appended to it.
     """
     _check_case(model, chi_star, q)
     if dual is None:

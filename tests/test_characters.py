@@ -17,11 +17,9 @@ from gl3voronoi import characters
 from gl3voronoi.arith import divisors, euler_phi, mobius
 from gl3voronoi.characters import (
     DirichletCharacter,
-    _gauss_exponents,
     _gauss_sum_any_modulus,
     _gauss_sums,
     _structure,
-    _sums_to_zero,
     enumerate_characters,
     gauss_sum,
     gauss_sum_table,
@@ -31,6 +29,8 @@ from gl3voronoi.characters import (
     principal_character,
 )
 from gl3voronoi.identities import ramanujan_lemma_residual
+
+from exact_sums import _gauss_exponents, _sums_to_zero
 
 
 def root_of_unity(angle):

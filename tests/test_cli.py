@@ -783,13 +783,15 @@ def test_config_file(tmp_path):
     cfg = tmp_path / "suite.cfg"
     cfg.write_text(
         "# comment\n"
-        "seed = 99\n"
+        "seed = 99  # a comment opens after whitespace\n"
         "window = 16:12:12\n"
-        "levels = 1\n"
+        "levels = 1\t# or a tab\n"
         "tol.gauss-modulus = 1e-3\n"
+        "output = /tmp/run#1.json\n"
     )
     overrides = load_config_file(str(cfg))
     assert overrides["seed"] == 99
+    assert overrides["output"] == "/tmp/run#1.json"  # a '#' inside a value stays
     assert overrides["window"] == (16, 12, 12)
     assert overrides["levels"] == (1,)
     assert overrides["tolerances"] == {"gauss-modulus": 1e-3}

@@ -3,6 +3,7 @@ import functools
 import inspect
 import math
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from gl3voronoi.arith import divisors, mobius, worse
 from gl3voronoi.characters import (
     _exp_table,
+    _structure,
     enumerate_characters,
     gauss_sum,
     gauss_sum_table,
@@ -43,6 +45,8 @@ from gl3voronoi.identities import (
     verify_moebius_assembly,
     verify_orthogonality_equivalence,
 )
+
+from exact_sums import _gauss_exponents, _sums_to_zero
 
 WINDOW = Window(144, 48, 48)
 SMALL = Window(36, 24, 24)
@@ -328,16 +332,13 @@ def _build_G_by_index_scan(q, ell, chi, model, window, contragredient, shift, sc
     """build_G as a scan, for each d | q l, of every index n up to
     K q_max + 1, each kept when its key K / n lands in the window; each
     term is multiplied out in build_G's order, its one-cell weight
-    scale g(chi*, c, d) first, and a d whose g(chi*, c, d) is zero at 50
-    digits is not scanned."""
+    scale g(chi*, c, d) first."""
     cstar = chi.modulus
     c = ell * cstar
     pref = chi(-model.level) * model.psi(q * c) * cstar
     gtab_c = gauss_sum_table(chi, c)
     terms = {}
     for d in divisors(q * ell):
-        if _weight_is_zero_mp(chi, ((1, ell),), d):
-            continue
         w = scale * gtab_c[d % c]
         wd = pref * w / d
         mod2 = q * c // d
@@ -574,31 +575,90 @@ def test_fe_rearrangement_sensitivity_probe():
     assert 1.9 < r2 / r1 < 2.1  # linear in the injected fault
 
 
-@pytest.mark.parametrize("window, seed", [((144, 48, 48), 1729), ((288, 64, 64), 1)])
-def test_exactly_zero_weights_are_the_roundoff_ones(monkeypatch, window, seed):
-    # every weight of the fe-rearrangement sweep, at the default config and
-    # at 288:64:64: the exact test calls zero exactly the weights whose
-    # float, summed from the Gauss tables, is below 1e-12; the floats of
-    # the others are at least 1
-    exact = identities._weight_vanishes
-    seen = {}
+@functools.lru_cache(maxsize=None)
+def _weight_vanishes_exact(chi, cells, d):
+    """Whether the sum over the cells (d1, l), all with one k = d1 l, of
+    chi(d1) g(chi, l cstar, d) is exactly 0.  Each of its terms
+    chi(d1) chi(u) e(u d / (l cstar)) is e(e/M) with M = lcm(L, k cstar),
+    L the exponent of chi's group, so the sum is held as the count of
+    each e mod M and decided in integers; no float is read."""
+    cstar = chi.modulus
+    exponent = _structure(cstar)[2]
+    big_m = math.lcm(exponent, math.prod(cells[0]) * cstar)
+    counts = Counter()
+    for d1, ell in cells:
+        a = chi._numerator(d1)
+        if a is not None:
+            counts.update(
+                (a * (big_m // exponent) + e) % big_m
+                for e in _gauss_exponents(chi, ell * cstar, d, big_m)
+            )
+    return _sums_to_zero(counts, big_m)
 
-    def spy(chi, cells, d):
-        seen[chi, cells, d] = exact(chi, cells, d)
-        return seen[chi, cells, d]
 
-    monkeypatch.setattr(identities, "_weight_vanishes", spy)
-    assert CHECKS["fe-rearrangement"](replace(SuiteConfig(), window=window, seed=seed))[0].passed
+@pytest.mark.parametrize(
+    "window, seed, sweep",
+    [
+        ((144, 48, 48), 1729, {}),
+        ((288, 64, 64), 1, {}),
+        # levels 1-7, cstar up to 13 and q up to 6: chi*(d/k) vanishes at
+        # more d than at the default config
+        (
+            (144, 48, 48),
+            7,
+            dict(levels=(1, 2, 3, 5, 7), cstar_list=(3, 4, 5, 7, 8, 9, 11, 13),
+                 q_list=(1, 2, 3, 4, 6), seeds_per_case=2),
+        ),
+    ],
+    ids=["window0-1729", "window1-1", "levels-cstar-q-7"],
+)
+def test_exactly_zero_weights_are_the_roundoff_ones(monkeypatch, window, seed, sweep):
+    # every weight of the fe-rearrangement sweep, with identities._add_G
+    # wrapped so that each call's group, q0 and the ratios it appended to
+    # zeros are seen as the shell makes them.  For every d | q0 k: the
+    # exactly zero weights (decided in integers) are those whose float is
+    # below 1e-12, the call appended one ratio per such d, each below
+    # 1e-15, and every other weight's float is at least 1
+    real = identities._add_G
+    calls = []
 
-    def w_float(chi, cells, d):
+    def spy(terms, x, q0, splits, chi_star, *args, zeros, **kw):
+        before = len(zeros)
+        real(terms, x, q0, splits, chi_star, *args, zeros=zeros, **kw)
+        calls.append((chi_star, q0, tuple((d1, ell) for d1, ell, _ in splits), zeros[before:]))
+
+    monkeypatch.setattr(identities, "_add_G", spy)
+    config = replace(SuiteConfig(), window=window, seed=seed, **sweep)
+    assert CHECKS["fe-rearrangement"](config)[0].passed
+    for chi, q0, cells, ratios in calls:
         moduli = [(d1, ell * chi.modulus) for d1, ell in cells]
-        return abs(sum(chi(d1) * gauss_sum_table(chi, c)[d % c] for d1, c in moduli))
+        exact, small, others = set(), set(), []
+        for d in divisors(q0 * math.prod(cells[0])):
+            w = abs(sum(chi(d1) * gauss_sum_table(chi, c)[d % c] for d1, c in moduli))
+            if _weight_vanishes_exact(chi, cells, d):
+                exact.add(d)
+            if w < 1e-12:
+                small.add(d)
+            else:
+                others.append(w)
+        assert exact == small, (chi, q0, cells)
+        assert len(ratios) == len(exact), (chi, q0, cells)
+        assert all(r < 1e-15 for r in ratios)
+        assert min(others, default=1) >= 1
+    assert any(ratios for *_, ratios in calls)
 
-    floats = {key: w_float(*key) for key in seen}
-    assert {key for key, zero in seen.items() if zero} == {
-        key for key, w in floats.items() if w < 1e-12
-    }
-    assert any(seen.values()) and min(w for key, w in floats.items() if not seen[key]) >= 1
+
+def test_a_group_missing_a_split_reports_its_skipped_weight():
+    # the lemma holds over all the splits of k: a group holding only the
+    # split (1, 2) of k = 2 skips d = 1, whose weight g(chi, 6, 1) =
+    # e(1/6) - e(5/6) is not zero, and reports a ratio far above the 1e-8
+    # tolerance, so a wrong skip cannot pass silently
+    chi = primitive_mod(3)
+    model = new_model(1, seed=0)
+    zeros = []
+    identities._add_G({}, 4, 1, [(1, 2, 1.0)], chi, model, WINDOW, 1, model.contragredient(), zeros)
+    assert len(zeros) == 1
+    assert zeros[0] >= 0.5
 
 
 def test_fe_rearrangement_refuses_a_wrong_gauss_sum_normalization(monkeypatch):
@@ -735,12 +795,15 @@ def test_g_shell_fold_matches_cell_by_cell(level, q, cstar, window, corrupt):
         dual = dual.corrupted((1, 2), 1e-3)
     scale = 1 / gauss_sum(chi.conjugate())
     cells = identities._dirichlet_cells(window.x_max, level)
+    zeros = []
     folded = FormalSeries(
         identities._shell(
-            {}, identities._add_G, model, chi, q, cells, window, scale, contragredient=dual
+            {}, identities._add_G, model, chi, q, cells, window, scale, contragredient=dual,
+            zeros=zeros,
         ),
         window,
     ).terms
+    assert max(zeros) < 1e-15  # the skipped weights are roundoff
     oracle = _g_shell_cell_by_cell(model, q, chi, window, dual, scale).terms
     top = max(map(abs, oracle.values()))
     assert top > 1  # not a shell of roundoff alone

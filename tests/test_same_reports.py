@@ -129,6 +129,52 @@ def test_kernel_differences_flag_a_changed_shape(tmp_path):
     assert tool.dump_differences(old, new) == (1, math.inf)
 
 
+# a fake gl3voronoi for the Gauss dump: one character per modulus, a
+# primitive one above 2, and sums equal to c, of which BUMP moves the
+# one-column call (tau) at c = 5
+FAKE_GAUSS = """\
+import numpy as np
+
+
+def enumerate_characters(c):
+    return [c]
+
+
+def primitive_characters(c):
+    return [c] if c > 2 else []
+
+
+def _gauss_sums(chis, c, ms):
+    return np.full((len(chis), len(ms)), complex(c)) + BUMP * (c == 5 and len(ms) == 1)
+"""
+
+
+def _fake_gauss_checkout(root, bump):
+    package = root / "src" / "gl3voronoi"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "characters.py").write_text(f"BUMP = {bump!r}\n\n" + FAKE_GAUSS)
+    return root
+
+
+def test_gauss_run_counts_the_moduli_whose_bytes_differ(tmp_path, capsys):
+    tool = _load()
+    real = Path(__file__).resolve().parents[1]
+    # this checkout against itself: every batched table and every tau equal
+    assert tool.gauss_run([real, real], str(tmp_path), c_max=12) == 0
+    assert capsys.readouterr().out == (
+        "Gauss sums mod c, c <= 12: 0 of 12 moduli differ, largest |delta| 0\n"
+    )
+    parent = _fake_gauss_checkout(tmp_path / "parent", 0)
+    change = _fake_gauss_checkout(tmp_path / "change", 2**-45)
+    assert tool.gauss_run([parent, change], str(tmp_path), c_max=8) == 1
+    assert capsys.readouterr().out.endswith("1 of 8 moduli differ, largest |delta| 2.84e-14\n")
+    # a dump that fails counts as a difference on its own
+    broken = _fake_gauss_checkout(tmp_path / "broken", "1 / 0")
+    assert tool.gauss_run([parent, broken], str(tmp_path), c_max=8) == 1
+    assert "change dump failed, exit 1" in capsys.readouterr().out
+
+
 # a fake gl3voronoi for the coefficient dump: one nebentypus per level, and
 # A(m1, m2) = m1 + i m2, which the contragredient of the level-2 model
 # moves by BUMP, exactly when BUMP is a small power of two

@@ -37,13 +37,18 @@ each side as its keys, an int64 (n, 3) array in the series' order, and
 its values; one line per dump gives how many moduli, models or arrays
 differ and the largest |entry difference|.  A kernel, a model or an
 array that differs counts toward exit 1, as does a dump that failed.
+A fourth dump holds, for every c <= GAUSS_C_MAX, the Gauss kernel's
+table _gauss_sums(enumerate_characters(c), c, 0..c-1), one batch of
+every character mod c, and tau(chi) of each primitive chi mod c, each
+from its own one-character, one-column call (the kernel's accumulate
+path); a modulus whose bytes differ counts toward exit 1 too.
 
 Blind spot: report fields show a change of rounding only in a report's
-worst case, and the dumps cover kloosterman_matrix, the coefficients and
-the identity series alone, so a rounding change in any other kernel (the
-reduction sweep's blocks, the Gauss sums) or in the residuals of the
-other checks, below a report's maximum, passes unseen; the bit-for-bit
-tests of Tier-1 are what see it.
+worst case, and the dumps cover kloosterman_matrix, the Gauss kernel,
+the coefficients and the identity series alone, so a rounding change in
+any other kernel (the reduction sweep's blocks) or in the residuals of
+the other checks, below a report's maximum, passes unseen; the
+bit-for-bit tests of Tier-1 are what see it.
 """
 
 import json
@@ -193,6 +198,24 @@ DUMP_KERNELS = (
     "np.savez(sys.argv[1], **{str(c): kloosterman_matrix(c) for c in range(1, c_max + 1)})"
 )
 
+GAUSS_C_MAX = 120
+
+# run in a checkout: save to the .npz argv[1], for each c <= argv[2], the
+# flattened Gauss table of every character mod c, one batched call, then
+# tau(chi) of each primitive chi mod c from its own one-column call
+DUMP_GAUSS = """
+import sys
+from gl3voronoi.characters import _gauss_sums, enumerate_characters, primitive_characters
+import numpy as np
+
+out = {}
+for c in range(1, int(sys.argv[2]) + 1):
+    table = _gauss_sums(enumerate_characters(c), c, np.arange(c)).ravel()
+    taus = [_gauss_sums([chi], c, np.array([1]))[0, 0] for chi in primitive_characters(c)]
+    out[str(c)] = np.concatenate([table, np.array(taus, dtype=complex)])
+np.savez(sys.argv[1], **out)
+"""
+
 COEFFICIENT_M1_MAX, COEFFICIENT_M2_MAX = 60, 500
 
 # run in a checkout: save to the .npz argv[1], per model, the rows
@@ -282,8 +305,10 @@ def dump_differences(old: str, new: str) -> tuple[int, float]:
 def dump_run(roots: list[Path], tmp: str, where: str, script: str, args, unit: str) -> int:
     """Dump with script in both checkouts, print one line of how many of
     the parent's arrays (each one of unit) differ and by how much, and
-    return that count (1 if a dump failed)."""
-    paths = [os.path.join(tmp, f"{tag}-{unit}.npz") for tag in "ab"]
+    return that count (1 if a dump failed).  Each run dumps into its own
+    directory under tmp, so no two runs share a file."""
+    tmp = tempfile.mkdtemp(dir=tmp)
+    paths = [os.path.join(tmp, f"{tag}.npz") for tag in "ab"]
     for root, path, side in zip(roots, paths, ("parent", "change")):
         error = dump(root, script, path, *args)
         if error is not None:
@@ -300,6 +325,12 @@ def kernel_run(roots: list[Path], tmp: str, c_max: int = KERNEL_C_MAX) -> int:
     """The kernel bytes: kloosterman_matrix(c) for every c <= c_max."""
     where = f"kloosterman_matrix(c), c <= {c_max}"
     return dump_run(roots, tmp, where, DUMP_KERNELS, [c_max], "moduli")
+
+
+def gauss_run(roots: list[Path], tmp: str, c_max: int = GAUSS_C_MAX) -> int:
+    """The Gauss kernel bytes: every table and tau of DUMP_GAUSS."""
+    where = f"Gauss sums mod c, c <= {c_max}"
+    return dump_run(roots, tmp, where, DUMP_GAUSS, [c_max], "moduli")
 
 
 def coefficient_run(
@@ -340,7 +371,10 @@ def main() -> int:
         print(f"{where}: {len(old.keys() | new.keys())} reports compared, {count} differ")
         verify_differ += count
     with tempfile.TemporaryDirectory() as tmp:
-        dumps_differ = kernel_run(roots, tmp) + coefficient_run(roots, tmp) + identity_run(roots, tmp)
+        dumps_differ = (
+            kernel_run(roots, tmp) + gauss_run(roots, tmp) + coefficient_run(roots, tmp)
+            + identity_run(roots, tmp)
+        )
     print(f"{compared} reports compared, {differ} differ")
     print(closing_line(differing))
     return 1 if differ or verify_differ or dumps_differ else 0
