@@ -12,9 +12,9 @@ list --modulus 4093` peaks at 160 MiB resident (ru_maxrss, CPython
 Integer angles.  With L = lcm of the generator orders (the exponent of
 the group) and weights L/r_i, chi(n) = e(a(n)/L) for the integer
 numerator a(n) = sum_i e_i k_i (L/r_i) mod L, where k is the discrete
-log of n.  Value tables, parity, conductor, multiply and primitive_part
-work on these numerators alone; angle(n) = Fraction(a(n), L) is the
-exact public form of the same data.
+log of n.  Value tables, parity and multiply work on these numerators
+alone; angle(n) = Fraction(a(n), L) is the exact public form of the same
+data.
 
 Rounding contract.  Each value chi(n) is one complex exponential of an
 exact angle: a(n)/L is reduced to lowest terms and exponentiated once,
@@ -24,8 +24,8 @@ reads the value table, which holds exactly these values.  Every root of
 unity e(k/c) of the Gauss and Kloosterman kernels (here and in expsums)
 is entry k mod c of _root_array(c), the one cached root array of c,
 each entry one exponential of the angle reduced mod c (the scalar sums
-read the same values as the tuple _exp_table(c)), and their sums run
-over the units of _units_and_inverses(c), the one unit list.  Every
+read the same values through its tolist()), and their sums run over the
+units of _units_and_inverses(c), the one unit list.  Every
 Gauss sum sum_u chi(u) e(u m/c) comes from one numpy kernel, batched over
 characters: each term is the product of two table values (chi(u) and
 e(j/c)), rounded as Python's complex product, and each character's
@@ -44,9 +44,9 @@ Exact zero tests of Gauss sums, in integers, are the tests' oracle
 (tests/exact_sums.py): no check reads one.
 
 Characters are frozen, hashable values (modulus, exponents): equal
-characters share one value table.  The conductors of all characters of
-a modulus are computed at once, into one table per modulus indexed by
-exponents, which keeps no character alive.
+characters share one value table.  Conductors and primitive parts are
+closed forms in the exponents and the prime power of q that each
+generator generates (Iwaniec-Kowalski, Analytic Number Theory, 3.3).
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import divisors, euler_phi, mod_inverse, unit_group_generators
+from .arith import euler_phi, factorize, mod_inverse, unit_group_generators
 
 __all__ = [
     "DirichletCharacter",
@@ -85,12 +85,14 @@ def _root_of_unity(num: int, den: int) -> complex:
 
 @lru_cache(maxsize=None)
 def _structure(q: int):
-    """(generators, dlog, exponent, weights) for modulus q.
+    """(generators, dlog, exponent, weights, layout) for modulus q.
 
     dlog maps each unit residue (reduced mod q, so 0 for q = 1) to its
     exponent vector against the canonical generators; exponent is the
     group exponent L = lcm of the generator orders r_i, and weights
-    holds L // r_i.
+    holds L // r_i.  layout holds (p, e, neg) per generator g: the one
+    p^e || q with g != 1 (mod p^e), which g generates (the CRT lift makes
+    g = 1 mod the rest of q), and whether g = -1 there (p = 2, g = 3 mod 4).
     """
     gens = unit_group_generators(q)
     orders = [r for _, r in gens]
@@ -104,14 +106,18 @@ def _structure(q: int):
     if len(dlog) != euler_phi(q):
         raise ValueError(f"generators of (Z/{q}Z)^x reach {len(dlog)} of {euler_phi(q)} units")
     exponent = math.lcm(*orders)
-    return gens, dlog, exponent, tuple(exponent // r for r in orders)
+    layout = []
+    for g, _ in gens:
+        ((p, e),) = [(p, e) for p, e in factorize(q) if (g - 1) % p**e]
+        layout.append((p, e, p == 2 and g % 4 == 3))
+    return gens, dlog, exponent, tuple(exponent // r for r in orders), tuple(layout)
 
 
 @lru_cache(maxsize=None)
 def _log_vectors(q: int) -> tuple[np.ndarray, np.ndarray, int]:
     """The units n mod q in dlog order, their discrete logs weighted as
     k_i (L / r_i), whose product with the exponents mod L is a(n), and L."""
-    _, dlog, exponent, weights = _structure(q)
+    _, dlog, exponent, weights, _ = _structure(q)
     logs = np.array(list(dlog.values()), dtype=np.int64) * np.array(weights, dtype=np.int64)
     return np.array(list(dlog)), logs, exponent
 
@@ -130,12 +136,6 @@ def _root_array(c: int) -> np.ndarray:
     roots = np.array([_root_of_unity(j, c) for j in range(c)])
     roots.flags.writeable = False
     return roots
-
-
-@lru_cache(maxsize=None)
-def _exp_table(c: int) -> tuple[complex, ...]:
-    """_root_array(c) as Python complex values, for the scalar sums."""
-    return tuple(_root_array(c).tolist())
 
 
 @lru_cache(maxsize=None)
@@ -163,8 +163,7 @@ class DirichletCharacter:
 
     Exponents are reduced mod their generator orders at construction,
     which also stores the character's value table (shared by every equal
-    character) in the one derived slot; the conductor is read from the
-    table of its modulus.
+    character) in the one derived slot.
     """
 
     modulus: int
@@ -189,7 +188,7 @@ class DirichletCharacter:
     def _numerator(self, n: int) -> int | None:
         """a(n) in [0, L) with chi(n) = e(a(n) / L), L the group exponent;
         None if chi(n) = 0."""
-        _, dlog, exponent, weights = _structure(self.modulus)
+        _, dlog, exponent, weights, _ = _structure(self.modulus)
         combo = dlog.get(n % self.modulus)
         if combo is None:
             return None
@@ -227,46 +226,16 @@ class DirichletCharacter:
 
     @property
     def conductor(self) -> int:
-        """Smallest d | q with chi(a) = 1 for all units a = 1 (mod d)."""
-        return int(_conductors(self.modulus)[self.exponents])
+        """Smallest d | q with chi(a) = 1 for all units a = 1 (mod d): the lcm
+        over generators with k != 0 of 4 at -1 mod 2^e, else p^e / gcd(k, p^(e-1))."""
+        return math.lcm(*(
+            4 if neg else p**e // math.gcd(k, p ** (e - 1))
+            for k, (p, e, neg) in zip(self.exponents, _structure(self.modulus)[4])
+            if k
+        ))
 
     def conjugate(self) -> "DirichletCharacter":
         return DirichletCharacter(self.modulus, tuple(-e for e in self.exponents))
-
-
-@lru_cache(maxsize=None)
-def _conductors(q: int) -> np.ndarray:
-    """The conductor of every character mod q, indexed by its exponents.
-
-    chi has conductor dividing d iff a(u) = 0 at every unit u = 1 (mod d).
-    For each d | q in ascending order, the characters whose conductor is
-    still open read the columns of those units in the numerator matrix
-    (exponents @ weighted logs mod L), in blocks of at most
-    KERNEL_MAX_MODULUS entries (or one column, if more characters are
-    open); a character leaves at its first nonzero numerator and gets
-    conductor d if it has none.  Blocks this small add nothing to the
-    peak set by the phi(q) value tables of q; blocks of up to
-    KERNEL_MAX_MODULUS**2 entries raised the peak of `chars list
-    --modulus 4093` from 160 to about 200 MiB.
-    """
-    units, logs, exponent = _log_vectors(q)
-    orders = [r for _, r in _structure(q)[0]]
-    exps = np.indices(orders).reshape(len(orders), math.prod(orders)).T
-    out = np.full(len(exps), q)
-    open_rows = np.arange(len(exps))
-    for d in divisors(q)[:-1]:  # every character is trivial on the units = 1 (mod q)
-        cols = logs[(units - 1) % d == 0]
-        trivial, j = open_rows, 0
-        while len(trivial) and j < len(cols):
-            step = max(1, KERNEL_MAX_MODULUS // len(trivial))
-            a = exps[trivial] @ cols[j : j + step].T
-            a %= exponent
-            trivial, j = trivial[~a.any(axis=1)], j + step
-        out[trivial] = d
-        open_rows = open_rows[out[open_rows] == q]
-    table = out.reshape(orders)
-    table.flags.writeable = False
-    return table
 
 
 def principal_character(q: int) -> DirichletCharacter:
@@ -297,16 +266,19 @@ def _order_exponent(chi: DirichletCharacter, n: int, r: int) -> int:
 
 
 def primitive_part(chi: DirichletCharacter) -> DirichletCharacter:
-    """The primitive character mod conductor(chi) that induces chi."""
+    """The primitive character mod d = conductor(chi) that induces chi.
+
+    The generators of d are those of q reduced mod d, in order: each with
+    k != 0 keeps chi(g), at exponent k / gcd(k, p^(e-1)) unless it is -1
+    mod 2^e, which stays, with k = 0 too, whenever 4 | d.
+    """
     d = chi.conductor
-    q = chi.modulus
-    exps = []
-    for h, r in _structure(d)[0]:
-        hq = h
-        while math.gcd(hq, q) != 1:
-            hq += d  # some unit of q in the class h mod d exists below q
-        exps.append(_order_exponent(chi, hq, r))
-    return DirichletCharacter(d, tuple(exps))
+    exps = tuple(
+        k if neg else k // math.gcd(k, p ** (e - 1))
+        for k, (p, e, neg) in zip(chi.exponents, _structure(chi.modulus)[4])
+        if k or (neg and d % 4 == 0)
+    )
+    return DirichletCharacter(d, exps)
 
 
 def multiply(chi1: DirichletCharacter, chi2: DirichletCharacter) -> DirichletCharacter:

@@ -559,6 +559,7 @@ CHECKS["bessel-identity"] = check_bessel_identity
 
 @_check("gamma-unitarity", 1e-8, nu1="nu1", nu2="nu2")
 def check_gamma_unitarity(config: SuiteConfig, fold: _Fold) -> dict:
+    """|Xi(1/2 + it)| = 1 guards the conjugation symmetry of log Gamma, not its values."""
     g = GammaData(config.nu1, config.nu2)
     for chi in primitive_characters(5):
         tau = gauss_sum(chi)

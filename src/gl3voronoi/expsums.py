@@ -42,7 +42,6 @@ from .arith import divisors, primes_up_to, worse
 from .characters import (
     KERNEL_MAX_MODULUS,
     DirichletCharacter,
-    _exp_table,
     _gauss_sums,
     _root_array,
     _units_and_inverses,
@@ -156,7 +155,7 @@ def _collapse_residuals(theta: DirichletCharacter) -> list[float]:
     """The additive-collapse residual at each shift n mod c, c the modulus
     of theta; it depends on n only mod c."""
     c = theta.modulus
-    roots = _exp_table(c)
+    roots = _root_array(c).tolist()
     tbar = theta.conjugate().values()
     units, invs = _units_and_inverses(c)
     sign_tau = theta.parity * gauss_sum(theta)  # (-1)^kappa tau(theta)

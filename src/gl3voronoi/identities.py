@@ -68,9 +68,8 @@ from functools import lru_cache
 from .arith import divisors, euler_phi, mobius, worse
 from .characters import (
     DirichletCharacter,
-    _exp_table,
     _gauss_sums,
-    _structure,
+    _root_array,
     _units_and_inverses,
     enumerate_characters,
     gauss_sum,
@@ -566,7 +565,9 @@ def verify_moebius_assembly(
 
     with BoldH(Q, M, chi*, s) = sum_{d2|Q} sum_{d1 l = M}
     psi(d2) chi*(d1 d2) d2^-s H(Q d1/d2, l, chi*, s).  At m = 1 this
-    reduces to one-dimensional Moebius inversion over e1 | q.
+    reduces to one-dimensional Moebius inversion over e1 | q.  Both sides
+    are linear in the coefficients and Gauss sums, so this guards the
+    shell's Moebius bookkeeping, not those values.
 
     Enumeration bound: each inner term lands at Y = e1 d2 n / l^2, so
     _add_H's key grid (num <= p_max, den | l^2, den <= q_max) holds
@@ -610,7 +611,8 @@ def verify_orthogonality_equivalence(
 
     must reconstruct phi(c) A(q, n) e(a~ n / c): summing the
     character-twisted coefficients recovers the additively twisted one.
-    Returns the max residual over units a and n <= n_max.
+    Returns the max residual over units a and n <= n_max.  A(q, n)
+    multiplies both sides, so this guards only the Gauss and character layer.
     """
     level = model.level
     if math.gcd(c, level) != 1:
@@ -623,7 +625,7 @@ def verify_orthogonality_equivalence(
     tabs = dict(zip(cols, _gauss_sums([ch.conjugate() for ch in chars], c, cols).T.tolist()))
     vals = [ch.values() for ch in chars]
     units, invs = _units_and_inverses(c)
-    roots = _exp_table(c)
+    roots = _root_array(c).tolist()
     phi_c = len(units)
     worst = 0.0
     for n in range(1, n_max + 1):

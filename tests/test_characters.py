@@ -345,7 +345,7 @@ def gauss_sums_accumulated(chis, c, ms):
     wr, wi = w.real[:, :, None], w.imag[:, :, None]
     step = max(1, characters.KERNEL_MAX_MODULUS**2 // w.size)
     for j in range(0, len(ms), step):
-        e = np.array(characters._exp_table(c))[np.outer(u, ms[j : j + step]) % c]
+        e = characters._root_array(c)[np.outer(u, ms[j : j + step]) % c]
         for part, x, y in ((out.real, e.real, -e.imag), (out.imag, e.imag, e.real)):
             terms = wr * x
             terms += wi * y
@@ -402,23 +402,21 @@ def test_conductor_table_matches_the_definition():
             assert chi.conductor == conductor_by_definition(chi), chi
 
 
-@pytest.mark.parametrize("cap", [1, 3, 40])
-def test_conductor_table_in_small_blocks(monkeypatch, cap):
-    # blocks of one column, and of a few rows and columns at a time
-    monkeypatch.setattr(characters, "KERNEL_MAX_MODULUS", cap)
-    characters._conductors.cache_clear()
-    try:
-        for q in (1, 2, 8, 12, 45, 64, 97, 120, 210):
-            for chi in enumerate_characters(q):
-                assert chi.conductor == conductor_by_definition(chi), (cap, chi)
-    finally:
-        characters._conductors.cache_clear()
+@pytest.mark.parametrize("q", [8, 16, 32, 64, 128, 256, 512, 243, 625, 343, 840, 864, 900])
+def test_primitive_part_matches_the_definition(q):
+    # 2^e whose characters are -1 only (conductor 4), 5 only or both, odd
+    # prime powers whose exponents lose a factor p or more, and mixtures
+    units = [a for a in range(1, q + 1) if math.gcd(a, q) == 1]
+    for chi in enumerate_characters(q):
+        star = primitive_part(chi)
+        assert star.conductor == star.modulus == conductor_by_definition(chi), chi
+        assert all(star.angle(a) == chi.angle(a) for a in units), chi
 
 
 def test_chars_list_4093_peak_rss():
     # the 4092 value tables alone peak at 159.7-160.0 MiB, so the bound
-    # leaves 5% for allocator noise; conductor blocks of up to
-    # KERNEL_MAX_MODULUS**2 entries peaked at 196 MiB
+    # leaves 5% for allocator noise; conductors, read off the exponents,
+    # add no array
     src = str(Path(__file__).resolve().parents[1] / "src")
     script = (
         "import resource, subprocess, sys\n"

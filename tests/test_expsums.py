@@ -11,9 +11,9 @@ import pytest
 from gl3voronoi import expsums
 from gl3voronoi.arith import divisors, euler_phi, mobius, mod_inverse, worse
 from gl3voronoi.characters import (
-    _exp_table,
     _gauss_sum_any_modulus,
     _gauss_sums,
+    _root_array,
     _units_and_inverses,
     enumerate_characters,
     gauss_sum,
@@ -42,7 +42,7 @@ def quadratic_mod(p):
 def kloosterman(a, b, c):
     """S(a, b; c) by direct enumeration over units mod c, c >= 1."""
     units, invs = _units_and_inverses(c)
-    roots = _exp_table(c)
+    roots = _root_array(c).tolist()
     return sum(roots[(a * x + b * xbar) % c] for x, xbar in zip(units, invs))
 
 
@@ -86,7 +86,7 @@ def test_kloosterman_matrix_matches_two_exponential_construction():
     for c in range(1, 61):
         units, invs = _units_and_inverses(c)
         j = np.arange(c)
-        roots = np.array(_exp_table(c))
+        roots = _root_array(c)
         v = roots[np.outer(j, units) % c]
         w = roots[np.outer(j, invs) % c]
         assert np.array_equal(kloosterman_matrix(c).view(float), (v @ w.T).view(float)), c
@@ -212,7 +212,7 @@ def reduction_sweep_per_tuple(c_max, m_set, m2_max):
             for m1 in divisors(c * m):
                 big_c = abs(c * m) // m1
                 units_big, invs_big = _units_and_inverses(big_c)
-                roots = np.array(_exp_table(big_c))
+                roots = _root_array(big_c)
                 phase1 = roots[np.outer(units_c * m, units_big) % big_c]
                 phase2 = roots[np.outer(m2s, invs_big) % big_c]
                 lhs = xbar @ (phase1 @ phase2.T)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from gl3voronoi.arith import divisors, mobius, worse
 from gl3voronoi.characters import (
-    _exp_table,
+    _root_array,
     _structure,
     enumerate_characters,
     gauss_sum,
@@ -946,6 +946,7 @@ def orthogonality_per_table(model, c, q, n_max):
     chars = enumerate_characters(c)
     tabs = [gauss_sum_table(primitive_part(ch.conjugate()), c) for ch in chars]
     units = [a for a in range(1, c + 1) if math.gcd(a, c) == 1]
+    roots = _root_array(c).tolist()
     worst = 0.0
     for n in range(1, n_max + 1):
         a_qn = model.coefficient(q, n)
@@ -954,7 +955,7 @@ def orthogonality_per_table(model, c, q, n_max):
                 ch.values()[a % c].conjugate() * a_qn * tab[n % c]
                 for ch, tab in zip(chars, tabs)
             )
-            rhs = len(units) * a_qn * _exp_table(c)[pow(a, -1, c) * n % c]
+            rhs = len(units) * a_qn * roots[pow(a, -1, c) * n % c]
             worst = worse(worst, abs(lhs - rhs))
     return worst
 

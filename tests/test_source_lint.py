@@ -68,3 +68,22 @@ def test_every_export_is_read_in_the_package_or_allow_listed():
         else:
             named.add(_name(node))
     assert sorted(UNREAD_EXPORTS - named) == []
+
+
+def test_every_import_is_read_in_its_module():
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        nodes = list(_nodes(path))
+        read = {
+            _name(node) for node in nodes
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+        }
+        for node in nodes:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in read:
+                        unread.append(f"{path.stem}.{bound}")
+    assert unread == []
