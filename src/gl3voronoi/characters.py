@@ -37,8 +37,8 @@ character of the batch adds a signed zero to the row of a character
 that vanishes there, which changes no partial sum: every row equals the
 one-character call bit for bit, signs of zeros included, and each
 column m, summed on its own, equals entry m mod c of gauss_sum_table.
-So the kernel may sum columns in blocks, and each check builds only the
-columns it reads, for all its characters at once.
+So the kernel sums columns in blocks of KERNEL_BLOCK_TERMS terms, and
+each check builds only the columns it reads, for all its characters at once.
 Modulus 1 is supported (the trivial character is 1 everywhere).
 Exact zero tests of Gauss sums, in integers, are the tests' oracle
 (tests/exact_sums.py): no check reads one.
@@ -74,9 +74,12 @@ __all__ = [
 ]
 
 
-# a kernel at modulus c holds ~c phi(c) roots: at c = 2039, one
-# gauss_sum_table peaks at ~160 MiB and one kloosterman_matrix at ~225 MiB
+# a Kloosterman kernel at modulus c holds ~c phi(c) roots: at c = 2039, one
+# kloosterman_matrix peaks at ~225 MiB, where one gauss_sum_table, summed in
+# column blocks, adds ~1.8 MiB
 KERNEL_MAX_MODULUS = 2048
+# the Gauss kernel's terms per column block: 128 KiB per float temporary
+KERNEL_BLOCK_TERMS = 2**14
 
 
 def _root_of_unity(num: int, den: int) -> complex:
@@ -304,9 +307,10 @@ def _gauss_sums(chis, c: int, ms) -> np.ndarray:
     exact), so that every term rounds as Python's complex product does
     (numpy's complex multiply may fuse them).  The terms are laid out as
     (units, characters, columns) and reduced over the units, which adds
-    them row by row in ascending order of u; a block of one character
-    and one column would be summed pairwise by that reduce, so it is
-    accumulated instead.
+    them row by row in ascending order of u, in blocks of as many
+    columns as KERNEL_BLOCK_TERMS terms hold (one at least); a block of
+    one character and one column would be summed pairwise by that
+    reduce, so it is accumulated instead.
     """
     out = np.empty((len(chis), len(ms)), dtype=complex)
     if not out.size:
@@ -322,7 +326,7 @@ def _gauss_sums(chis, c: int, ms) -> np.ndarray:
     u, w = u[keep], w[keep]
     wr, wi = w.real[:, :, None], w.imag[:, :, None]
     roots = _root_array(c)
-    step = max(1, KERNEL_MAX_MODULUS**2 // w.size)
+    step = max(1, KERNEL_BLOCK_TERMS // w.size)
     for j in range(0, len(ms), step):
         e = roots[np.outer(u, ms[j : j + step]) % c][:, None, :]  # e(u m / c)
         for part, x, y in ((out.real, e.real, -e.imag), (out.imag, e.imag, e.real)):

@@ -86,24 +86,18 @@ def char_kloosterman_reduction_sweep(
     g(chibar*, C, m2) depend on (c, m, m1) only through chibar* and
     C = |c m| / m1, with sign +1: since m2s is symmetric and each column
     of the kernel is computed on its own, the sign -1 block is the +1
-    block reversed.  chibar* runs over the primitive characters mod d for
-    every d | c, so at the first c that reads C, one row per primitive
-    character mod every divisor of every c that reads C is built, in as
-    few kernel calls as KERNEL_MAX_MODULUS**2 entries per call allow.
-    C's phases e(m2 u~ / C) are built once too, and all of it is dropped
-    after the last c that reads C.  g(chibar*, c, m1) comes from one
-    kernel call per c over the columns m1 mod c that it reads.
+    block reversed.  A first pass over c keeps each c's units, xbar,
+    primitive parts and g(chibar*, c, m1), from one kernel call per c
+    over the columns m1 mod c that it reads.  Then each C is visited
+    once: one row per primitive character mod every divisor of every c
+    that reads C is built, in as few kernel calls as KERNEL_MAX_MODULUS**2
+    entries per call allow, and C's phases e(m2 u~ / C) once; every
+    (c, m, m1) that reads C is checked, and C's data is dropped before
+    the next C, so one C is held at a time.
     """
     m2s = np.arange(-m2_max, m2_max + 1)
-    readers: dict[int, set[int]] = {}  # C -> the c that read it
-    for c in range(1, c_max + 1):
-        for m in m_set:
-            for m1 in divisors(c * m):
-                readers.setdefault(abs(c * m) // m1, set()).add(c)
-    last = {big_c: max(cs) for big_c, cs in readers.items()}  # C -> the last c that reads it
-    shared: dict[int, tuple] = {}  # C -> (roots, units, phase block, {chibar*: g2 row})
-    worst = 0.0
-    cases = 0
+    per_c = {}  # c -> (units, xbar, primitive parts, {m1 mod c: g1 column})
+    by_big_c: dict[int, dict[int, list]] = {}  # C -> {c: its (m, m1) that read C}
     for c in range(1, c_max + 1):
         units_c = np.array(_units_and_inverses(c)[0])
         chars = enumerate_characters(c)
@@ -111,27 +105,28 @@ def char_kloosterman_reduction_sweep(
             np.array([ch.values() for ch in chars])[:, units_c % c]
         ).conjugate()
         prim = [primitive_part(ch.conjugate()) for ch in chars]
-        tuples = [(m, m1, abs(c * m) // m1) for m in m_set for m1 in divisors(c * m)]
-        cols = sorted({m1 % c for _, m1, _ in tuples})
-        g1 = dict(zip(cols, _gauss_sums(prim, c, cols).T))
-        g2_blocks = {}
-        for big_c in sorted({big_c for _, _, big_c in tuples}):
-            if big_c not in shared:
-                shared[big_c] = _reduction_rows(big_c, readers[big_c], m2s)
-            rows = shared[big_c][3]
-            g2_blocks[big_c] = np.array([rows[ps] for ps in prim])
-        for m, m1, big_c in tuples:
-            g2 = g2_blocks[big_c] if m > 0 else g2_blocks[big_c][:, ::-1]
-            roots, units_big, phase, _ = shared[big_c]
-            lhs = xbar @ (roots[np.outer(units_c * m, units_big) % big_c] @ phase.T)
-            worst = worse(worst, float(np.abs(lhs - g1[m1 % c][:, None] * g2).max()))
-            cases += len(chars) * len(m2s)
-        shared = {big_c: data for big_c, data in shared.items() if last[big_c] > c}
+        tuples = [(m, m1) for m in m_set for m1 in divisors(c * m)]
+        cols = sorted({m1 % c for _, m1 in tuples})
+        per_c[c] = units_c, xbar, prim, dict(zip(cols, _gauss_sums(prim, c, cols).T))
+        for m, m1 in tuples:
+            by_big_c.setdefault(abs(c * m) // m1, {}).setdefault(c, []).append((m, m1))
+    worst = 0.0
+    cases = 0
+    for big_c, readers in sorted(by_big_c.items()):
+        roots, units_big, phase, rows = _reduction_rows(big_c, set(readers), m2s)
+        for c, tuples in readers.items():
+            units_c, xbar, prim, g1 = per_c[c]
+            g2_block = np.array([rows[ps] for ps in prim])
+            for m, m1 in tuples:
+                g2 = g2_block if m > 0 else g2_block[:, ::-1]
+                lhs = xbar @ (roots[np.outer(units_c * m, units_big) % big_c] @ phase.T)
+                worst = worse(worst, float(np.abs(lhs - g1[m1 % c][:, None] * g2).max()))
+                cases += len(prim) * len(m2s)
     return worst, cases
 
 
 def _reduction_rows(big_c: int, readers: set[int], m2s: np.ndarray) -> tuple:
-    """What the reduction sweep shares at C: its roots, units, phases
+    """What the reduction sweep reads at C: its roots, units, phases
     e(m2 u~ / C), and the row g(chibar*, C, m2s) of every primitive
     character chibar* mod every divisor of every c in readers."""
     units_big, invs_big = _units_and_inverses(big_c)

@@ -323,7 +323,7 @@ def test_gauss_sums_in_column_blocks_equal_one_block(monkeypatch):
     chis, cols = enumerate_characters(12), np.arange(-7, 8)
     whole = _gauss_sums(chis, 24, cols)
     # 4 characters x 8 units: blocks of 2 columns, the last one short
-    monkeypatch.setattr(characters, "KERNEL_MAX_MODULUS", 8)
+    monkeypatch.setattr(characters, "KERNEL_BLOCK_TERMS", 64)
     assert _same_bits(_gauss_sums(chis, 24, cols), whole)
 
 
@@ -343,7 +343,7 @@ def gauss_sums_accumulated(chis, c, ms):
     keep = (w != 0).any(axis=0)
     u, w = u[keep], w[:, keep]
     wr, wi = w.real[:, :, None], w.imag[:, :, None]
-    step = max(1, characters.KERNEL_MAX_MODULUS**2 // w.size)
+    step = max(1, characters.KERNEL_BLOCK_TERMS // w.size)
     for j in range(0, len(ms), step):
         e = characters._root_array(c)[np.outer(u, ms[j : j + step]) % c]
         for part, x, y in ((out.real, e.real, -e.imag), (out.imag, e.imag, e.real)):
@@ -368,7 +368,7 @@ def test_gauss_kernel_equals_the_accumulated_oracle_on_random_batches(monkeypatc
         ms = np.array([rng.randint(-2 * c, 2 * c) for _ in range(rng.choice([1, 2, 5, 31]))])
         ms = np.concatenate([ms, ms[: rng.randint(0, len(ms))]])  # repeated columns
         if trial % 3 == 0:  # column blocks of a few columns, the last one short
-            monkeypatch.setattr(characters, "KERNEL_MAX_MODULUS", rng.randint(1, 24))
+            monkeypatch.setattr(characters, "KERNEL_BLOCK_TERMS", rng.randint(1, 24) ** 2)
         assert _same_kernel(chis, c, ms), (chis, c, ms)
         monkeypatch.undo()
     assert _same_kernel(enumerate_characters(5), 5, np.array([], dtype=int))
@@ -384,7 +384,7 @@ def test_gauss_kernel_accumulates_a_lone_entry(monkeypatch):
                 for m in (-5, 1, 3):
                     assert _same_kernel([chi], c, np.array([m])), (chi, c, m)
     # 96 units: blocks of one column each
-    monkeypatch.setattr(characters, "KERNEL_MAX_MODULUS", 10)
+    monkeypatch.setattr(characters, "KERNEL_BLOCK_TERMS", 100)
     assert _same_kernel([enumerate_characters(13)[5]], 97, np.arange(-9, 10))
 
 
@@ -430,6 +430,26 @@ def test_chars_list_4093_peak_rss():
     )
     assert proc.returncode == 0, proc.stderr
     assert int(proc.stdout) / 1024 <= 168
+
+
+def test_gauss_sum_table_2039_adds_little_rss():
+    # column blocks of KERNEL_BLOCK_TERMS terms add 1.8 MiB over the RSS
+    # after import (ru_maxrss, CPython 3.11); one block of all 2039
+    # columns added 159 MiB
+    script = (
+        "import resource\n"
+        "from gl3voronoi.characters import DirichletCharacter, gauss_sum_table\n"
+        "base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "gauss_sum_table(DirichletCharacter(2039, (5,)), 2039)\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - base)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) / 1024 <= 16
 
 
 def test_reading_conductors_keeps_no_character_alive():

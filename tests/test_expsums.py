@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -285,6 +286,42 @@ def test_reduction_sweep_rows_in_smaller_calls_bit_for_bit(monkeypatch, cap):
     want = repr(char_kloosterman_reduction_sweep(24, (1, -1, 2, -2, 6, -6), 12))
     monkeypatch.setattr(expsums, "KERNEL_MAX_MODULUS", cap)
     assert repr(char_kloosterman_reduction_sweep(24, (1, -1, 2, -2, 6, -6), 12)) == want
+
+
+def test_reduction_sweep_holds_one_C_at_a_time(monkeypatch):
+    # each C's phases and g2 rows are dropped before the next C is built;
+    # only the loop's names still hold the previous C's data
+    alive = []
+    build = expsums._reduction_rows
+
+    def spy(big_c, readers, m2s):
+        assert sum(ref() is not None for ref in alive) <= 1, big_c
+        data = build(big_c, readers, m2s)
+        alive.append(weakref.ref(data[2]))
+        return data
+
+    monkeypatch.setattr(expsums, "_reduction_rows", spy)
+    char_kloosterman_reduction_sweep(40, (1, -1, 2, -2, 6, -6), 12)
+    assert len(alive) == 100
+
+
+def test_reduction_sweep_c_max_120_peak_rss():
+    # 45.9 MiB for the whole run (ru_maxrss, CPython 3.11), where holding
+    # every C's data until the last c that reads it peaked at 68.5 MiB
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    script = (
+        "import resource, subprocess, sys\n"
+        "cmd = [sys.executable, '-m', 'gl3voronoi.cli', 'verify', 'kloosterman-reduction',\n"
+        "       '--c-max', '120']\n"
+        "subprocess.run(cmd, stdout=subprocess.DEVNULL, check=True)\n"
+        "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) / 1024 <= 56
 
 
 def test_reduction_sweep_default_residual_floor():

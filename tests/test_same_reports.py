@@ -130,10 +130,15 @@ def test_kernel_differences_flag_a_changed_shape(tmp_path):
 
 
 # a fake gl3voronoi for the Gauss dump: one character per modulus, a
-# primitive one above 2, and sums equal to c, of which BUMP moves the
-# one-column call (tau) at c = 5
+# primitive one above 2, and sums equal to c (tables equal to 1), of
+# which BUMP moves the one-column call (tau) at c = 5 and the table at
+# c = 2039
 FAKE_GAUSS = """\
 import numpy as np
+
+
+def DirichletCharacter(c, exponents):
+    return c
 
 
 def enumerate_characters(c):
@@ -146,6 +151,10 @@ def primitive_characters(c):
 
 def _gauss_sums(chis, c, ms):
     return np.full((len(chis), len(ms)), complex(c)) + BUMP * (c == 5 and len(ms) == 1)
+
+
+def gauss_sum_table(chi, c):
+    return (complex(1 + BUMP * (c == 2039)),) * c
 """
 
 
@@ -161,17 +170,63 @@ def test_gauss_run_counts_the_moduli_whose_bytes_differ(tmp_path, capsys):
     tool = _load()
     real = Path(__file__).resolve().parents[1]
     # this checkout against itself: every batched table and every tau equal
-    assert tool.gauss_run([real, real], str(tmp_path), c_max=12) == 0
+    assert tool.gauss_run([real, real], str(tmp_path), c_max=12, large=(1021,)) == 0
     assert capsys.readouterr().out == (
-        "Gauss sums mod c, c <= 12: 0 of 12 moduli differ, largest |delta| 0\n"
+        "Gauss sums mod c, c <= 12 and c in [1021]: 0 of 13 moduli differ, largest |delta| 0\n"
     )
     parent = _fake_gauss_checkout(tmp_path / "parent", 0)
     change = _fake_gauss_checkout(tmp_path / "change", 2**-45)
-    assert tool.gauss_run([parent, change], str(tmp_path), c_max=8) == 1
-    assert capsys.readouterr().out.endswith("1 of 8 moduli differ, largest |delta| 2.84e-14\n")
+    assert tool.gauss_run([parent, change], str(tmp_path), c_max=8) == 2
+    assert capsys.readouterr().out.endswith("2 of 10 moduli differ, largest |delta| 2.84e-14\n")
     # a dump that fails counts as a difference on its own
     broken = _fake_gauss_checkout(tmp_path / "broken", "1 / 0")
     assert tool.gauss_run([parent, broken], str(tmp_path), c_max=8) == 1
+    assert "change dump failed, exit 1" in capsys.readouterr().out
+
+
+# a fake gl3voronoi for the reduction dump: a sweep that folds the
+# residuals c, c - 1, ..., 1, and BUMP moves the one at c = 3 of the
+# sweep with m2_max 0
+FAKE_REDUCTION = {
+    "cli.py": "class SuiteConfig:\n    m_set = (1, -1)\n",
+    "expsums.py": """\
+def worse(worst, *values):
+    return max(worst, *values)
+
+
+def char_kloosterman_reduction_sweep(c_max, m_set, m2_max):
+    worst = 0.0
+    for c in range(c_max, 0, -1):
+        worst = worse(worst, float(c) + BUMP * (c == 3 and m2_max == 0))
+    return worst, c_max
+""",
+}
+
+
+def _fake_reduction_checkout(root, bump):
+    package = root / "src" / "gl3voronoi"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    for name, text in FAKE_REDUCTION.items():
+        (package / name).write_text(f"BUMP = {bump!r}\n\n" + text)
+    return root
+
+
+def test_reduction_run_counts_the_sweeps_whose_residuals_differ(tmp_path, capsys):
+    tool = _load()
+    real = Path(__file__).resolve().parents[1]
+    # this checkout against itself: every folded residual equal
+    assert tool.reduction_run([real, real], str(tmp_path), sweeps=((8, 2), (6, 0))) == 0
+    assert capsys.readouterr().out == (
+        "reduction residuals, c_max:m2_max 8:2, 6:0: 0 of 2 sweeps differ, largest |delta| 0\n"
+    )
+    # a residual below the sweep's maximum differs
+    parent = _fake_reduction_checkout(tmp_path / "parent", 0)
+    change = _fake_reduction_checkout(tmp_path / "change", 2**-40)
+    assert tool.reduction_run([parent, change], str(tmp_path)) == 1
+    assert capsys.readouterr().out.endswith("1 of 2 sweeps differ, largest |delta| 9.09e-13\n")
+    broken = _fake_reduction_checkout(tmp_path / "broken", "1 / 0")
+    assert tool.reduction_run([parent, broken], str(tmp_path)) == 1
     assert "change dump failed, exit 1" in capsys.readouterr().out
 
 

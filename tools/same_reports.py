@@ -41,14 +41,21 @@ A fourth dump holds, for every c <= GAUSS_C_MAX, the Gauss kernel's
 table _gauss_sums(enumerate_characters(c), c, 0..c-1), one batch of
 every character mod c, and tau(chi) of each primitive chi mod c, each
 from its own one-character, one-column call (the kernel's accumulate
-path); a modulus whose bytes differ counts toward exit 1 too.
+path), and the one-character gauss_sum_table at each c of
+GAUSS_LARGE_MODULI, which the kernel sums in many column blocks; a
+modulus whose bytes differ counts toward exit 1 too.  A fifth dump
+holds, for each sweep of REDUCTION_SWEEPS, every per-(c, m, m1) residual
+that char_kloosterman_reduction_sweep folds into its maximum, sorted,
+as the fold order is not part of the result; a sweep whose bytes
+differ counts toward exit 1.
 
 Blind spot: report fields show a change of rounding only in a report's
 worst case, and the dumps cover kloosterman_matrix, the Gauss kernel,
-the coefficients and the identity series alone, so a rounding change in
-any other kernel (the reduction sweep's blocks) or in the residuals of
-the other checks, below a report's maximum, passes unseen; the
-bit-for-bit tests of Tier-1 are what see it.
+the reduction sweep's per-tuple residuals, the coefficients and the
+identity series alone, so a rounding change in any other kernel, in
+the entries of one reduction tuple below that tuple's maximum, or in
+the residuals of the other checks, below a report's maximum, passes
+unseen; the bit-for-bit tests of Tier-1 are what see it.
 """
 
 import json
@@ -199,13 +206,19 @@ DUMP_KERNELS = (
 )
 
 GAUSS_C_MAX = 120
+GAUSS_LARGE_MODULI = (1021, 2039)
 
 # run in a checkout: save to the .npz argv[1], for each c <= argv[2], the
 # flattened Gauss table of every character mod c, one batched call, then
-# tau(chi) of each primitive chi mod c from its own one-column call
+# tau(chi) of each primitive chi mod c from its own one-column call; and
+# for each prime c in argv[3:], gauss_sum_table of the character mod c
+# with exponent 1
 DUMP_GAUSS = """
 import sys
-from gl3voronoi.characters import _gauss_sums, enumerate_characters, primitive_characters
+from gl3voronoi.characters import (
+    DirichletCharacter, _gauss_sums, enumerate_characters, gauss_sum_table,
+    primitive_characters,
+)
 import numpy as np
 
 out = {}
@@ -213,6 +226,39 @@ for c in range(1, int(sys.argv[2]) + 1):
     table = _gauss_sums(enumerate_characters(c), c, np.arange(c)).ravel()
     taus = [_gauss_sums([chi], c, np.array([1]))[0, 0] for chi in primitive_characters(c)]
     out[str(c)] = np.concatenate([table, np.array(taus, dtype=complex)])
+for c in map(int, sys.argv[3:]):
+    out[f"table {c}"] = np.array(gauss_sum_table(DirichletCharacter(c, (1,)), c))
+np.savez(sys.argv[1], **out)
+"""
+
+# (c_max, m2_max) of each reduction sweep dumped, at the default m_set
+REDUCTION_SWEEPS = ((40, 12), (60, 0))
+
+# run in a checkout: save to the .npz argv[1], for each "c_max:m2_max" in
+# argv[2:], the sorted residuals that the reduction sweep folds, one per
+# (c, m, m1), at the default m_set
+DUMP_REDUCTION = """
+import sys
+from gl3voronoi import expsums
+from gl3voronoi.cli import SuiteConfig
+import numpy as np
+
+fold = expsums.worse
+residuals = []
+
+
+def keep(worst, *values):
+    residuals.extend(values)
+    return fold(worst, *values)
+
+
+expsums.worse = keep
+out = {}
+for sweep in sys.argv[2:]:
+    c_max, m2_max = map(int, sweep.split(":"))
+    residuals.clear()
+    expsums.char_kloosterman_reduction_sweep(c_max, SuiteConfig().m_set, m2_max)
+    out[sweep] = np.sort(np.array(residuals))
 np.savez(sys.argv[1], **out)
 """
 
@@ -327,10 +373,19 @@ def kernel_run(roots: list[Path], tmp: str, c_max: int = KERNEL_C_MAX) -> int:
     return dump_run(roots, tmp, where, DUMP_KERNELS, [c_max], "moduli")
 
 
-def gauss_run(roots: list[Path], tmp: str, c_max: int = GAUSS_C_MAX) -> int:
+def gauss_run(
+    roots: list[Path], tmp: str, c_max: int = GAUSS_C_MAX, large=GAUSS_LARGE_MODULI
+) -> int:
     """The Gauss kernel bytes: every table and tau of DUMP_GAUSS."""
-    where = f"Gauss sums mod c, c <= {c_max}"
-    return dump_run(roots, tmp, where, DUMP_GAUSS, [c_max], "moduli")
+    where = f"Gauss sums mod c, c <= {c_max} and c in {list(large)}"
+    return dump_run(roots, tmp, where, DUMP_GAUSS, [c_max, *large], "moduli")
+
+
+def reduction_run(roots: list[Path], tmp: str, sweeps=REDUCTION_SWEEPS) -> int:
+    """The reduction sweep's per-tuple residuals of DUMP_REDUCTION."""
+    args = [f"{c_max}:{m2_max}" for c_max, m2_max in sweeps]
+    where = f"reduction residuals, c_max:m2_max {', '.join(args)}"
+    return dump_run(roots, tmp, where, DUMP_REDUCTION, args, "sweeps")
 
 
 def coefficient_run(
@@ -372,8 +427,8 @@ def main() -> int:
         verify_differ += count
     with tempfile.TemporaryDirectory() as tmp:
         dumps_differ = (
-            kernel_run(roots, tmp) + gauss_run(roots, tmp) + coefficient_run(roots, tmp)
-            + identity_run(roots, tmp)
+            kernel_run(roots, tmp) + gauss_run(roots, tmp) + reduction_run(roots, tmp)
+            + coefficient_run(roots, tmp) + identity_run(roots, tmp)
         )
     print(f"{compared} reports compared, {differ} differ")
     print(closing_line(differing))
