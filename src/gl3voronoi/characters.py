@@ -25,20 +25,25 @@ unity e(k/c) of the Gauss and Kloosterman kernels (here and in expsums)
 is entry k mod c of _root_array(c), the one cached root array of c,
 each entry one exponential of the angle reduced mod c (the scalar sums
 read the same values through its tolist()), and their sums run over the
-units of _units_and_inverses(c), the one unit list.  Every
-Gauss sum sum_u chi(u) e(u m/c) comes from one numpy kernel, batched over
-characters: each term is the product of two table values (chi(u) and
-e(j/c)), rounded as Python's complex product, and each character's
-terms are added in ascending order of u, by a reduce over the units
-of terms laid out as (units, characters, columns), which adds them row
-by row; a block of one character and one column, which that reduce
-would sum pairwise, is accumulated instead.  A unit kept for another
-character of the batch adds a signed zero to the row of a character
-that vanishes there, which changes no partial sum: every row equals the
-one-character call bit for bit, signs of zeros included, and each
-column m, summed on its own, equals entry m mod c of gauss_sum_table.
-So the kernel sums columns in blocks of KERNEL_BLOCK_TERMS terms, and
-each check builds only the columns it reads, for all its characters at once.
+units of _units_and_inverses(c), the one unit list.
+
+One exact unit-sum kernel.  _unit_sums(w, e, n) is the one kernel for
+the sums sum_u w[u, i] e[u, j] that must equal the scalar loop over u
+bit for bit: each term is a product of table values rounded as Python's
+complex product, and the terms are added in ascending order of u,
+wherever the column blocks of KERNEL_BLOCK_TERMS terms fall (its
+docstring says how).  Its readers: _gauss_sums (every Gauss sum
+sum_u chi(u) e(u m/c), batched over characters; gauss_sum_table is its
+one-character form), the additive collapse of expsums (every primitive
+theta mod c at once) and the orthogonality check of identities (a sum
+over the characters mod c, with the coefficient as a scale).  In a
+Gauss batch a unit kept for another character adds a signed zero to the
+row of a character that vanishes there, which changes no partial sum:
+every row equals the one-character call bit for bit, signs of zeros
+included, and each column m, summed on its own, equals entry m mod c of
+gauss_sum_table.  So each check builds only the columns it reads, for
+all its characters at once.
+
 Modulus 1 is supported (the trivial character is 1 everywhere).
 Exact zero tests of Gauss sums, in integers, are the tests' oracle
 (tests/exact_sums.py): no check reads one.
@@ -294,6 +299,52 @@ def multiply(chi1: DirichletCharacter, chi2: DirichletCharacter) -> DirichletCha
     return DirichletCharacter(q, tuple(exps))
 
 
+def _times(ar, ai, br, bi) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of (ar + i ai)(br + i bi), each part formed
+    by separate float operations, so that it rounds as Python's complex
+    product does (numpy's complex multiply may fuse them)."""
+    re = ar * br
+    re -= ai * bi
+    im = ar * bi
+    im += ai * br
+    return re, im
+
+
+def _unit_sums(w: np.ndarray, e, n: int, scale: np.ndarray | None = None) -> np.ndarray:
+    """sum over u of w[u, i] e[u, j], or of (w[u, i] scale[j]) e[u, j] given
+    a scale, for each column i of w (rows of the result) and each of the n
+    columns j of e, where e(s) returns the columns s (a slice) of e.
+
+    Every product rounds as Python's complex product (_times); the real
+    and imaginary parts of the last one are formed as _times forms them
+    (a - b as a + (-b), which is exact) but one at a time, so one part's
+    terms are held at once.  The terms, laid out in C order as (u, i, j),
+    are reduced over u, which adds them row by row in ascending order of
+    u, in blocks of as many columns j as KERNEL_BLOCK_TERMS terms hold
+    (one at least).  That reduce would sum pairwise the terms of a block
+    of one i and one j, which are accumulated instead, and terms whose
+    contiguous axis is u, so w and each block of e are made C-contiguous
+    first (a gather along the second axis returns them F-ordered).  w
+    must not be empty.
+    """
+    out = np.empty((w.shape[1], n), dtype=complex)
+    w = np.ascontiguousarray(w)
+    wr, wi = w.real[:, :, None], w.imag[:, :, None]
+    step = max(1, KERNEL_BLOCK_TERMS // w.size)
+    for j in range(0, n, step):
+        s = slice(j, j + step)
+        x = np.ascontiguousarray(e(s))[:, None, :]
+        ar, ai = (wr, wi) if scale is None else _times(wr, wi, scale[s].real, scale[s].imag)
+        for part, y, z in ((out.real, x.real, -x.imag), (out.imag, x.imag, x.real)):
+            terms = ar * y
+            terms += ai * z
+            if terms.shape[1:] == (1, 1):
+                part[:, s] = np.add.accumulate(terms, axis=0)[-1]
+            else:
+                part[:, s] = np.add.reduce(terms, axis=0)
+    return out
+
+
 def _gauss_sums(chis, c: int, ms) -> np.ndarray:
     """sum over units u mod c of chi(u) e(u m / c), for each chi in chis
     (rows) and each m in ms (columns).
@@ -302,19 +353,11 @@ def _gauss_sums(chis, c: int, ms) -> np.ndarray:
     Z, so units of c that share a factor with its modulus contribute 0;
     units on which every chi vanishes are skipped.  The values of each
     modulus in chis are gathered at once, and each root e(u m / c) is
-    read from _root_array(c).  Real and imaginary parts of each product
-    are formed by separate float operations (a - b as a + (-b), which is
-    exact), so that every term rounds as Python's complex product does
-    (numpy's complex multiply may fuse them).  The terms are laid out as
-    (units, characters, columns) and reduced over the units, which adds
-    them row by row in ascending order of u, in blocks of as many
-    columns as KERNEL_BLOCK_TERMS terms hold (one at least); a block of
-    one character and one column would be summed pairwise by that
-    reduce, so it is accumulated instead.
+    read from _root_array(c), one column block at a time; _unit_sums
+    adds the terms.
     """
-    out = np.empty((len(chis), len(ms)), dtype=complex)
-    if not out.size:
-        return out
+    if not (len(chis) and len(ms)):
+        return np.empty((len(chis), len(ms)), dtype=complex)
     u = np.array(_units_and_inverses(c)[0])
     by_modulus: dict[int, list[int]] = {}
     for i, chi in enumerate(chis):
@@ -324,19 +367,8 @@ def _gauss_sums(chis, c: int, ms) -> np.ndarray:
         w[:, rows] = np.array([chis[i].values() for i in rows])[:, u % q].T
     keep = (w != 0).any(axis=1)
     u, w = u[keep], w[keep]
-    wr, wi = w.real[:, :, None], w.imag[:, :, None]
     roots = _root_array(c)
-    step = max(1, KERNEL_BLOCK_TERMS // w.size)
-    for j in range(0, len(ms), step):
-        e = roots[np.outer(u, ms[j : j + step]) % c][:, None, :]  # e(u m / c)
-        for part, x, y in ((out.real, e.real, -e.imag), (out.imag, e.imag, e.real)):
-            terms = wr * x
-            terms += wi * y
-            if terms.shape[1:] == (1, 1):
-                part[:, j : j + step] = np.add.accumulate(terms, axis=0)[-1]
-            else:
-                part[:, j : j + step] = np.add.reduce(terms, axis=0)
-    return out
+    return _unit_sums(w, lambda s: roots[np.outer(u, ms[s]) % c], len(ms))
 
 
 @lru_cache(maxsize=None)

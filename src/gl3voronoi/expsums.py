@@ -4,7 +4,8 @@ S(a, b; c) = sum over units x mod c of e((a x + b x~)/c), with x~ the
 inverse of x mod c.  S(a, b; 1) = 1 (empty modulus).
 kloosterman_matrix(c) gives every S(a, b; c) at once from the units and
 inverses of characters._units_and_inverses, each phase read from the
-root array characters._root_array(c) at its angle reduced mod c.
+root array characters._root_array(c) at its angle reduced mod c; its
+second factor is the first with its columns permuted from u to u~.
 
 The sweeps verify, by full enumeration on both sides:
 
@@ -41,9 +42,10 @@ import numpy as np
 from .arith import divisors, primes_up_to, worse
 from .characters import (
     KERNEL_MAX_MODULUS,
-    DirichletCharacter,
     _gauss_sums,
     _root_array,
+    _times,
+    _unit_sums,
     _units_and_inverses,
     enumerate_characters,
     gauss_sum,
@@ -63,13 +65,14 @@ __all__ = [
 
 def kloosterman_matrix(c: int) -> np.ndarray:
     """All S(a, b; c) for a, b mod c at once, as a c x c complex matrix:
-    one product of two root-table gathers over the units mod c."""
+    the product of the root-table gather e(j u / c) over the units u mod
+    c with its column permutation e(j u~ / c)."""
     if c < 1:
         raise ValueError(f"modulus must be positive, got {c}")
     units, invs = _units_and_inverses(c)
-    roots = _root_array(c)
-    j = np.arange(c)
-    return roots[np.outer(j, units) % c] @ roots[np.outer(j, invs) % c].T
+    a = _root_array(c)[np.outer(np.arange(c), units) % c]
+    # for c = 1 the one inverse is 0, which also lands on column 0
+    return a @ np.take(a, np.searchsorted(units, invs), axis=1).T
 
 
 # -- character-averaged collapse --------------------------------------------
@@ -91,9 +94,13 @@ def char_kloosterman_reduction_sweep(
     over the columns m1 mod c that it reads.  Then each C is visited
     once: one row per primitive character mod every divisor of every c
     that reads C is built, in as few kernel calls as KERNEL_MAX_MODULUS**2
-    entries per call allow, and C's phases e(m2 u~ / C) once; every
-    (c, m, m1) that reads C is checked, and C's data is dropped before
-    the next C, so one C is held at a time.
+    entries per call allow, and C's phases e(m2 u~ / C) once; the tuples
+    (m, m1) of each c that reads C are checked as one batch, from one
+    stacked gather e(a m u / C), one stacked product with the phases,
+    one product with xbar and one residual array, whose per-tuple
+    maxima are folded in tuple order.  Each stacked product is one
+    matrix product per tuple, the same as the tuple's own.  C's data is
+    dropped before the next C, so one C is held at a time.
     """
     m2s = np.arange(-m2_max, m2_max + 1)
     per_c = {}  # c -> (units, xbar, primitive parts, {m1 mod c: g1 column})
@@ -117,11 +124,13 @@ def char_kloosterman_reduction_sweep(
         for c, tuples in readers.items():
             units_c, xbar, prim, g1 = per_c[c]
             g2_block = np.array([rows[ps] for ps in prim])
-            for m, m1 in tuples:
-                g2 = g2_block if m > 0 else g2_block[:, ::-1]
-                lhs = xbar @ (roots[np.outer(units_c * m, units_big) % big_c] @ phase.T)
-                worst = worse(worst, float(np.abs(lhs - g1[m1 % c][:, None] * g2).max()))
-                cases += len(prim) * len(m2s)
+            ms = np.array([m for m, _ in tuples])
+            index = ms[:, None, None] * np.outer(units_c, units_big) % big_c
+            lhs = xbar @ (roots[index] @ phase.T)
+            g1s = np.array([g1[m1 % c] for _, m1 in tuples])[:, :, None]
+            g2s = np.array([g2_block if m > 0 else g2_block[:, ::-1] for m in ms])
+            worst = worse(worst, *np.abs(lhs - g1s * g2s).max(axis=(1, 2)).tolist())
+            cases += len(tuples) * len(prim) * len(m2s)
     return worst, cases
 
 
@@ -146,37 +155,35 @@ def _reduction_rows(big_c: int, readers: set[int], m2s: np.ndarray) -> tuple:
 # -- additive collapse -------------------------------------------------------
 
 
-def _collapse_residuals(theta: DirichletCharacter) -> list[float]:
-    """The additive-collapse residual at each shift n mod c, c the modulus
-    of theta; it depends on n only mod c."""
-    c = theta.modulus
-    roots = _root_array(c).tolist()
-    tbar = theta.conjugate().values()
-    units, invs = _units_and_inverses(c)
-    sign_tau = theta.parity * gauss_sum(theta)  # (-1)^kappa tau(theta)
-    residuals = []
-    for n in range(c):
-        lhs = sum(tbar[a % c] * roots[(-n * abar) % c] for a, abar in zip(units, invs))
-        residuals.append(abs(lhs - sign_tau * tbar[n]))
-    return residuals
-
-
 def additive_collapse_sweep(c_max: int) -> tuple[float, int]:
     """Max additive-collapse residual over c <= c_max, every level N | c,
     every psi mod N and chi mod c with psi*chi primitive, and all n mod c.
 
-    The residual depends on (psi, chi) only through theta = psi*chi, so
-    each primitive theta mod c is evaluated once.  The count is that of
-    the (N, psi, chi, n) cases: theta comes from exactly one chi = theta
-    psibar for each psi mod N, and sum_{N | c} phi(N) = c, so each
-    primitive theta stands for c * c cases.
+    The residual depends on (psi, chi) only through theta = psi*chi, and
+    on n only mod c, so each primitive theta mod c is evaluated once at
+    each n mod c: one _unit_sums call per c gives every left side, over
+    the units a with w[a, theta] = thetabar(a) and e[a, n] = e(-n a~ / c),
+    and each residual |lhs - (-1)^kappa tau(theta) thetabar(n)| is folded
+    on its own.  The count is that of the (N, psi, chi, n) cases: theta
+    comes from exactly one chi = theta psibar for each psi mod N, and
+    sum_{N | c} phi(N) = c, so each primitive theta stands for c * c cases.
     """
     worst = 0.0
     cases = 0
     for c in range(1, c_max + 1):
         prim = primitive_characters(c)
-        for theta in prim:
-            worst = worse(worst, *_collapse_residuals(theta))
+        if not prim:
+            continue
+        units, invs = _units_and_inverses(c)
+        tbar = np.array([theta.conjugate().values() for theta in prim])
+        roots, ns = _root_array(c), np.arange(c)
+        lhs = _unit_sums(
+            tbar[:, np.array(units) % c].T, lambda s: roots[np.outer(invs, -ns[s]) % c], c
+        )
+        # (-1)^kappa tau(theta), as Python's int-by-complex product
+        sign_tau = np.array([theta.parity * gauss_sum(theta) for theta in prim])[:, None]
+        rhs_re, rhs_im = _times(sign_tau.real, sign_tau.imag, tbar.real, tbar.imag)
+        worst = worse(worst, *np.hypot(lhs.real - rhs_re, lhs.imag - rhs_im).ravel().tolist())
         cases += c * c * len(prim)
     return worst, cases
 

@@ -65,11 +65,16 @@ from array import array
 from collections.abc import Sequence
 from functools import lru_cache
 
+import numpy as np
+
 from .arith import divisors, euler_phi, mobius, worse
 from .characters import (
+    KERNEL_BLOCK_TERMS,
     DirichletCharacter,
     _gauss_sums,
     _root_array,
+    _times,
+    _unit_sums,
     _units_and_inverses,
     enumerate_characters,
     gauss_sum,
@@ -620,22 +625,27 @@ def verify_orthogonality_equivalence(
     if math.gcd(q, level) != 1:
         raise ValueError(f"q={q} must be coprime to the level {level}")
     chars = enumerate_characters(c)
-    # column n mod c, for each n <= n_max: g(chibar_i, c, n) as Python complex
+    # column n mod c, for each n <= n_max: g(chibar_i, c, n)
     cols = sorted({n % c for n in range(1, min(n_max, c) + 1)})
-    tabs = dict(zip(cols, _gauss_sums([ch.conjugate() for ch in chars], c, cols).T.tolist()))
-    vals = [ch.values() for ch in chars]
+    tabs = _gauss_sums([ch.conjugate() for ch in chars], c, cols)
     units, invs = _units_and_inverses(c)
-    roots = _root_array(c).tolist()
-    phi_c = len(units)
+    # chibar_i(a) on the (characters x units) grid
+    xbar = np.array([ch.values() for ch in chars])[:, np.array(units) % c].conjugate()
+    ns = np.arange(1, n_max + 1)
+    col = np.searchsorted(cols, ns % c)
+    a_qn = [model.coefficient(q, n) for n in range(1, n_max + 1)]
+    coeffs = np.array(a_qn, dtype=complex)
+    scaled = np.array([len(units) * a for a in a_qn], dtype=complex)  # phi(c) A(q, n)
+    roots = _root_array(c)
+    # lhs[a, n] = sum over i of (chibar_i(a) A(q, n)) g(chibar_i, c, n), in
+    # blocks of n whose (characters x units x n) terms one kernel block holds
+    step = max(1, KERNEL_BLOCK_TERMS // xbar.size)
     worst = 0.0
-    for n in range(1, n_max + 1):
-        a_qn = model.coefficient(q, n)
-        g = tabs[n % c]
-        for a, abar in zip(units, invs):
-            lhs = sum(
-                vals[i][a % c].conjugate() * a_qn * g[i]
-                for i in range(len(chars))
-            )
-            rhs = phi_c * a_qn * roots[abar * n % c]
-            worst = worse(worst, abs(lhs - rhs))
+    for j in range(0, n_max, step):
+        block = slice(j, j + step)
+        g = tabs[:, col[block]]
+        lhs = _unit_sums(xbar, lambda s: g[:, s], g.shape[1], coeffs[block])
+        phases = roots[np.outer(invs, ns[block]) % c]
+        rhs_re, rhs_im = _times(scaled[block].real, scaled[block].imag, phases.real, phases.imag)
+        worst = worse(worst, *np.hypot(lhs.real - rhs_re, lhs.imag - rhs_im).ravel().tolist())
     return worst

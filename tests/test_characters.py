@@ -20,6 +20,7 @@ from gl3voronoi.characters import (
     _gauss_sum_any_modulus,
     _gauss_sums,
     _structure,
+    _unit_sums,
     enumerate_characters,
     gauss_sum,
     gauss_sum_table,
@@ -386,6 +387,80 @@ def test_gauss_kernel_accumulates_a_lone_entry(monkeypatch):
     # 96 units: blocks of one column each
     monkeypatch.setattr(characters, "KERNEL_BLOCK_TERMS", 100)
     assert _same_kernel([enumerate_characters(13)[5]], 97, np.arange(-9, 10))
+
+
+def unit_sums_by_loop(w, e, scale=None):
+    """_unit_sums as a scalar loop: per (i, j), one Python complex product
+    per term (w[u, i] scale[j] first, given a scale), added in ascending
+    u as Python's sum adds them, from 0, or from the first term where the
+    kernel's block holds one i and one j."""
+    units, rows = w.shape
+    n = e.shape[1]
+    step = max(1, characters.KERNEL_BLOCK_TERMS // w.size)
+    out = np.empty((rows, n), dtype=complex)
+    for j in range(n):
+        lone = rows == 1 and min(step, n - j // step * step) == 1
+        for i in range(rows):
+            terms = []
+            for u in range(units):
+                a = complex(w[u, i]) if scale is None else complex(w[u, i]) * complex(scale[j])
+                terms.append(a * complex(e[u, j]))
+            out[i, j] = sum(terms[1:], terms[0]) if lone else sum(terms)
+    return out
+
+
+# signed zeros and exact values, drawn among random ones
+SUMMANDS = (0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), 1 + 0j, -1j, 0.1 + 0.7j)
+
+
+def _random_grid(rng, rows, cols):
+    return np.array(
+        [[rng.choice(SUMMANDS) if rng.random() < 0.3 else complex(rng.gauss(0, 1), rng.gauss(0, 1))
+          for _ in range(cols)] for _ in range(rows)]
+    )
+
+
+@pytest.mark.parametrize(
+    "units, rows, n, block_terms",
+    [
+        (1, 1, 1, None),
+        (20, 1, 1, None),  # one i and one j over 9 or more units: accumulated
+        (20, 1, 7, None),
+        (20, 7, 1, None),
+        (20, 1, 7, 40),  # blocks of 2, 2, 2 and 1 columns, the last one accumulated
+        (12, 5, 9, 120),  # blocks of 2 columns, the last one short
+        (3, 4, 5, 1),  # one column per block
+    ],
+)
+@pytest.mark.parametrize("scaled", [False, True])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_unit_sums_equal_the_scalar_loop_bit_for_bit(
+    monkeypatch, units, rows, n, block_terms, scaled, order
+):
+    # F-ordered w and e hold u as their contiguous axis, as a gather along
+    # the second axis returns them
+    if block_terms is not None:
+        monkeypatch.setattr(characters, "KERNEL_BLOCK_TERMS", block_terms)
+    rng = random.Random(units * 1000 + rows * 100 + n)
+    w, e = _random_grid(rng, units, rows), _random_grid(rng, units, n)
+    scale = _random_grid(rng, 1, n)[0] if scaled else None
+    if units > 2:
+        w[1] = 0  # a unit on which every row vanishes
+    want = unit_sums_by_loop(w, e, scale)
+    w, e = np.asarray(w, order=order), np.asarray(e, order=order)
+    assert _same_bits(_unit_sums(w, lambda s: e[:, s], n, scale), want)
+
+
+def test_unit_sums_keep_the_sign_of_a_sum_of_negative_zeros():
+    # every term's real part is -0.0: Python's sum from 0 gives +0.0,
+    # as the reduce does, and the lone-entry accumulate keeps -0.0
+    w = np.full((12, 1), complex(-0.0, 0.0))
+    e = np.full((12, 3), 0.5 + 0.5j)
+    got = _unit_sums(w, lambda s: e[:, s], 3)
+    assert not np.signbit(got.real).any() and _same_bits(got, unit_sums_by_loop(w, e))
+    e = e[:, :1]
+    lone = _unit_sums(w, lambda s: e[:, s], 1)
+    assert np.signbit(lone.real).all() and _same_bits(lone, unit_sums_by_loop(w, e))
 
 
 def conductor_by_definition(chi):

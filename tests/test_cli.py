@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 import gl3voronoi.cli as cli
 from gl3voronoi.arith import euler_phi, worse
 from gl3voronoi.characters import (
+    _gauss_sums,
     enumerate_characters,
     gauss_sum,
     gauss_sum_table,
@@ -387,6 +388,31 @@ def test_zero_cases_is_never_a_pass(argv, capsys):
     assert report["check_name"] == argv.split()[0]
     assert report["pass"] is False and math.isnan(report["max_residual"])
     assert report["parameters"]["error"] == "no cases evaluated"
+
+
+def test_a_nan_gauss_entry_fails_additive_collapse_and_orthogonality(monkeypatch):
+    # one NaN entry of a Gauss table survives the vectorized sweeps' folds:
+    # tau of one primitive character mod 5 for the collapse, and one entry
+    # of the orthogonality check's kernel table mod 5
+    target = primitive_characters(5)[1]
+
+    def poisoned_table(chi, c):
+        values = gauss_sum_table(chi, c)
+        return values[:1] + (complex("nan"),) + values[2:] if (chi, c) == (target, 5) else values
+
+    def poisoned_kernel(chis, c, ms):
+        out = _gauss_sums(chis, c, ms)
+        if c == 5:
+            out[2, 1] = complex("nan")
+        return out
+
+    monkeypatch.setattr("gl3voronoi.characters.gauss_sum_table", poisoned_table)
+    monkeypatch.setattr("gl3voronoi.identities._gauss_sums", poisoned_kernel)
+    reports = run_suite(FAST, ["additive-collapse", "orthogonality"])
+    assert [r.check_name for r in reports] == ["additive-collapse", "orthogonality"]
+    for report in reports:
+        assert math.isnan(report.max_residual) and not report.passed, report
+        assert "error" not in report.parameters
 
 
 def test_gauss_modulus_batched_kernel_matches_per_character_loop():

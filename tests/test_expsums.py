@@ -20,9 +20,11 @@ from gl3voronoi.characters import (
     gauss_sum,
     gauss_sum_table,
     multiply,
+    primitive_characters,
     primitive_part,
     principal_character,
 )
+from gl3voronoi.cli import SuiteConfig
 from gl3voronoi.expsums import (
     additive_collapse_sweep,
     char_kloosterman_reduction_sweep,
@@ -396,6 +398,28 @@ def additive_collapse_per_triple(c_max):
 @pytest.mark.parametrize("c_max", [1, 2, 4, 10, 12, 20, 24])
 def test_additive_collapse_sweep_matches_the_per_triple_loop(c_max):
     assert repr(additive_collapse_sweep(c_max)) == repr(additive_collapse_per_triple(c_max))
+
+
+def test_additive_collapse_folds_every_scalar_residual_by_repr(monkeypatch):
+    # each (theta, n) residual of one kernel call per c, at the default
+    # collapse_c_max, equals the one-n-at-a-time oracle's, in fold order
+    folded = []
+
+    def keep(worst, *values):
+        folded.extend(values)
+        return worse(worst, *values)
+
+    monkeypatch.setattr(expsums, "worse", keep)
+    c_max = SuiteConfig().collapse_c_max
+    additive_collapse_sweep(c_max)
+    want = [
+        _collapse_residual_at(theta, n)
+        for c in range(1, c_max + 1)
+        for theta in primitive_characters(c)
+        for n in range(c)
+    ]
+    assert len(want) == 5515
+    assert list(map(repr, folded)) == list(map(repr, want))
 
 
 def test_intro_sign_variant_is_relabeling():

@@ -941,13 +941,14 @@ def test_orthogonality_examples():
     assert verify_orthogonality_equivalence(model, 8, 3, n_max=24) < 1e-9
 
 
-def orthogonality_per_table(model, c, q, n_max):
-    """verify_orthogonality_equivalence from one gauss_sum_table per character."""
+def orthogonality_residuals_per_table(model, c, q, n_max):
+    """Every per-(n, a) residual of verify_orthogonality_equivalence, in
+    that order, from one gauss_sum_table per character."""
     chars = enumerate_characters(c)
     tabs = [gauss_sum_table(primitive_part(ch.conjugate()), c) for ch in chars]
     units = [a for a in range(1, c + 1) if math.gcd(a, c) == 1]
     roots = _root_array(c).tolist()
-    worst = 0.0
+    residuals = []
     for n in range(1, n_max + 1):
         a_qn = model.coefficient(q, n)
         for a in units:
@@ -956,19 +957,52 @@ def orthogonality_per_table(model, c, q, n_max):
                 for ch, tab in zip(chars, tabs)
             )
             rhs = len(units) * a_qn * roots[pow(a, -1, c) * n % c]
-            worst = worse(worst, abs(lhs - rhs))
-    return worst
+            residuals.append(abs(lhs - rhs))
+    return residuals
+
+
+def orthogonality_per_table(model, c, q, n_max):
+    """verify_orthogonality_equivalence from one gauss_sum_table per character."""
+    return worse(0.0, *orthogonality_residuals_per_table(model, c, q, n_max))
 
 
 def test_orthogonality_reads_kernel_columns_bit_for_bit():
     # the columns n mod c of one kernel call give the per-table residual
-    # exactly, and no gauss_sum_table is built or read
+    # exactly, and no gauss_sum_table is built or read; at c = 89 and 97
+    # the left sides come in blocks of two n and of one n
     model = new_model(1, seed=0)
-    for c, n_max in ((1, 5), (5, 0), (7, 3), (12, 30), (30, 40)):
+    for c, n_max in ((1, 5), (5, 0), (7, 3), (12, 30), (30, 40), (89, 5), (97, 3)):
         info = gauss_sum_table.cache_info()
         got = verify_orthogonality_equivalence(model, c, 1, n_max)
         assert gauss_sum_table.cache_info() == info
         assert repr(got) == repr(orthogonality_per_table(model, c, 1, n_max)), c
+
+
+@pytest.mark.parametrize("level, qs", [(1, (1, 3)), (3, (1, 2))], ids=["level-1", "level-3"])
+def test_orthogonality_folds_every_per_table_residual_by_repr(monkeypatch, level, qs):
+    # each case of the default grid (the check's q at level 1; the
+    # quadratic nebentypus mod 3 at level 3), per (n, a) residual and
+    # per case, equals the per-table oracle by repr
+    config = SuiteConfig()
+    psi = quadratic_mod(3) if level == 3 else None
+    model = new_model(level, psi, seed=config.seed)
+    folded = []
+
+    def keep(worst, *values):
+        folded.extend(values)
+        return worse(worst, *values)
+
+    monkeypatch.setattr(identities, "worse", keep)
+    n_max = config.orthogonality_n_max
+    for c in range(1, config.orthogonality_c_max + 1):
+        if math.gcd(c, level) != 1:
+            continue
+        for q in qs:
+            folded.clear()
+            got = verify_orthogonality_equivalence(model, c, q, n_max)
+            want = orthogonality_residuals_per_table(model, c, q, n_max)
+            assert repr(got) == repr(worse(0.0, *want)), (c, q)
+            assert list(map(repr, sorted(folded))) == list(map(repr, sorted(want))), (c, q)
 
 
 def test_orthogonality_reads_each_conjugate_itself(monkeypatch):

@@ -230,6 +230,62 @@ def test_reduction_run_counts_the_sweeps_whose_residuals_differ(tmp_path, capsys
     assert "change dump failed, exit 1" in capsys.readouterr().out
 
 
+# a fake gl3voronoi for the per-case dump: a suite whose collapse folds
+# the residuals 1, 0.5 and 0.25 and whose orthogonality folds 2 and 3, and
+# BUMP moves the collapse residual 0.5
+FAKE_CASES = {
+    "cli.py": """\
+from gl3voronoi import expsums, identities
+
+
+class SuiteConfig:
+    pass
+
+
+class Report:
+    parameters = {}
+
+
+def run_suite(config, names):
+    worst = 0.0
+    for r in (1.0, 0.5, 0.25):
+        worst = expsums.worse(worst, r + BUMP * (r == 0.5))
+    identities.worse(0.0, 2.0, 3.0)
+    return [Report() for _ in names]
+""",
+    "expsums.py": "def worse(worst, *values):\n    return max(worst, *values)\n",
+    "identities.py": "def worse(worst, *values):\n    return max(worst, *values)\n",
+}
+
+
+def _fake_case_checkout(root, bump):
+    package = root / "src" / "gl3voronoi"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    for name, text in FAKE_CASES.items():
+        (package / name).write_text(f"BUMP = {bump!r}\n\n" + text)
+    return root
+
+
+def test_case_run_reports_a_one_ulp_change_in_one_collapse_residual(tmp_path, capsys):
+    tool = _load()
+    real = Path(__file__).resolve().parents[1]
+    # this checkout against itself: every folded residual equal
+    assert tool.case_run([real, real], str(tmp_path)) == 0
+    assert capsys.readouterr().out == (
+        "additive-collapse and orthogonality residuals, default config: "
+        "0 of 2 checks differ, largest |delta| 0\n"
+    )
+    # one ulp on a residual below the collapse's maximum differs
+    parent = _fake_case_checkout(tmp_path / "parent", 0)
+    change = _fake_case_checkout(tmp_path / "change", math.ulp(0.5))
+    assert tool.case_run([parent, change], str(tmp_path)) == 1
+    assert capsys.readouterr().out.endswith("1 of 2 checks differ, largest |delta| 1.11e-16\n")
+    broken = _fake_case_checkout(tmp_path / "broken", "1 / 0")
+    assert tool.case_run([parent, broken], str(tmp_path)) == 1
+    assert "change dump failed, exit 1" in capsys.readouterr().out
+
+
 # a fake gl3voronoi for the coefficient dump: one nebentypus per level, and
 # A(m1, m2) = m1 + i m2, which the contragredient of the level-2 model
 # moves by BUMP, exactly when BUMP is a small power of two

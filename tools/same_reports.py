@@ -12,8 +12,11 @@ kloosterman-reduction at `--c-max 120`, whose large C batch many g2 rows
 into each Gauss-kernel call; kloosterman-reduction at `--m2-max 0
 --c-max 60`, where every g2 block and every left side is one column
 wide, the shape in which the kernel's order of summation and the
-memory order of the left side's operands decide its rounding; and
-`verify all` at small sizes at which no two config fields that reports
+memory order of the left side's operands decide its rounding;
+orthogonality at `--orthogonality-c-max 100 --orthogonality-n-max 4`,
+whose moduli with phi(c)^2 above half a kernel block take their left
+sides one n per block, from operands gathered along their second axis;
+and `verify all` at small sizes at which no two config fields that reports
 echo share a value, so a parameter that echoes the wrong field differs.
 Prints each report whose max_residual repr, verdict or parameters differ
 (runtime_ms is not compared): whether its residual repr and its verdict
@@ -47,15 +50,16 @@ modulus whose bytes differ counts toward exit 1 too.  A fifth dump
 holds, for each sweep of REDUCTION_SWEEPS, every per-(c, m, m1) residual
 that char_kloosterman_reduction_sweep folds into its maximum, sorted,
 as the fold order is not part of the result; a sweep whose bytes
+differ counts toward exit 1.  A sixth dump holds, sorted, every
+per-case residual that additive-collapse (one per (theta, n)) and
+orthogonality (one per (c, q, n, a)) fold at the default SuiteConfig,
+caught at expsums.worse and identities.worse; a check whose bytes
 differ counts toward exit 1.
 
-Blind spot: report fields show a change of rounding only in a report's
-worst case, and the dumps cover kloosterman_matrix, the Gauss kernel,
-the reduction sweep's per-tuple residuals, the coefficients and the
-identity series alone, so a rounding change in any other kernel, in
-the entries of one reduction tuple below that tuple's maximum, or in
-the residuals of the other checks, below a report's maximum, passes
-unseen; the bit-for-bit tests of Tier-1 are what see it.
+Blind spot: a rounding change below a report's maximum passes unseen in
+the checks that no dump covers, and in the entries of one reduction
+tuple below that tuple's maximum; the bit-for-bit tests of Tier-1 are
+what see it.
 """
 
 import json
@@ -100,6 +104,9 @@ VERIFY_RUNS = {
     "verify kloosterman-reduction --c-max 120": ["kloosterman-reduction", "--c-max", "120"],
     "verify kloosterman-reduction --m2-max 0 --c-max 60": [
         "kloosterman-reduction", "--m2-max", "0", "--c-max", "60",
+    ],
+    "verify orthogonality --orthogonality-c-max 100 --orthogonality-n-max 4": [
+        "orthogonality", "--orthogonality-c-max", "100", "--orthogonality-n-max", "4",
     ],
     # small sizes at which no two fields that reports echo share a value,
     # so an echo of the wrong field changes a parameter
@@ -262,6 +269,35 @@ for sweep in sys.argv[2:]:
 np.savez(sys.argv[1], **out)
 """
 
+# run in a checkout: save to the .npz argv[1], per check, the sorted
+# residuals that additive-collapse and orthogonality fold, one per case, at
+# the default SuiteConfig; exit 1 if a check raised
+DUMP_CASES = """
+import sys
+from gl3voronoi import expsums, identities
+from gl3voronoi.cli import SuiteConfig, run_suite
+import numpy as np
+
+out = {}
+
+
+def keep(module, check):
+    fold, residuals = module.worse, out.setdefault(check, [])
+
+    def worse(worst, *values):
+        residuals.extend(values)
+        return fold(worst, *values)
+
+    module.worse = worse
+
+
+keep(expsums, "additive-collapse")
+keep(identities, "orthogonality")
+reports = run_suite(SuiteConfig(), list(out))
+np.savez(sys.argv[1], **{check: np.sort(np.array(r, dtype=float)) for check, r in out.items()})
+sys.exit("; ".join(r.parameters["error"] for r in reports if "error" in r.parameters) or None)
+"""
+
 COEFFICIENT_M1_MAX, COEFFICIENT_M2_MAX = 60, 500
 
 # run in a checkout: save to the .npz argv[1], per model, the rows
@@ -388,6 +424,12 @@ def reduction_run(roots: list[Path], tmp: str, sweeps=REDUCTION_SWEEPS) -> int:
     return dump_run(roots, tmp, where, DUMP_REDUCTION, args, "sweeps")
 
 
+def case_run(roots: list[Path], tmp: str) -> int:
+    """The per-case residuals of additive-collapse and orthogonality of DUMP_CASES."""
+    where = "additive-collapse and orthogonality residuals, default config"
+    return dump_run(roots, tmp, where, DUMP_CASES, [], "checks")
+
+
 def coefficient_run(
     roots: list[Path], tmp: str, m1_max: int = COEFFICIENT_M1_MAX, m2_max: int = COEFFICIENT_M2_MAX
 ) -> int:
@@ -428,7 +470,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         dumps_differ = (
             kernel_run(roots, tmp) + gauss_run(roots, tmp) + reduction_run(roots, tmp)
-            + coefficient_run(roots, tmp) + identity_run(roots, tmp)
+            + case_run(roots, tmp) + coefficient_run(roots, tmp) + identity_run(roots, tmp)
         )
     print(f"{compared} reports compared, {differ} differ")
     print(closing_line(differing))
